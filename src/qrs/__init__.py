@@ -3,7 +3,7 @@ identities.
 
 The package has three layers: a small exact computer-algebra kernel
 (multivariate polynomials, Laurent polynomials, truncated power series,
-basic hypergeometric sums over Fraction coefficients), the polynomial
+basic hypergeometric sums over exact rational coefficients), the polynomial
 families built on it (Cauchy, Rogers-Szego in one and two variables,
 q-Hermite with and without a shift parameter), and a registry of identity
 checks that compare both sides of each identity either coefficientwise

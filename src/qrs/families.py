@@ -12,7 +12,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import LaurentPoly, MultiPoly, frac, qbinom, qfac, qpoch, tri
+from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, qbinom,
+                    qfac, qpoch, tri)
 
 
 @lru_cache(maxsize=None)
@@ -23,6 +24,7 @@ def cauchy_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
     q = frac(q)
     if n == 0:
         return MultiPoly.const(1, (x, y))
+    fill_memo_below(n, lambda k: cauchy_poly(k, q, x, y))
     xv, yv = MultiPoly.var(x), MultiPoly.var(y)
     return cauchy_poly(n - 1, q, x, y) * (xv - yv * q ** (n - 1))
 
@@ -67,19 +69,11 @@ def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
 
     a may be a rational or a symbol; the result is symmetric under z -> 1/z.
     """
-    return _big_laurent_cached(n, _key_of(a), frac(q), z, _a_elem(a))
+    return _big_laurent(n, _a_elem(a), frac(q), z)
 
 
-def _key_of(a):
-    a = _a_elem(a)
-    return a.key() if isinstance(a, MultiPoly) else a
-
-
-def _big_laurent_cached(n, akey, q, z, a, _cache={}):
-    key = (n, akey, q, z)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
+@lru_cache(maxsize=None)
+def _big_laurent(n: int, a, q: Fraction, z: str) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = LaurentPoly({}, z)
@@ -88,7 +82,6 @@ def _big_laurent_cached(n, akey, q, z, a, _cache={}):
         for j in range(k):
             poch = poch * LaurentPoly({0: MultiPoly.const(1), 1: a * (-(q ** j))}, z)
         total = total + poch * LaurentPoly({n - 2 * k: MultiPoly.const(qbinom(n, k, q))}, z)
-    _cache[key] = total
     return total
 
 

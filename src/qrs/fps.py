@@ -190,9 +190,6 @@ class TruncSeries:
                            {tuple(a + b for a, b in zip(i, idx)): c
                             for i, c in self.coeffs.items()})
 
-    def map_coeffs(self, fn) -> "TruncSeries":
-        return TruncSeries(self.vars, self.order, {i: fn(c) for i, c in self.coeffs.items()})
-
     # -- comparison ---------------------------------------------------------
 
     def diff_witness(self, other: "TruncSeries"):
@@ -243,10 +240,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self})"
-
-
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
 
 
 def series_inv(f: TruncSeries) -> TruncSeries:
@@ -390,9 +383,6 @@ class PhiSpec:
     q: Fraction = Fraction(1, 2)
     argument: TruncSeries = None
     ratio_upper: tuple = ()
-
-    def standard_shape(self) -> bool:
-        return len(self.upper) + len(self.ratio_upper) == len(self.lower) + 1
 
 
 def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:

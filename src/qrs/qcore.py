@@ -1,7 +1,14 @@
 """Exact arithmetic kernel: rationals, multivariate polynomials, Laurent
 polynomials, q-shifted factorials and Gaussian binomials.
 
-All exact values are arbitrary-precision rationals (fractions.Fraction).
+Exact scalars are arbitrary-precision rationals (fractions.Fraction). A
+MultiPoly keeps its coefficients over the integers instead: one positive
+denominator shared by the whole polynomial and an int numerator per term,
+keyed by the term's exponent vector packed into a single int (the packed
+monomials of Monagan & Pearce), so products and sums run on plain ints and
+reduce by one gcd per result. Its `terms` view still reads as exponent
+tuples mapped to Fractions.
+
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
 """
@@ -9,9 +16,24 @@ so cached values can be shared freely between threads and callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import index, or_
+from types import MappingProxyType
 
-ExactScalar = Fraction
+# A packed exponent gives every variable a _FIELD-bit field, the first
+# variable (in sorted order) in the most significant one, so that integer
+# order is the lexicographic order of exponent tuples and a monomial
+# product is one integer addition. The top bit of each field is a guard:
+# exponents stay below EXP_LIMIT, so the sum of two never carries into the
+# next field, and a product that sets a guard bit raises OverflowError.
+_FIELD = 32
+_FIELD_MASK = (1 << _FIELD) - 1
+EXP_LIMIT = 1 << (_FIELD - 1)
+
+# How far cached recurrences (qfac, chebyshev_t, cauchy_poly) may recurse
+# before an earlier value is memoised first.
+RECURSION_STEP = 128
 
 
 def frac(value) -> Fraction:
@@ -34,74 +56,197 @@ def _is_scalar(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
-class MultiPoly:
-    """Multivariate polynomial with Fraction coefficients.
+def _pack(exp) -> int:
+    packed = 0
+    for e in exp:
+        e = index(e)
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(exp)}")
+        if e >= EXP_LIMIT:
+            raise OverflowError(f"exponent {e} does not fit below {EXP_LIMIT}")
+        packed = packed << _FIELD | e
+    return packed
 
-    Terms are stored sparsely as a dict from exponent tuples to nonzero
-    coefficients. The variable list is sorted by name at construction and
-    exponent tuples are dense with respect to it. Operations on polynomials
-    over different variable sets promote both to the sorted union.
+
+def _unpack(packed: int, n: int) -> tuple:
+    return tuple(packed >> s & _FIELD_MASK for s in range(_FIELD * (n - 1), -1, -_FIELD))
+
+
+@lru_cache(maxsize=None)
+def _guard_bits(n: int) -> int:
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _sorted_vars(variables: tuple) -> tuple:
+    if len(set(variables)) != len(variables):
+        raise ValueError("duplicate variable names")
+    return tuple(sorted(variables))
+
+
+@lru_cache(maxsize=None)
+def _union(a: tuple, b: tuple) -> tuple:
+    return tuple(sorted(set(a) | set(b)))
+
+
+@lru_cache(maxsize=None)
+def _moves(old: tuple, new: tuple):
+    """How a packed exponent over `old` becomes one over `new`.
+
+    Both are sorted, so the variables they share keep their order and fall
+    into runs that are adjacent in both. Returns a shift when a single run
+    holds every variable of `old` (the usual widening to a union), else
+    one (old shift, mask, new shift) triple per run; fields of variables
+    missing from `new` are dropped.
+    """
+    if not old:
+        return 0
+    runs = []
+    last = None
+    for i, v in enumerate(old):
+        if v not in new:
+            last = None
+            continue
+        j = new.index(v)
+        lo, nlo = _FIELD * (len(old) - 1 - i), _FIELD * (len(new) - 1 - j)
+        if last == (i - 1, j - 1):
+            runs[-1] = (lo, runs[-1][1] + 1, nlo)   # the run grows toward the low fields
+        else:
+            runs.append((lo, 1, nlo))
+        last = (i, j)
+    if len(runs) == 1 and runs[0][1] == len(old):
+        return runs[0][2]
+    return tuple((lo, (1 << _FIELD * width) - 1, nlo) for lo, width, nlo in runs)
+
+
+def _repack(num: dict, moves) -> dict:
+    """num re-keyed by a `_moves` result; returned as is when nothing moves."""
+    if isinstance(moves, int):
+        return num if not moves else {e << moves: c for e, c in num.items()}
+    if len(moves) == 1:
+        ((lo, mask, nlo),) = moves
+        return {(e >> lo & mask) << nlo: c for e, c in num.items()}
+    return {sum((e >> lo & mask) << nlo for lo, mask, nlo in moves): c
+            for e, c in num.items()}
+
+
+def _build(variables: tuple, den: int, num: dict) -> "MultiPoly":
+    """Wrap an already canonical form: den > 0, nonzero numerators, gcd 1."""
+    p = _new(MultiPoly)
+    _set_vars(p, variables)
+    _set_den(p, den)
+    _set_num(p, num)
+    return p
+
+
+def _normal(variables: tuple, den: int, num: dict) -> "MultiPoly":
+    """Canonical form of num/den: drop zero numerators, divide out the gcd."""
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        num = {e: c // g for e, c in num.items()}
+    return _build(variables, den, num)
+
+
+def _common(a: "MultiPoly", b: "MultiPoly"):
+    """The sorted union of the variables and both numerator dicts over it."""
+    if a.vars == b.vars:
+        return a.vars, a._num, b._num
+    union = _union(a.vars, b.vars)
+    return (union, _repack(a._num, _moves(a.vars, union)),
+            _repack(b._num, _moves(b.vars, union)))
+
+
+def _sum(polys) -> "MultiPoly":
+    """Sum of polynomials in one pass at the lcm of their denominators.
+
+    The first nonzero operand is copied whole at C speed and the others are
+    added term by term, so callers put the largest first.
+    """
+    variables = reduce(_union, (p.vars for p in polys), ())
+    den = lcm(*(p._den for p in polys))
+    acc = {}
+    for p in polys:
+        scale = den // p._den
+        num = _repack(p._num, _moves(p.vars, variables))
+        if not acc:
+            acc = dict(num) if scale == 1 else {e: c * scale for e, c in num.items()}
+            continue
+        for e, c in num.items():
+            if e in acc:
+                acc[e] += c * scale
+            else:
+                acc[e] = c * scale
+    return _normal(variables, den, acc)
+
+
+class MultiPoly:
+    """Multivariate polynomial with exact rational coefficients.
+
+    The variable list is sorted by name at construction. The polynomial is
+    stored as one positive int denominator and a dict from packed exponents
+    to nonzero int numerators, reduced so that the denominator and all the
+    numerators share no factor; equal polynomials over the same variables
+    therefore have equal representations. `terms` is the read-only view
+    {exponent tuple: Fraction}, built on first use. Operations on
+    polynomials over different variable sets promote both to the sorted
+    union.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_den", "_num", "_terms", "_key")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
-        if len(set(variables)) != len(variables):
-            raise ValueError("duplicate variable names")
-        order = tuple(sorted(variables))
-        if order != variables:
-            pos = [variables.index(v) for v in order]
-            terms = {tuple(e[p] for p in pos): c for e, c in terms.items()}
-        clean = {}
+        order = _sorted_vars(variables)
+        pos = None if order == variables else [variables.index(v) for v in order]
+        coefs = {}
         for exp, coef in terms.items():
+            exp = tuple(exp)
+            if len(exp) != len(order):
+                raise ValueError(f"exponent {exp} does not match variables {order}")
             coef = coef if isinstance(coef, Fraction) else Fraction(coef)
             if coef:
-                clean[tuple(exp)] = coef
-        object.__setattr__(self, "vars", order)
-        object.__setattr__(self, "terms", clean)
+                coefs[_pack(exp if pos is None else [exp[p] for p in pos])] = coef
+        # with reduced coefficients, the lcm of their denominators already
+        # shares no factor with every numerator
+        den = lcm(*(c.denominator for c in coefs.values()))
+        _set_vars(self, order)
+        _set_den(self, den)
+        _set_num(self, {e: c.numerator * (den // c.denominator) for e, c in coefs.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self):
+        """Read-only mapping from exponent tuples to nonzero Fractions."""
+        try:
+            return self._terms
+        except AttributeError:
+            n, den = len(self.vars), self._den
+            view = MappingProxyType({_unpack(e, n): Fraction(c, den)
+                                     for e, c in self._num.items()})
+            _set_terms(self, view)
+            return view
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, c, variables=()) -> "MultiPoly":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        if not c:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): c})
+        if not _is_scalar(c):
+            c = Fraction(c)
+        return _build(_sorted_vars(tuple(variables)), c.denominator, {0: c.numerator} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return _build((name,), 1, {1: 1})
 
     @classmethod
     def monomial(cls, exps: dict, coef=1) -> "MultiPoly":
         names = tuple(sorted(exps))
         return cls(names, {tuple(exps[n] for n in names): Fraction(coef)})
-
-    # -- alignment ----------------------------------------------------
-
-    def _remap(self, newvars) -> "MultiPoly":
-        if newvars == self.vars:
-            return self
-        pos = {v: i for i, v in enumerate(newvars)}
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(newvars)
-            for v, e in zip(self.vars, exp):
-                new[pos[v]] = e
-            terms[tuple(new)] = c
-        return MultiPoly(newvars, terms)
-
-    @staticmethod
-    def _aligned(a: "MultiPoly", b: "MultiPoly"):
-        if a.vars == b.vars:
-            return a, b
-        union = tuple(sorted(set(a.vars) | set(b.vars)))
-        return a._remap(union), b._remap(union)
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -116,20 +261,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = MultiPoly._aligned(self, other)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return MultiPoly(a.vars, terms)
+        return _sum((self, other) if len(self._num) >= len(other._num) else (other, self))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _build(self.vars, self._den, {e: -c for e, c in self._num.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,25 +277,44 @@ class MultiPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, s) -> "MultiPoly":
+        """self * s for a rational s; the result needs no full gcd pass."""
+        if not s or not self._num:
+            return _build(self.vars, 1, {})
+        p, q = s.numerator, s.denominator
+        # num/den is reduced and so is p/q: only gcd(p, den) and the gcd of
+        # q with the numerators can cancel.
+        g = gcd(p, self._den)
+        gq = gcd(q, *self._num.values()) if q != 1 else 1
+        p //= g
+        num = self._num
+        if p != 1 or gq != 1:
+            num = {e: c // gq * p for e, c in num.items()}
+        return _build(self.vars, self._den // g * (q // gq), num)
+
     def __mul__(self, other):
-        if _is_scalar(other):
-            other = Fraction(other)
-            if not other:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        a, b = MultiPoly._aligned(self, other)
-        if not a.terms or not b.terms:
-            return MultiPoly(a.vars, {})
-        acc = {}
-        bitems = list(b.terms.items())
-        for e1, c1 in a.terms.items():
-            for e2, c2 in bitems:
-                key = tuple(x + y for x, y in zip(e1, e2))
-                s = acc.get(key)
-                acc[key] = c1 * c2 if s is None else s + c1 * c2
-        return MultiPoly(a.vars, acc)
+            return self._scaled(other) if _is_scalar(other) else NotImplemented
+        if not self._num or not other._num:
+            return _build(_union(self.vars, other.vars), 1, {})
+        variables, an, bn = _common(self, other)
+        small, big = (an, bn) if len(an) <= len(bn) else (bn, an)
+        if len(small) == 1:
+            ((e1, c1),) = small.items()
+            acc = {e1 + e2: c1 * c2 for e2, c2 in big.items()}
+        else:
+            items = list(big.items())
+            acc = {}
+            for e1, c1 in small.items():
+                for e2, c2 in items:
+                    e = e1 + e2
+                    if e in acc:
+                        acc[e] += c1 * c2
+                    else:
+                        acc[e] = c1 * c2
+        if reduce(or_, acc) & _guard_bits(len(variables)):
+            raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
+        return _normal(variables, self._den * other._den, acc)
 
     __rmul__ = __mul__
 
@@ -178,8 +334,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = MultiPoly._aligned(self, other)
-        return a.terms == b.terms
+        _, an, bn = _common(self, other)
+        return self._den == other._den and an == bn
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -189,36 +345,43 @@ class MultiPoly:
         return hash(self.key())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # -- queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not self._num or (len(self._num) == 1 and 0 in self._num)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        n = len(self.vars)
+        return max((sum(_unpack(e, n)) for e in self._num), default=0)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
-        i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=0)
+        shift = _FIELD * (len(self.vars) - 1 - self.vars.index(var))
+        return max((e >> shift & _FIELD_MASK for e in self._num), default=0)
 
     def key(self):
         """Hashable canonical form (unused variables dropped)."""
-        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
-        names = tuple(self.vars[i] for i in used)
-        items = tuple(sorted((tuple(e[i] for i in used), c) for e, c in self.terms.items()))
-        return (names, items)
+        try:
+            return self._key
+        except AttributeError:
+            used = reduce(or_, self._num, 0)
+            keep = [i for i in range(len(self.vars))
+                    if used >> _FIELD * (len(self.vars) - 1 - i) & _FIELD_MASK]
+            items = tuple(sorted((tuple(e[i] for i in keep), c) for e, c in self.terms.items()))
+            key = (tuple(self.vars[i] for i in keep), items)
+            _set_key(self, key)
+            return key
 
     def as_univariate(self, var: str) -> dict:
         """View as a polynomial in `var`: degree -> MultiPoly in the rest."""
@@ -226,47 +389,61 @@ class MultiPoly:
             return {0: self}
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
+        shift = _FIELD * (len(self.vars) - 1 - i)
+        low = (1 << shift) - 1
         out = {}
-        for exp, c in self.terms.items():
-            d = exp[i]
-            rexp = exp[:i] + exp[i + 1:]
-            bucket = out.setdefault(d, {})
-            bucket[rexp] = bucket.get(rexp, Fraction(0)) + c
-        return {d: MultiPoly(rest, t) for d, t in sorted(out.items())}
+        for e, c in self._num.items():
+            bucket = out.setdefault(e >> shift & _FIELD_MASK, {})
+            bucket[e >> (shift + _FIELD) << shift | e & low] = c
+        return {d: _normal(rest, self._den, t) for d, t in sorted(out.items())}
 
     def partial_coefficient(self, fixed: dict) -> "MultiPoly":
         """Coefficient of prod var^e over `fixed`, a polynomial in the rest."""
-        idx = []
+        mask = want = 0
         for v, e in fixed.items():
             if v in self.vars:
-                idx.append((self.vars.index(v), e))
+                if not 0 <= e < EXP_LIMIT:
+                    return MultiPoly((), {})
+                shift = _FIELD * (len(self.vars) - 1 - self.vars.index(v))
+                mask |= _FIELD_MASK << shift
+                want |= e << shift
             elif e != 0:
                 return MultiPoly((), {})
-        keep = [i for i in range(len(self.vars)) if i not in {j for j, _ in idx}]
-        out = {}
-        for exp, c in self.terms.items():
-            if all(exp[i] == e for i, e in idx):
-                out[tuple(exp[i] for i in keep)] = c
-        return MultiPoly(tuple(self.vars[i] for i in keep), out)
+        keep = tuple(v for v in self.vars if v not in fixed)
+        hits = {e: c for e, c in self._num.items() if e & mask == want}
+        return _normal(keep, self._den, _repack(hits, _moves(self.vars, keep)))
 
     def substitute(self, bindings: dict) -> "MultiPoly":
-        """Replace variables by rationals or polynomials; others stay."""
-        if not any(v in bindings for v in self.vars):
+        """Replace variables by rationals or polynomials; others stay.
+
+        Terms are grouped by their exponents in the replaced variables, so
+        each group costs one product with a power of each value, and each
+        power is built once.
+        """
+        n = len(self.vars)
+        shifts = {v: _FIELD * (n - 1 - i) for i, v in enumerate(self.vars)}
+        bound = [v for v in self.vars if v in bindings]
+        if not bound:
             return self
-        acc = MultiPoly.const(0)
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for v, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                if v in bindings:
-                    val = bindings[v]
-                    val = MultiPoly.const(val) if _is_scalar(val) else val
-                    term = term * val ** e
-                else:
-                    term = term * MultiPoly((v,), {(e,): Fraction(1)})
-            acc = acc + term
-        return acc
+        free = [v for v in self.vars if v not in bindings]
+        groups = {}
+        for e, c in self._num.items():
+            groups.setdefault(tuple(e >> shifts[v] & _FIELD_MASK for v in bound), {})[e] = c
+        powers = {}
+        parts = []
+        for exps, num in groups.items():
+            used = reduce(or_, num)
+            # the free variables this group uses; the others are dropped
+            keep = tuple(v for v in free if used >> shifts[v] & _FIELD_MASK)
+            part = _normal(keep, self._den, _repack(num, _moves(self.vars, keep)))
+            for v, k in zip(bound, exps):
+                if k:
+                    if (v, k) not in powers:
+                        val = bindings[v]
+                        powers[v, k] = (MultiPoly.const(val) if _is_scalar(val) else val) ** k
+                    part = part * powers[v, k]
+            parts.append(part)
+        return _sum(parts)
 
     # -- serialization / display --------------------------------------
 
@@ -285,7 +462,7 @@ class MultiPoly:
                    {tuple(t["exp"]): Fraction(t["coef"]) for t in d["terms"]})
 
     def __str__(self):
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for exp, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
@@ -311,8 +488,14 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
+_new = object.__new__
+_set_vars = MultiPoly.vars.__set__
+_set_den = MultiPoly._den.__set__
+_set_num = MultiPoly._num.__set__
+_set_terms = MultiPoly._terms.__set__
+_set_key = MultiPoly._key.__set__
+
 ZERO = MultiPoly((), {})
-ONE = MultiPoly.const(1)
 
 
 class LaurentPoly:
@@ -423,6 +606,18 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+def fill_memo_below(n: int, fn) -> None:
+    """Call fn(k) for every RECURSION_STEP-th k below n, lowest first.
+
+    A memoised recurrence that steps down from n one value at a time calls
+    this first, so that it recurses at most RECURSION_STEP levels before it
+    meets a memoised value, however large n is. Below RECURSION_STEP the
+    loop is empty and the recurrence runs exactly as written.
+    """
+    for k in range(RECURSION_STEP, n, RECURSION_STEP):
+        fn(k)
+
+
 @lru_cache(maxsize=None)
 def chebyshev_t(k: int, xvar: str = "x") -> MultiPoly:
     """Chebyshev polynomial T_k, with T_k(cos t) = cos(k t)."""
@@ -431,6 +626,7 @@ def chebyshev_t(k: int, xvar: str = "x") -> MultiPoly:
     x = MultiPoly.var(xvar)
     if k == 1:
         return x
+    fill_memo_below(k, lambda j: chebyshev_t(j, xvar))
     return x * chebyshev_t(k - 1, xvar) * 2 - chebyshev_t(k - 2, xvar)
 
 
@@ -441,6 +637,7 @@ def qfac(q: Fraction, n: int) -> Fraction:
         raise ValueError("qfac needs n >= 0")
     if n == 0:
         return Fraction(1)
+    fill_memo_below(n, lambda k: qfac(q, k))
     return qfac(q, n - 1) * (1 - q ** n)
 
 
@@ -478,7 +675,7 @@ def qbinom(n: int, k: int, q):
     """Gaussian binomial [n choose k]_q.
 
     Out-of-range k (or negative n) gives 0, which keeps finite q-sums
-    writable without explicit range guards. For rational q the quotient
+    writable without explicit range guards. For rational q the product
     formula is used; a MultiPoly q goes through the Pascal recurrence so
     the result stays a polynomial with no division.
     """
@@ -489,20 +686,23 @@ def qbinom(n: int, k: int, q):
     q = frac(q)
     if k < 0 or n < 0 or k > n:
         return Fraction(0)
-    return qfac(q, n) / (qfac(q, k) * qfac(q, n - k))
+    return _qbinom_rational(n, min(k, n - k), q)
 
 
-def _qbinom_poly(n: int, k: int, q: MultiPoly, _cache={}) -> MultiPoly:
-    key = (n, k, q.key())
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    if k == 0 or k == n:
-        out = MultiPoly.const(1, q.vars)
-    else:
-        out = _qbinom_poly(n - 1, k - 1, q) + q ** k * _qbinom_poly(n - 1, k, q)
-    _cache[key] = out
+@lru_cache(maxsize=None)
+def _qbinom_rational(n: int, k: int, q: Fraction) -> Fraction:
+    """prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i), a loop of k steps."""
+    out = Fraction(1)
+    for i in range(1, k + 1):
+        out = out * (1 - q ** (n - k + i)) / (1 - q ** i)
     return out
+
+
+@lru_cache(maxsize=None)
+def _qbinom_poly(n: int, k: int, q: MultiPoly) -> MultiPoly:
+    if k == 0 or k == n:
+        return MultiPoly.const(1, q.vars)
+    return _qbinom_poly(n - 1, k - 1, q) + q ** k * _qbinom_poly(n - 1, k, q)
 
 
 def poly_eval(p: MultiPoly, bindings: dict):

@@ -1,0 +1,295 @@
+"""Frozen reference for the MultiPoly kernel tests: the dict-of-Fraction
+implementation that `qrs.qcore.MultiPoly` replaced.
+
+Terms are a dict from exponent tuples to nonzero Fractions and every
+operation works term by term in Fraction arithmetic. It is slow but
+obviously right, so the property tests in test_multipoly_kernel.py check
+the packed integer kernel against it. It is not part of the package and
+nothing outside the tests imports it; do not optimise it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _is_scalar(v) -> bool:
+    return isinstance(v, (int, Fraction))
+
+
+class MultiPoly:
+    """Multivariate polynomial with Fraction coefficients.
+
+    Terms are stored sparsely as a dict from exponent tuples to nonzero
+    coefficients. The variable list is sorted by name at construction and
+    exponent tuples are dense with respect to it. Operations on polynomials
+    over different variable sets promote both to the sorted union.
+    """
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, variables, terms):
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
+            raise ValueError("duplicate variable names")
+        order = tuple(sorted(variables))
+        if order != variables:
+            pos = [variables.index(v) for v in order]
+            terms = {tuple(e[p] for p in pos): c for e, c in terms.items()}
+        clean = {}
+        for exp, coef in terms.items():
+            coef = coef if isinstance(coef, Fraction) else Fraction(coef)
+            if coef:
+                clean[tuple(exp)] = coef
+        object.__setattr__(self, "vars", order)
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiPoly is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def const(cls, c, variables=()) -> "MultiPoly":
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        if not c:
+            return cls(variables, {})
+        return cls(variables, {(0,) * len(tuple(variables)): c})
+
+    @classmethod
+    def var(cls, name: str) -> "MultiPoly":
+        return cls((name,), {(1,): Fraction(1)})
+
+    @classmethod
+    def monomial(cls, exps: dict, coef=1) -> "MultiPoly":
+        names = tuple(sorted(exps))
+        return cls(names, {tuple(exps[n] for n in names): Fraction(coef)})
+
+    # -- alignment ----------------------------------------------------
+
+    def _remap(self, newvars) -> "MultiPoly":
+        if newvars == self.vars:
+            return self
+        pos = {v: i for i, v in enumerate(newvars)}
+        terms = {}
+        for exp, c in self.terms.items():
+            new = [0] * len(newvars)
+            for v, e in zip(self.vars, exp):
+                new[pos[v]] = e
+            terms[tuple(new)] = c
+        return MultiPoly(newvars, terms)
+
+    @staticmethod
+    def _aligned(a: "MultiPoly", b: "MultiPoly"):
+        if a.vars == b.vars:
+            return a, b
+        union = tuple(sorted(set(a.vars) | set(b.vars)))
+        return a._remap(union), b._remap(union)
+
+    def _coerce(self, other):
+        if isinstance(other, MultiPoly):
+            return other
+        if _is_scalar(other):
+            return MultiPoly.const(other, self.vars)
+        return None
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = MultiPoly._aligned(self, other)
+        terms = dict(a.terms)
+        for exp, c in b.terms.items():
+            s = terms.get(exp, Fraction(0)) + c
+            if s:
+                terms[exp] = s
+            else:
+                terms.pop(exp, None)
+        return MultiPoly(a.vars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if _is_scalar(other):
+            other = Fraction(other)
+            if not other:
+                return MultiPoly(self.vars, {})
+            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        a, b = MultiPoly._aligned(self, other)
+        if not a.terms or not b.terms:
+            return MultiPoly(a.vars, {})
+        acc = {}
+        bitems = list(b.terms.items())
+        for e1, c1 in a.terms.items():
+            for e2, c2 in bitems:
+                key = tuple(x + y for x, y in zip(e1, e2))
+                s = acc.get(key)
+                acc[key] = c1 * c2 if s is None else s + c1 * c2
+        return MultiPoly(a.vars, acc)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = MultiPoly.const(1, self.vars)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = MultiPoly._aligned(self, other)
+        return a.terms == b.terms
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return NotImplemented if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    # -- queries ------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return all(not any(e) for e in self.terms)
+
+    def constant_value(self) -> Fraction:
+        if not self.is_constant():
+            raise ValueError(f"not a constant polynomial: {self}")
+        return next(iter(self.terms.values()), Fraction(0))
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.terms), default=0)
+
+    def degree_in(self, var: str) -> int:
+        if var not in self.vars:
+            return 0
+        i = self.vars.index(var)
+        return max((e[i] for e in self.terms), default=0)
+
+    def key(self):
+        """Hashable canonical form (unused variables dropped)."""
+        used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
+        names = tuple(self.vars[i] for i in used)
+        items = tuple(sorted((tuple(e[i] for i in used), c) for e, c in self.terms.items()))
+        return (names, items)
+
+    def as_univariate(self, var: str) -> dict:
+        """View as a polynomial in `var`: degree -> MultiPoly in the rest."""
+        if var not in self.vars:
+            return {0: self}
+        i = self.vars.index(var)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        out = {}
+        for exp, c in self.terms.items():
+            d = exp[i]
+            rexp = exp[:i] + exp[i + 1:]
+            bucket = out.setdefault(d, {})
+            bucket[rexp] = bucket.get(rexp, Fraction(0)) + c
+        return {d: MultiPoly(rest, t) for d, t in sorted(out.items())}
+
+    def partial_coefficient(self, fixed: dict) -> "MultiPoly":
+        """Coefficient of prod var^e over `fixed`, a polynomial in the rest."""
+        idx = []
+        for v, e in fixed.items():
+            if v in self.vars:
+                idx.append((self.vars.index(v), e))
+            elif e != 0:
+                return MultiPoly((), {})
+        keep = [i for i in range(len(self.vars)) if i not in {j for j, _ in idx}]
+        out = {}
+        for exp, c in self.terms.items():
+            if all(exp[i] == e for i, e in idx):
+                out[tuple(exp[i] for i in keep)] = c
+        return MultiPoly(tuple(self.vars[i] for i in keep), out)
+
+    def substitute(self, bindings: dict) -> "MultiPoly":
+        """Replace variables by rationals or polynomials; others stay."""
+        if not any(v in bindings for v in self.vars):
+            return self
+        acc = MultiPoly.const(0)
+        for exp, c in self.terms.items():
+            term = MultiPoly.const(c)
+            for v, e in zip(self.vars, exp):
+                if not e:
+                    continue
+                if v in bindings:
+                    val = bindings[v]
+                    val = MultiPoly.const(val) if _is_scalar(val) else val
+                    term = term * val ** e
+                else:
+                    term = term * MultiPoly((v,), {(e,): Fraction(1)})
+            acc = acc + term
+        return acc
+
+    # -- serialization / display --------------------------------------
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vars": list(self.vars),
+            "terms": [
+                {"exp": list(e), "coef": f"{c.numerator}/{c.denominator}"}
+                for e, c in sorted(self.terms.items())
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "MultiPoly":
+        return cls(tuple(d["vars"]),
+                   {tuple(t["exp"]): Fraction(t["coef"]) for t in d["terms"]})
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exp, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+            factors = []
+            for v, e in zip(self.vars, exp):
+                if e == 1:
+                    factors.append(v)
+                elif e > 1:
+                    factors.append(f"{v}^{e}")
+            body = "*".join(factors)
+            if not body:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(body)
+            elif c == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{c}*{body}")
+        out = " + ".join(parts)
+        return out.replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"MultiPoly({self})"
+

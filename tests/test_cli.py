@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qrs.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -137,6 +140,19 @@ def test_verify_all_byte_identical_across_runs(tmp_path, capsys):
     assert main(["verify-all", "--order", "3", "--output", str(two)]) == 0
     capsys.readouterr()
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("extra, capture", [
+    ([], "verify_all_seed0.json"),
+    (["--order", "6"], "verify_all_seed0_order6.json"),
+])
+def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, extra, capture):
+    # `python -m qrs verify-all --seed 0 [--order 6]` as captured with the
+    # dict-of-Fraction MultiPoly kernel; a kernel change must reproduce every byte
+    out = tmp_path / "out.json"
+    assert main(["verify-all", "--seed", "0", *extra, "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (DATA / capture).read_bytes()
 
 
 def test_timings_flag_fills_elapsed_ms(capsys):

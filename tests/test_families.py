@@ -33,6 +33,13 @@ def test_cauchy_poly_frozen_values():
     assert cauchy_poly(2, q) == X * X - Fraction(3, 2) * X * Y + Fraction(1, 2) * Y * Y
 
 
+def test_cauchy_poly_at_degree_1200():
+    # at q = -1 the factors pair up: P_1200 = ((x - y)(x + y))^600
+    p = cauchy_poly(1200, Fraction(-1))
+    want = {(1200 - 2 * j, 2 * j): Fraction((-1) ** j * math.comb(600, j)) for j in range(601)}
+    assert dict(p.terms) == want
+
+
 def test_cauchy_poly_shifted_product_rule():
     # P_{m+n}(x, y) = P_m(x, y) * P_n(x, q^m y)
     rng = random.Random(RNG_SEED)

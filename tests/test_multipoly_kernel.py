@@ -1,0 +1,169 @@
+"""Property tests for the packed integer MultiPoly kernel.
+
+Every result is checked against two references that share no code with
+the kernel: the dict-of-Fraction implementation it replaced (kept in
+reference_multipoly.py) and sympy.Poly. Coefficients get large numerators
+and denominators, and sums are built to cancel, because those are the
+cases a common-denominator representation can get wrong.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_multipoly import MultiPoly as RefPoly
+
+from qrs.qcore import EXP_LIMIT, MultiPoly
+
+VARS = ("u", "v", "x", "y")
+BIG = 10 ** 30
+
+# a fixed example set per test, and nothing written to a .hypothesis/ database
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+variables = st.lists(st.sampled_from(VARS), min_size=1, max_size=4, unique=True).map(tuple)
+coefficients = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def polys(draw, over=None):
+    """(variables, {exponent tuple: Fraction}) over 1-4 variables."""
+    names = over if over is not None else draw(variables)
+    exps = st.tuples(*(st.integers(0, 5) for _ in names))
+    return names, draw(st.dictionaries(exps, coefficients, max_size=7))
+
+
+def both(spec):
+    names, terms = spec
+    return MultiPoly(names, terms), RefPoly(names, terms)
+
+
+def agrees(p: MultiPoly, ref: RefPoly) -> bool:
+    return p.vars == ref.vars and dict(p.terms) == ref.terms
+
+
+def canonical(p: MultiPoly) -> bool:
+    return p._den > 0 and 0 not in p._num.values() and gcd(p._den, *p._num.values()) == 1
+
+
+def to_sympy(p: MultiPoly, names):
+    """p as a sympy.Poly over QQ in the variables `names` (a superset)."""
+    gens = sympy.symbols(names)
+    where = [names.index(v) for v in p.vars]
+    terms = {}
+    for exp, c in p.terms.items():
+        full = [0] * len(names)
+        for i, e in zip(where, exp):
+            full[i] = e
+        terms[tuple(full)] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly.from_dict(terms, *gens, domain=sympy.QQ) if terms else \
+        sympy.Poly(0, *gens, domain=sympy.QQ)
+
+
+@KERNEL
+@given(polys(), polys(), coefficients)
+def test_operations_match_fraction_reference(a_spec, b_spec, s):
+    (a, ra), (b, rb) = both(a_spec), both(b_spec)
+    for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+                      (-a, -ra), (a * s, ra * s), (s - a, s - ra), (a ** 3, ra ** 3)):
+        assert agrees(got, want)
+        assert canonical(got)
+    assert (a == b) == (ra == rb)
+    assert a.key() == ra.key() and str(a) == str(ra)
+    assert a.to_json_dict() == ra.to_json_dict()
+
+
+@KERNEL
+@given(st.data())
+def test_products_and_sums_match_sympy(data):
+    names = data.draw(variables)
+    a, _ = both(data.draw(polys(names)))
+    b, _ = both(data.draw(polys(names)))
+    pa, pb = to_sympy(a, names), to_sympy(b, names)
+    assert to_sympy(a * b, names) == pa * pb
+    assert to_sympy(a + b, names) == pa + pb
+    assert to_sympy(a - b, names) == pa - pb
+
+
+@KERNEL
+@given(polys(), polys(), polys())
+def test_ring_axioms(a_spec, b_spec, c_spec):
+    a, b, c = (MultiPoly(*spec) for spec in (a_spec, b_spec, c_spec))
+    zero, one = MultiPoly.const(0), MultiPoly.const(1)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert (a - a).is_zero() and (a * zero).is_zero()
+
+
+@KERNEL
+@given(polys(), polys(), polys(), coefficients)
+def test_equal_values_have_equal_canonical_forms(a_spec, b_spec, c_spec, s):
+    a, b, c = (MultiPoly(*spec) for spec in (a_spec, b_spec, c_spec))
+    names, terms = a_spec
+    routes = [
+        ((a + b) * c, a * c + b * c),
+        # the sum cancels back to a; multiplying b by 0 widens a to the same variables
+        ((a + b) - b, a + b * 0),
+        (a + c - c - a, (a - a) * c),
+        (MultiPoly(tuple(reversed(names)), {e[::-1]: t for e, t in reversed(terms.items())}), a),
+    ]
+    if s:
+        routes.append(((a * s) * (1 / s), a))
+    for left, right in routes:
+        assert left == right
+        assert canonical(left) and canonical(right)
+        assert left.key() == right.key() and hash(left) == hash(right)
+        assert left.to_json_dict() == right.to_json_dict()
+        assert str(left) == str(right)
+
+
+@KERNEL
+@given(polys(over=("x", "y")), polys(over=("x",)), coefficients)
+def test_substitute_and_views_match_fraction_reference(p_spec, v_spec, s):
+    (p, rp), (v, rv) = both(p_spec), both(v_spec)
+    assert agrees(p.substitute({"y": v}), rp.substitute({"y": rv}))
+    assert agrees(p.substitute({"x": s}), rp.substitute({"x": s}))
+    # simultaneous: v is in x, so x -> v must not see the new x from y -> v
+    assert agrees(p.substitute({"x": v, "y": v}), rp.substitute({"x": rv, "y": rv}))
+    assert agrees(p.substitute({"x": s, "y": 0}), rp.substitute({"x": s, "y": 0}))
+    got, want = p.as_univariate("y"), rp.as_univariate("y")
+    assert list(got) == list(want) and all(agrees(got[d], want[d]) for d in got)
+    assert agrees(p.partial_coefficient({"x": 2}), rp.partial_coefficient({"x": 2}))
+    assert p.total_degree() == rp.total_degree() and p.degree_in("y") == rp.degree_in("y")
+
+
+def test_terms_is_a_read_only_fraction_view():
+    p = MultiPoly(("y", "x"), {(1, 2): Fraction(3, 4), (0, 0): 2})
+    assert dict(p.terms) == {(2, 1): Fraction(3, 4), (0, 0): Fraction(2)}
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = Fraction(1)
+
+
+def test_exponent_past_its_field_raises_overflow():
+    x = MultiPoly.var("x")
+    with pytest.raises(OverflowError):
+        x ** (2 ** 31)
+    with pytest.raises(OverflowError):
+        MultiPoly(("x",), {(EXP_LIMIT,): 1})
+    with pytest.raises(ValueError):
+        MultiPoly(("x",), {(-1,): 1})
+
+
+def test_two_variable_product_at_the_field_limit():
+    top = EXP_LIMIT - 1
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    at_limit = MultiPoly(("x", "y"), {(top - 1, top - 1): 1})
+    assert dict((at_limit * x * y).terms) == {(top, top): Fraction(1)}
+    # one more in either field must not carry into the other variable
+    for factor in (x * x, y * y):
+        with pytest.raises(OverflowError):
+            at_limit * factor

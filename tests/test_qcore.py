@@ -210,3 +210,35 @@ def test_poly_eval_numeric_and_exact_paths():
     assert abs(poly_eval(p, {"x": 0.5, "y": 3.0}) - 2.5) < 1e-15
     with pytest.raises(ValueError):
         poly_eval(p, {"x": 1})
+
+
+# -- degrees far past the interpreter's recursion limit ----------------------
+
+
+def test_qfac_at_degree_1500():
+    # at q = -1 every value stays small ((q;q)_n = 0 from n = 2 on), so the
+    # memoised recurrence is walked 1500 levels deep in milliseconds
+    assert qfac(Fraction(-1), 1500) == 0
+    q = Fraction(1, 2)
+    want = Fraction(1)
+    for k in range(1, 301):
+        want *= 1 - q ** k
+    assert qfac(q, 300) == want
+
+
+def test_qbinom_rational_at_degree_1200():
+    q = Fraction(1, 2)
+    want = Fraction(1)
+    for i in range(1, 4):
+        want *= (1 - q ** (1200 - 3 + i)) / (1 - q ** i)
+    assert qbinom(1200, 3, q) == want
+    assert qbinom(1200, 1197, q) == want
+    assert qbinom(1200, 3, q) == qbinom(1199, 2, q) + q ** 3 * qbinom(1199, 3, q)
+
+
+def test_chebyshev_at_degree_2000():
+    t = chebyshev_t(2000)
+    assert t.total_degree() == 2000
+    assert t.terms[(2000,)] == 2 ** 1999
+    assert poly_eval(t, {"x": Fraction(1)}) == 1   # T_n(cos 0) = 1
+    assert poly_eval(t, {"x": Fraction(0)}) == 1   # T_n(cos pi/2) = cos(1000 pi)
