@@ -12,8 +12,8 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 
-from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, qbinom,
-                    qfac, qpoch, tri)
+from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, lincomb,
+                    qbinom, tri)
 
 
 @lru_cache(maxsize=None)
@@ -35,10 +35,7 @@ def rs_poly(n: int, q: Fraction, x: str = "x") -> MultiPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = frac(q)
-    out = MultiPoly.const(0, (x,))
-    for k in range(n + 1):
-        out = out + MultiPoly((x,), {(k,): qbinom(n, k, q)})
-    return out
+    return MultiPoly((x,), {(k,): qbinom(n, k, q) for k in range(n + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -47,10 +44,7 @@ def brs_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = frac(q)
-    out = MultiPoly.const(0, (x, y))
-    for k in range(n + 1):
-        out = out + cauchy_poly(k, q, x, y) * qbinom(n, k, q)
-    return out
+    return lincomb((qbinom(n, k, q), cauchy_poly(k, q, x, y)) for k in range(n + 1))
 
 
 def _a_elem(a):
@@ -147,20 +141,18 @@ def brs_to_rs_coeffs(n: int, q: Fraction, y: str = "y") -> list:
 
 def rs_combo_to_brs(coeffs: list, q: Fraction, y: str = "y") -> list:
     """Rewrite sum_n a_n h_n(x|q) as sum_m b_m(y) h_m(x,y|q)."""
-    out = [MultiPoly.const(0, (y,)) for _ in coeffs]
-    for n, a_n in enumerate(coeffs):
-        for m, c in enumerate(rs_to_brs_coeffs(n, q, y)):
-            out[m] = out[m] + c * a_n
-    return out
+    return _recombine(coeffs, [rs_to_brs_coeffs(n, q, y) for n in range(len(coeffs))])
 
 
 def brs_combo_to_rs(coeffs: list, q: Fraction, y: str = "y") -> list:
     """Rewrite sum_n a_n h_n(x,y|q) as sum_m b_m(y) h_m(x|q)."""
-    out = [MultiPoly.const(0, (y,)) for _ in coeffs]
-    for n, a_n in enumerate(coeffs):
-        for m, c in enumerate(brs_to_rs_coeffs(n, q, y)):
-            out[m] = out[m] + c * a_n
-    return out
+    return _recombine(coeffs, [brs_to_rs_coeffs(n, q, y) for n in range(len(coeffs))])
+
+
+def _recombine(coeffs: list, rows: list) -> list:
+    """b_m = sum_n rows[n][m] a_n, where rows[n] has entries m <= n."""
+    return [lincomb((rows[n][m], a_n) for n, a_n in enumerate(coeffs) if n >= m)
+            for m in range(len(coeffs))]
 
 
 def h_to_bivariate(n: int, q: Fraction):
@@ -171,12 +163,10 @@ def h_to_bivariate(n: int, q: Fraction):
       lhs2 = h_n(x,y|q)    rhs2 = sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q)
     """
     q = frac(q)
-    rhs1 = MultiPoly.const(0)
-    rhs2 = MultiPoly.const(0)
     y = MultiPoly.var("y")
-    for k in range(n + 1):
-        rhs1 = rhs1 + y ** k * brs_poly(n - k, q) * qbinom(n, k, q)
-        rhs2 = rhs2 + y ** k * rs_poly(n - k, q) * (qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k))
+    rhs1 = lincomb((qbinom(n, k, q), y ** k, brs_poly(n - k, q)) for k in range(n + 1))
+    rhs2 = lincomb((qbinom(n, k, q) * (-1) ** k * q ** tri(k), y ** k, rs_poly(n - k, q))
+                   for k in range(n + 1))
     return (rs_poly(n, q), rhs1), (brs_poly(n, q), rhs2)
 
 
@@ -296,10 +286,7 @@ class CauchyExpansion:
             _is_zero_c(self.coefficient(k) - other.coefficient(k)) for k in range(len(self)))
 
     def to_poly(self, x: str = "x", y: str = "y") -> MultiPoly:
-        out = MultiPoly.const(0, (x, y))
-        for k, c in enumerate(self.coeffs):
-            out = out + cauchy_poly(k, self.q, x, y) * c
-        return out
+        return lincomb((c, cauchy_poly(k, self.q, x, y)) for k, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"CauchyExpansion({list(self.coeffs)}, q={self.q})"

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import starmap
+from operator import add, mul
 
-from .qcore import MultiPoly, frac, qfac, qpoch, tri
+from .qcore import MultiPoly, frac, lincomb, qfac, qpoch, tri
 
 _SCALARS = (int, Fraction, float, complex)
 
@@ -163,7 +166,7 @@ class TruncSeries:
                 return self.scale(other)
             return NotImplemented
         order = self._compat(other)
-        acc = {}
+        pairs = {}
         for i1, c1 in self.coeffs.items():
             d1 = sum(i1)
             if d1 > order:
@@ -172,9 +175,12 @@ class TruncSeries:
                 if d1 + sum(i2) > order:
                     continue
                 key = tuple(a + b for a, b in zip(i1, i2))
-                prod = c1 * c2
-                acc[key] = acc[key] + prod if key in acc else prod
-        return TruncSeries(self.vars, order, acc)
+                if key in pairs:
+                    pairs[key].append((c1, c2))
+                else:
+                    pairs[key] = [(c1, c2)]
+        return TruncSeries(self.vars, order,
+                           {key: _dot(terms) for key, terms in pairs.items()})
 
     __rmul__ = __mul__
 
@@ -242,6 +248,19 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
+def _dot(terms: list, scale=1):
+    """scale * sum of a * b over the nonempty list of (a, b) pairs in terms.
+
+    With a polynomial among them the sum is one `lincomb`; scalar pairs
+    (rational or float) keep a plain sum of products.
+    """
+    for a, b in terms:
+        if type(a) is MultiPoly or type(b) is MultiPoly:
+            return lincomb((scale, a, b) for a, b in terms)
+    total = reduce(add, starmap(mul, terms))
+    return total if scale == 1 else total * scale
+
+
 def series_inv(f: TruncSeries) -> TruncSeries:
     """Inverse of a series whose constant term is a ring unit.
 
@@ -254,18 +273,16 @@ def series_inv(f: TruncSeries) -> TruncSeries:
     nonconst = {i: c for i, c in f.coeffs.items() if any(i)}
     for total in range(1, f.order + 1):
         for idx in _indices_of_total(n, total):
-            s = None
+            terms = []
             for fi, fc in nonconst.items():
                 gi = tuple(a - b for a, b in zip(idx, fi))
-                if any(g < 0 for g in gi):
-                    continue
                 gc = out.get(gi)
-                if gc is None:
-                    continue
-                term = fc * gc
-                s = term if s is None else s + term
-            if s is not None and not is_zero_elem(s):
-                out[idx] = -(s * inv0)
+                if gc is not None:
+                    terms.append((fc, gc))
+            if terms:
+                g = _dot(terms, -inv0)
+                if not is_zero_elem(g):
+                    out[idx] = g
     return TruncSeries(f.vars, f.order, out)
 
 
@@ -405,18 +422,18 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
     lowers = [as_series(p, variables, N) for p in spec.lower]
     out = one
     num = one
-    den = one
+    den_inv = one
     argpow = one
     for j in range(1, N + 1):
         qk = q ** (j - 1)
         for u in uppers:
             num = num * (one - u.scale(qk))
         for l in lowers:
-            den = den * (one - l.scale(qk))
+            den_inv = den_inv * series_inv(one - l.scale(qk))
         argpow = argpow * arg
         if argpow.is_zero():
             break
-        term = num * series_inv(den) * argpow
+        term = num * den_inv * argpow
         scale = Fraction(1) / qfac(q, j)
         if spec.ratio_upper:
             term = term.scale(_ratio_product(spec.ratio_upper, q, j) * scale)

@@ -30,7 +30,7 @@ from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
                        qhermite_poly, rs_poly)
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series, phi_sum, poch_series, series_inv)
-from .qcore import MultiPoly, frac, qbinom, qfac, qpoch, tri
+from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qpoch, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, integrate,
                          jhi_eval, ortho_integrand, qpoch_inf, qpoch_n)
@@ -172,12 +172,22 @@ def _poly_sweep(triples, perturb: bool):
     return "exact-pass", None, None
 
 
+def _perturbation(tol: float, scale: float = 1.0) -> float:
+    """The offset a --perturb control adds to a numeric left side.
+
+    1e-3 at the default tolerances, and ten times tol once that is larger,
+    so the control fails whatever tol the caller passes. scale is |rhs|
+    where the residual is relative to it, and 1 where it is absolute.
+    """
+    return max(1e-3, 10 * tol * scale)
+
+
 def _numeric_verdict(rows, tol: float, perturb: bool):
     """Verdict over (label, [values...]) rows: all values in a row must agree."""
     worst = 0.0
     worst_label = None
     for i, (label, values) in enumerate(rows):
-        base = values[0] + (1e-3 if perturb and i == 0 else 0.0)
+        base = values[0] + (_perturbation(tol) if perturb and i == 0 else 0.0)
         for other in values[1:]:
             err = abs(base - other)
             if err > worst:
@@ -346,12 +356,10 @@ def _run_rogers2_brs(order, params, rng, perturb):
     coeffs = {}
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            total = MultiPoly.const(0)
-            for k in range(min(i, j) + 1):
-                w = Fraction((-1) ** k) * q ** tri(k) * _inv_qfac(q, k) \
-                    * _inv_qfac(q, i - k) * _inv_qfac(q, j - k)
-                total = total + yv ** k * brs_poly(i + j - k, q) * w
-            coeffs[(i, j)] = total
+            coeffs[(i, j)] = lincomb(
+                (Fraction((-1) ** k) * q ** tri(k) * _inv_qfac(q, k)
+                 * _inv_qfac(q, i - k) * _inv_qfac(q, j - k), yv ** k, brs_poly(i + j - k, q))
+                for k in range(min(i, j) + 1))
     lhs = TruncSeries(("s", "t"), order, coeffs)
     dbl = TruncSeries(("s", "t"), order, {
         (i, j): brs_poly(i, q) * brs_poly(j, q) * (_inv_qfac(q, i) * _inv_qfac(q, j))
@@ -452,14 +460,13 @@ def _run_lemma_23(order, params, rng, perturb):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_rs(order, params, rng, perturb):
     q = _exact_q(params)
+    rs_pairs = _pair_products(rs_poly, q, order)
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs = rs_poly(n, q) * rs_poly(m, q)
-            rhs = MultiPoly.const(0)
-            for k in range(min(n, m) + 1):
-                w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k)
-                rhs = rhs + _X ** k * rs_poly(n + m - 2 * k, q) * w
+            lhs = rs_pairs[n][m]
+            rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k),
+                           _X ** k, rs_poly(n + m - 2 * k, q)) for k in range(min(n, m) + 1))
             triples.append((f"n={n}, m={m}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -473,19 +480,21 @@ def _run_linear_rs(order, params, rng, perturb):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_brs_double(order, params, rng, perturb):
     q = _exact_q(params)
+    span = range(order + 1)
+    ypoch = [qpoch(_Y, q, k) for k in span]
+    yp = [[ypoch[k] * cauchy_poly(l, q) for l in span] for k in span]
+    yh = [[ypoch[k] * brs_poly(j, q) for j in range(order + 1 - k)] for k in span]
+    # d[k][m] = sum_l [m,l] q^(kl) P_l h_(m-l), the right side's inner sum
+    d = [[lincomb((qbinom(m, l, q) * q ** (k * l), cauchy_poly(l, q), brs_poly(m - l, q))
+                  for l in range(m + 1)) for m in span] for k in span]
     triples = []
-    for n in range(order + 1):
-        for m in range(order + 1):
-            lhs = MultiPoly.const(0)
-            rhs = MultiPoly.const(0)
-            for k in range(n + 1):
-                wk = qbinom(n, k, q) * qpoch(_Y, q, k)
-                for l in range(m + 1):
-                    w = wk * qbinom(m, l, q)
-                    pl = cauchy_poly(l, q)
-                    lhs = lhs + pl * brs_poly(n + m - k - l, q) * w
-                    rhs = rhs + pl * brs_poly(n - k, q) * brs_poly(m - l, q) \
-                        * (w * q ** (k * l))
+    for n in span:
+        for m in span:
+            # the left side grouped by s = k + l, which fixes h_(n+m-s)
+            lhs = lincomb((lincomb((qbinom(n, k, q) * qbinom(m, s - k, q), yp[k][s - k])
+                                   for k in range(max(0, s - m), min(n, s) + 1)),
+                           brs_poly(n + m - s, q)) for s in range(n + m + 1))
+            rhs = lincomb((qbinom(n, k, q), yh[k][n - k], d[k][m]) for k in range(n + 1))
             triples.append((f"n={n}, m={m}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -499,21 +508,21 @@ def _run_linear_brs_double(order, params, rng, perturb):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_brs_simple(order, params, rng, perturb):
     q = _exact_q(params)
+    brs_pairs = _pair_products(brs_poly, q, order)
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs = brs_poly(n, q) * brs_poly(m, q)
-            rhs = MultiPoly.const(0)
+            lhs = brs_pairs[n][m]
+            terms = []
             top = min(n, m)
             for l in range(top + 1):
                 wl = qbinom(m, l, q) * qbinom(n, l, q) * qfac(q, l)
                 for k in range(top + 1):
                     w = wl * qbinom(m - l, k, q) * qbinom(n - l, k, q) \
                         * qfac(q, k) * Fraction((-1) ** k) * q ** tri(k)
-                    if not w:
-                        continue
-                    rhs = rhs + _X ** l * _Y ** k \
-                        * brs_poly(n + m - 2 * l - k, q) * w
+                    if w:
+                        terms.append((w, _X ** l, _Y ** k, brs_poly(n + m - 2 * l - k, q)))
+            rhs = lincomb(terms)
             triples.append((f"n={n}, m={m}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -527,15 +536,17 @@ def _run_linear_brs_simple(order, params, rng, perturb):
        defaults={"q": Fraction(1, 2)})
 def _run_hlm(order, params, rng, perturb):
     q = _exact_q(params)
+    brs_pairs = _pair_products(brs_poly, q, order)
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs = MultiPoly.const(0)
+            terms = []
             for k in range(min(n, m) + 1):
                 w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) \
                     * Fraction((-1) ** k) * q ** tri(k)
-                lhs = lhs + (_X ** k * brs_poly(n - k, q) * brs_poly(m - k, q)
-                             - _Y ** k * brs_poly(n + m - k, q)) * w
+                terms.append((w, _X ** k, brs_pairs[n - k][m - k]))
+                terms.append((-w, _Y ** k, brs_poly(n + m - k, q)))
+            lhs = lincomb(terms)
             triples.append((f"n={n}, m={m}", lhs, MultiPoly.const(0)))
     return _poly_sweep(triples, perturb)
 
@@ -552,10 +563,8 @@ def _run_linear_mixed(order, params, rng, perturb):
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs = MultiPoly.const(0)
-            for k in range(min(n, m) + 1):
-                w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k)
-                lhs = lhs + _X ** k * rs_poly(n + m - 2 * k, q) * w
+            lhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k),
+                           _X ** k, rs_poly(n + m - 2 * k, q)) for k in range(min(n, m) + 1))
             rhs = _ybinom_transform(n, q) * _ybinom_transform(m, q)
             triples.append((f"n={n}, m={m}", lhs, rhs))
     return _poly_sweep(triples, perturb)
@@ -563,10 +572,7 @@ def _run_linear_mixed(order, params, rng, perturb):
 
 def _ybinom_transform(n: int, q: Fraction) -> MultiPoly:
     """sum_k [n,k] y^k h_(n-k)(x,y|q)."""
-    out = MultiPoly.const(0)
-    for k in range(n + 1):
-        out = out + _Y ** k * brs_poly(n - k, q) * qbinom(n, k, q)
-    return out
+    return lincomb((qbinom(n, k, q), _Y ** k, brs_poly(n - k, q)) for k in range(n + 1))
 
 
 @_case("awilson-special",
@@ -600,20 +606,28 @@ def _run_its_inverse(order, params, rng, perturb):
     return _poly_sweep(triples, perturb)
 
 
-def _mixed_sides(n: int, m: int, q: Fraction):
+def _pair_products(family, q: Fraction, top: int) -> list:
+    """table[i][j] = family(i, q) * family(j, q) for i, j <= top, each
+    product built once; the sweeps meet every pair many times."""
+    table = [[None] * (top + 1) for _ in range(top + 1)]
+    for i in range(top + 1):
+        for j in range(i, top + 1):
+            table[i][j] = table[j][i] = family(i, q) * family(j, q)
+    return table
+
+
+def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list):
     """Both sides of the mixed alternating identity linking h(x|q) and
-    h(x,y|q) products."""
-    lhs = MultiPoly.const(0)
-    for j in range(n + 1):
-        wj = qbinom(n, j, q) * q ** tri(j)
-        for k in range(m + 1):
-            w = wj * qbinom(m, k, q) * q ** tri(k) * Fraction((-1) ** (j + k))
-            lhs = lhs + _Y ** (j + k) * rs_poly(n + m - j - k, q) * w
-    rhs = MultiPoly.const(0)
-    for k in range(min(n, m) + 1):
-        w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) * q ** tri(k) \
-            * Fraction((-1) ** k)
-        rhs = rhs + _X ** k * brs_poly(n - k, q) * brs_poly(m - k, q) * w
+    h(x,y|q) products; brs_pairs is _pair_products(brs_poly, q, >= max(n, m))."""
+    a = [qbinom(n, j, q) * q ** tri(j) for j in range(n + 1)]
+    b = [qbinom(m, k, q) * q ** tri(k) for k in range(m + 1)]
+    # the (j, k) double sum grouped by s = j + k, which fixes (-y)^s h_(n+m-s)
+    lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
+                                             for j in range(max(0, s - m), min(n, s) + 1)),
+                   _Y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
+    rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) * q ** tri(k)
+                   * Fraction((-1) ** k), _X ** k, brs_pairs[n - k][m - k])
+                  for k in range(min(n, m) + 1))
     return lhs, rhs
 
 
@@ -626,10 +640,11 @@ def _mixed_sides(n: int, m: int, q: Fraction):
        defaults={"q": Fraction(1, 2)})
 def _run_mixed_identity(order, params, rng, perturb):
     q = _exact_q(params)
+    brs_pairs = _pair_products(brs_poly, q, order)
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs, rhs = _mixed_sides(n, m, q)
+            lhs, rhs = _mixed_sides(n, m, q, brs_pairs)
             triples.append((f"n={n}, m={m}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -644,17 +659,17 @@ def _run_mixed_identity(order, params, rng, perturb):
 def _run_askey_ismail(order, params, rng, perturb):
     q = _exact_q(params)
     zero = Fraction(0)
+    rs_pairs = _pair_products(rs_poly, q, order)
+    brs_pairs = _pair_products(brs_poly, q, order)
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
             lhs = rs_poly(n + m, q)
-            rhs = MultiPoly.const(0)
-            for k in range(min(n, m) + 1):
-                w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) \
-                    * q ** tri(k) * Fraction((-1) ** k)
-                rhs = rhs + _X ** k * rs_poly(n - k, q) * rs_poly(m - k, q) * w
+            rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) * q ** tri(k)
+                           * Fraction((-1) ** k), _X ** k, rs_pairs[n - k][m - k])
+                          for k in range(min(n, m) + 1))
             triples.append((f"n={n}, m={m}", lhs, rhs))
-            ml, mr = _mixed_sides(n, m, q)
+            ml, mr = _mixed_sides(n, m, q, brs_pairs)
             triples.append((f"n={n}, m={m} (y=0 shadow, left)",
                             ml.substitute({"y": zero}), lhs))
             triples.append((f"n={n}, m={m} (y=0 shadow, right)",
@@ -678,10 +693,8 @@ def _run_hxa_hx(order, params, rng, perturb):
     triples = []
     for n in range(order + 1):
         lhs = big_qhermite_laurent(n, "a", q).to_x_poly()
-        rhs = MultiPoly.const(0)
-        for k in range(n + 1):
-            w = qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k)
-            rhs = rhs + av ** k * qhermite_laurent(n - k, q).to_x_poly() * w
+        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), av ** k,
+                       qhermite_laurent(n - k, q).to_x_poly()) for k in range(n + 1))
         triples.append((f"n={n}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -699,10 +712,8 @@ def _run_hx_hxa(order, params, rng, perturb):
     triples = []
     for n in range(order + 1):
         lhs = qhermite_laurent(n, q).to_x_poly()
-        rhs = MultiPoly.const(0)
-        for k in range(n + 1):
-            rhs = rhs + av ** k * big_qhermite_laurent(n - k, "a", q).to_x_poly() \
-                * qbinom(n, k, q)
+        rhs = lincomb((qbinom(n, k, q), av ** k, big_qhermite_laurent(n - k, "a", q).to_x_poly())
+                      for k in range(n + 1))
         triples.append((f"n={n}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -720,9 +731,8 @@ def _run_cb_hermite(order, params, rng, perturb):
     triples = []
     for n in range(order + 1):
         lhs = qhermite_poly(n, p)
-        rhs = MultiPoly.const(0)
-        for j in range(n // 2 + 1):
-            rhs = rhs + qhermite_poly(n - 2 * j, q) * change_base_c(n, j, p, q)
+        rhs = lincomb((change_base_c(n, j, p, q), qhermite_poly(n - 2 * j, q))
+                      for j in range(n // 2 + 1))
         triples.append((f"n={n}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -741,10 +751,7 @@ def _run_cb_big(order, params, rng, perturb):
     triples = []
     for n in range(order + 1):
         lhs = big_qhermite_poly(n, a, p)
-        rhs = MultiPoly.const(0)
-        for m, e in change_base_big(n, a, p, q):
-            if e:
-                rhs = rhs + big_qhermite_poly(m, a, q) * e
+        rhs = lincomb((e, big_qhermite_poly(m, a, q)) for m, e in change_base_big(n, a, p, q) if e)
         triples.append((f"n={n}", lhs, rhs))
     return _poly_sweep(triples, perturb)
 
@@ -1064,9 +1071,9 @@ def _run_askey_wilson(order, params, rng, perturb):
         if not abs(float(params[name])) < 1:
             raise ValueError(f"parameter {name} must satisfy |{name}| < 1")
     lhs = askey_wilson_quad(a, b, c, d, q, tol=min(tol * 1e-2, 1e-10))
-    if perturb:
-        lhs += 1e-3
     rhs = askey_wilson_closed(a, b, c, d, q)
+    if perturb:
+        lhs += _perturbation(tol, abs(rhs))
     resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     if resid <= tol:
         return "pass", resid, None
@@ -1090,7 +1097,7 @@ def _run_ortho_big(order, params, rng, perturb):
                        min(tol * 1e-2, 1e-10))
     lhs = qpoch_inf(q, q).real / (2 * math.pi) * val
     if perturb:
-        lhs += 1e-3
+        lhs += _perturbation(tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
     resid = abs(lhs - rhs)
     if resid <= tol:
@@ -1117,7 +1124,7 @@ def _run_closed_h(variant):
                    / qpoch_inf(t * t * q ** 4, q ** 4)).real
         lhs = jhi_eval("H", p, sub, a, t, tol=min(tol * 1e-2, 1e-10))
         if perturb:
-            lhs += 1e-3
+            lhs += _perturbation(tol, abs(rhs))
         resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         if resid <= tol:
             return "pass", resid, None

@@ -9,6 +9,13 @@ monomials of Monagan & Pearce), so products and sums run on plain ints and
 reduce by one gcd per result. Its `terms` view still reads as exponent
 tuples mapped to Fractions.
 
+`lincomb` is the one accumulation path: a sum of products of rationals and
+polynomials is built in one dict at a common denominator and normalised
+once (accumulate, then reduce), and `+` is its single-factor case. Products
+share one term loop with `*`. Code that sums many products calls `lincomb`
+rather than chaining `acc = acc + a * b`, which re-normalises and copies
+the whole accumulator at every step.
+
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
 """
@@ -159,26 +166,108 @@ def _common(a: "MultiPoly", b: "MultiPoly"):
             _repack(b._num, _moves(b.vars, union)))
 
 
-def _sum(polys) -> "MultiPoly":
-    """Sum of polynomials in one pass at the lcm of their denominators.
+def _mul_into(acc: dict, small: dict, big: dict) -> dict:
+    """acc plus every product of a term of `small` with a term of `big`.
 
-    The first nonzero operand is copied whole at C speed and the others are
-    added term by term, so callers put the largest first.
+    Numerators and packed exponents over one variable list; nothing is
+    normalised and no guard bit is checked. Returns the updated dict, which
+    is a new one when acc was empty and `small` has a single term.
     """
-    variables = reduce(_union, (p.vars for p in polys), ())
-    den = lcm(*(p._den for p in polys))
-    acc = {}
-    for p in polys:
-        scale = den // p._den
-        num = _repack(p._num, _moves(p.vars, variables))
-        if not acc:
-            acc = dict(num) if scale == 1 else {e: c * scale for e, c in num.items()}
-            continue
-        for e, c in num.items():
+    if len(small) == 1 and not acc:
+        ((e1, c1),) = small.items()
+        return {e1 + e2: c1 * c2 for e2, c2 in big.items()}
+    items = list(big.items()) if len(small) > 1 else big.items()
+    for e1, c1 in small.items():
+        for e2, c2 in items:
+            e = e1 + e2
             if e in acc:
-                acc[e] += c * scale
+                acc[e] += c1 * c2
             else:
-                acc[e] = c * scale
+                acc[e] = c1 * c2
+    return acc
+
+
+def _check_guard(num: dict, variables: tuple) -> None:
+    if num and reduce(or_, num) & _guard_bits(len(variables)):
+        raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
+
+
+def lincomb(terms) -> "MultiPoly":
+    """The sum over `terms` of the product of each term's factors.
+
+    A term is a sequence of factors, each a rational or a MultiPoly, so
+    (c, p1, p2) stands for c * p1 * p2. Every product runs on raw int
+    numerators over the union of all the variables and is added into one
+    dict at the common denominator of the terms; the result is normalised
+    once. A term with a zero factor adds nothing but its variables, as the
+    chain of `+` and `*` it replaces would.
+    """
+    parsed = []
+    var_lists = set()
+    for term in terms:
+        cn = cd = 1
+        polys = []
+        for f in term:
+            if type(f) is MultiPoly:
+                polys.append(f)
+                var_lists.add(f.vars)
+                cd *= f._den
+            elif _is_scalar(f):
+                cn *= f.numerator
+                cd *= f.denominator
+            else:
+                raise TypeError(f"cannot use {f!r} as a polynomial factor")
+        parsed.append((cn, cd, polys))
+    return _accumulate(parsed, var_lists)
+
+
+def _accumulate(parsed: list, var_lists) -> "MultiPoly":
+    """`lincomb` of terms already split into (numerator, denominator,
+    polynomials), where var_lists holds every polynomial's variables.
+
+    A lone polynomial with scale 1 that meets an empty sum is copied whole
+    at C speed, so callers summing plain polynomials put the largest first.
+    """
+    variables = reduce(_union, var_lists, ()) if len(var_lists) != 1 else next(iter(var_lists))
+    den = lcm(*[cd for _, cd, _ in parsed])
+    acc = {}
+    multiplied = False
+    for cn, cd, polys in parsed:
+        scale = cn if cd == den else cn * (den // cd)
+        if not scale:
+            continue
+        nums = []
+        for p in polys:
+            if not p._num:
+                break
+            nums.append(p._num if p.vars == variables else _repack(p._num, _moves(p.vars, variables)))
+        else:
+            if not nums:
+                acc[0] = acc.get(0, 0) + scale
+            elif len(nums) == 1:
+                (num,) = nums
+                if not acc:
+                    acc = dict(num) if scale == 1 else {e: c * scale for e, c in num.items()}
+                    continue
+                for e, c in num.items():
+                    if e in acc:
+                        acc[e] += c * scale
+                    else:
+                        acc[e] = c * scale
+            else:
+                # the scale rides on the smallest factor, and every product
+                # but the last is checked, so no exponent field carries into
+                # the next
+                nums.sort(key=len)
+                cur = nums[0] if scale == 1 else {e: c * scale for e, c in nums[0].items()}
+                for nxt in nums[1:-1]:
+                    cur = _mul_into({}, cur, nxt) if len(cur) <= len(nxt) else _mul_into({}, nxt, cur)
+                    _check_guard(cur, variables)
+                last = nums[-1]
+                acc = _mul_into(acc, cur, last) if len(cur) <= len(last) else _mul_into(acc, last, cur)
+                multiplied = True
+    if multiplied:
+        _check_guard(acc, variables)
     return _normal(variables, den, acc)
 
 
@@ -261,7 +350,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _sum((self, other) if len(self._num) >= len(other._num) else (other, self))
+        a, b = (self, other) if len(self._num) >= len(other._num) else (other, self)
+        return _accumulate([(1, a._den, (a,)), (1, b._den, (b,))], {a.vars, b.vars})
 
     __radd__ = __add__
 
@@ -298,22 +388,8 @@ class MultiPoly:
         if not self._num or not other._num:
             return _build(_union(self.vars, other.vars), 1, {})
         variables, an, bn = _common(self, other)
-        small, big = (an, bn) if len(an) <= len(bn) else (bn, an)
-        if len(small) == 1:
-            ((e1, c1),) = small.items()
-            acc = {e1 + e2: c1 * c2 for e2, c2 in big.items()}
-        else:
-            items = list(big.items())
-            acc = {}
-            for e1, c1 in small.items():
-                for e2, c2 in items:
-                    e = e1 + e2
-                    if e in acc:
-                        acc[e] += c1 * c2
-                    else:
-                        acc[e] = c1 * c2
-        if reduce(or_, acc) & _guard_bits(len(variables)):
-            raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
+        acc = _mul_into({}, an, bn) if len(an) <= len(bn) else _mul_into({}, bn, an)
+        _check_guard(acc, variables)
         return _normal(variables, self._den * other._den, acc)
 
     __rmul__ = __mul__
@@ -321,6 +397,11 @@ class MultiPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self._num) == 1:
+            # one term: (c x^e / den)^n = c^n x^(e n) / den^n, already reduced
+            ((e, c),) = self._num.items()
+            exp = _pack([f * n for f in _unpack(e, len(self.vars))])
+            return _build(self.vars, self._den ** n, {exp: c ** n})
         result = MultiPoly.const(1, self.vars)
         base = self
         while n:
@@ -417,8 +498,8 @@ class MultiPoly:
         """Replace variables by rationals or polynomials; others stay.
 
         Terms are grouped by their exponents in the replaced variables, so
-        each group costs one product with a power of each value, and each
-        power is built once.
+        each group is one `lincomb` term, the group times a power of each
+        value, and each power is built once.
         """
         n = len(self.vars)
         shifts = {v: _FIELD * (n - 1 - i) for i, v in enumerate(self.vars)}
@@ -426,24 +507,27 @@ class MultiPoly:
         if not bound:
             return self
         free = [v for v in self.vars if v not in bindings]
+        bound_mask = sum(_FIELD_MASK << shifts[v] for v in bound)
         groups = {}
         for e, c in self._num.items():
-            groups.setdefault(tuple(e >> shifts[v] & _FIELD_MASK for v in bound), {})[e] = c
+            groups.setdefault(e & bound_mask, {})[e] = c
         powers = {}
-        parts = []
-        for exps, num in groups.items():
+        terms = []
+        inv_den = Fraction(1, self._den)
+        for key, num in groups.items():
             used = reduce(or_, num)
             # the free variables this group uses; the others are dropped
             keep = tuple(v for v in free if used >> shifts[v] & _FIELD_MASK)
-            part = _normal(keep, self._den, _repack(num, _moves(self.vars, keep)))
-            for v, k in zip(bound, exps):
+            term = [inv_den, _build(keep, 1, _repack(num, _moves(self.vars, keep)))]
+            for v in bound:
+                k = key >> shifts[v] & _FIELD_MASK
                 if k:
                     if (v, k) not in powers:
                         val = bindings[v]
-                        powers[v, k] = (MultiPoly.const(val) if _is_scalar(val) else val) ** k
-                    part = part * powers[v, k]
-            parts.append(part)
-        return _sum(parts)
+                        powers[v, k] = (val if isinstance(val, MultiPoly) else Fraction(val)) ** k
+                    term.append(powers[v, k])
+            terms.append(term)
+        return lincomb(terms)
 
     # -- serialization / display --------------------------------------
 
@@ -700,9 +784,13 @@ def _qbinom_rational(n: int, k: int, q: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _qbinom_poly(n: int, k: int, q: MultiPoly) -> MultiPoly:
+    """Pascal's q-recurrence [n,k] = [n-1,k-1] + q^k [n-1,k], memoised."""
     if k == 0 or k == n:
         return MultiPoly.const(1, q.vars)
-    return _qbinom_poly(n - 1, k - 1, q) + q ** k * _qbinom_poly(n - 1, k, q)
+    # every [j, i] with i <= k that the recurrence can meet, at each
+    # RECURSION_STEP-th j, so the recursion stops within that many levels
+    fill_memo_below(n, lambda j: [_qbinom_poly(j, i, q) for i in range(min(k, j) + 1)])
+    return lincomb(((_qbinom_poly(n - 1, k - 1, q),), (q ** k, _qbinom_poly(n - 1, k, q))))
 
 
 def poly_eval(p: MultiPoly, bindings: dict):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .families import CauchyExpansion, brs_poly
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series)
-from .qcore import MultiPoly, frac, qfac
+from .qcore import MultiPoly, frac, lincomb, qfac
 from .reporting import IdentityReport, clip_witness
 
 
@@ -151,19 +151,14 @@ def e_op_apply(operand: TruncSeries, route: str = "basis") -> TruncSeries:
 def e_apply_expansion(f: CauchyExpansion, route: str = "basis") -> MultiPoly:
     q = f.q
     if route == "basis":
-        out = MultiPoly.const(0, ("x", "y"))
-        for k, c in enumerate(f.coeffs):
-            out = out + brs_poly(k, q) * c
-        return out
+        return lincomb((c, brs_poly(k, q)) for k, c in enumerate(f.coeffs))
     if route == "operator":
-        out = MultiPoly.const(0, ("x", "y"))
+        terms = []
         g = f
-        j = 0
         while len(g):
-            out = out + g.to_poly() * (Fraction(1) / qfac(q, j))
+            terms.append((Fraction(1) / qfac(q, len(terms)), g.to_poly()))
             g = dxy_apply(g)
-            j += 1
-        return out
+        return lincomb(terms)
     raise ValueError(f"unknown route {route!r}")
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrs.fps import (PhiSpec, TruncSeries, cauchy_expand, cauchy_series,
                      euler_expand, euler_inv_expand, euler_inv_series,
@@ -236,3 +238,88 @@ def test_series_json_round_trip():
     assert TruncSeries.from_json_dict(f.to_json_dict()) == f
     g = rand_series(rng, ("s", "t"), 5)
     assert TruncSeries.from_json_dict(g.to_json_dict()) == g
+
+
+# -- ring properties with polynomial coefficients ------------------------------
+
+SERIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+small_polys = st.sampled_from([("x",), ("y",), ("x", "y")]).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in names)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        max_size=3).map(lambda terms: MultiPoly(names, terms)))
+coefficient_elems = st.one_of(small_polys, st.fractions(min_value=-3, max_value=3,
+                                                         max_denominator=4))
+
+
+@st.composite
+def poly_series(draw, variables, unit=False):
+    order = draw(st.integers(0, 6))
+    idx = st.tuples(*(st.integers(0, order) for _ in variables))
+    coeffs = draw(st.dictionaries(idx, coefficient_elems, max_size=6))
+    if unit:
+        coeffs[(0,) * len(variables)] = draw(st.sampled_from(
+            [Fraction(1), Fraction(-2), MultiPoly.const(Fraction(3, 5))]))
+    return TruncSeries(variables, order, coeffs)
+
+
+frames = st.sampled_from([("t",), ("s", "t")])
+
+
+@SERIES
+@given(frames.flatmap(lambda v: st.tuples(poly_series(v), poly_series(v), poly_series(v))))
+def test_series_ring_axioms_with_polynomial_coefficients(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+    assert (a * b).order == min(a.order, b.order)
+    assert (a + b).order == min(a.order, b.order)
+    assert (a * b).coeffs == brute_mul(a, b)
+
+
+@SERIES
+@given(frames.flatmap(lambda v: poly_series(v, unit=True)))
+def test_series_inverse_with_polynomial_coefficients(f):
+    assert series_inv(f) * f == TruncSeries.one(f.vars, f.order)
+
+
+def phi_direct(spec: PhiSpec, order: int) -> TruncSeries:
+    """The defining term sum of phi_series, inverting each term's lower
+    Pochhammer product afresh."""
+    variables, q = spec.argument.vars, spec.q
+    arg = spec.argument.truncate(order)
+    out = TruncSeries.one(variables, arg.order)
+    for j in range(1, arg.order + 1):
+        num = TruncSeries.one(variables, arg.order)
+        for u in spec.upper:
+            num = num * poch_series(u, q, j, variables, arg.order)
+        den = TruncSeries.one(variables, arg.order)
+        for low in spec.lower:
+            den = den * poch_series(low, q, j, variables, arg.order)
+        ratio = Fraction(1)
+        for rnum, rden in spec.ratio_upper:
+            for k in range(j):
+                ratio = ratio * (rden - rnum * q ** k)
+        power = TruncSeries.one(variables, arg.order)
+        for _ in range(j):
+            power = power * arg
+        out = out + (num * series_inv(den) * power).scale(ratio * (Fraction(1) / qfac(q, j)))
+    return out
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_phi_series_matches_the_direct_sum(order):
+    q = Fraction(1, 2)
+    x, y, u, v = (MultiPoly.var(n) for n in "xyuv")
+    t = TruncSeries.variable(("t",), order, "t")
+    s2, t2 = (TruncSeries.variable(("s", "t"), order, n) for n in "st")
+    specs = [
+        PhiSpec(upper=(y, t.scale(x)), ratio_upper=((v, u),),
+                lower=(t.scale(y), t.scale(v * x)), q=q, argument=t),
+        PhiSpec(upper=(y, s2.scale(x)), lower=(s2.scale(y), Fraction(1, 3)),
+                q=q, argument=t2),
+    ]
+    for spec in specs:
+        assert phi_series(spec) == phi_direct(spec, order)

@@ -89,6 +89,21 @@ def test_perturbation_fails_with_witness_in_every_mode():
         assert clean.passed(), cid
 
 
+@pytest.mark.parametrize("tol", [1e-6, 0.1, 1.0, 10.0])
+def test_numeric_negative_controls_fail_at_any_tolerance(tol):
+    cases = [c.id for c in registry() if c.mode in ("numeric-complex", "quadrature")]
+    assert len(cases) == 14
+    for cid in cases:
+        rep = verify(cid, params={"tol": tol}, perturb=True)
+        assert rep.status == "fail", (cid, rep.residual)
+
+
+def test_every_negative_control_fails_at_order_2():
+    reports = verify_all(order=2, perturb=True)
+    assert len(reports) == 36
+    assert [r.id for r in reports if r.status != "fail"] == []
+
+
 def test_series_witness_names_first_bad_coefficient():
     rep = verify("mehler-rs", order=4, perturb=True)
     assert rep.witness.startswith("coefficient of t^0")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_multipoly import MultiPoly as RefPoly
 
-from qrs.qcore import EXP_LIMIT, MultiPoly
+from qrs.qcore import EXP_LIMIT, MultiPoly, lincomb
 
 VARS = ("u", "v", "x", "y")
 BIG = 10 ** 30
@@ -141,6 +141,70 @@ def test_substitute_and_views_match_fraction_reference(p_spec, v_spec, s):
     assert p.total_degree() == rp.total_degree() and p.degree_in("y") == rp.degree_in("y")
 
 
+@st.composite
+def lincomb_terms(draw):
+    """Terms (scalar, factor specs) with their own 1-4 variables each; zero
+    scalars and zero factors come up, and some sums cancel to zero."""
+    terms = draw(st.lists(st.tuples(st.one_of(st.just(Fraction(0)), coefficients),
+                                    st.lists(polys(), max_size=3)), max_size=5))
+    if terms and draw(st.booleans()):
+        c, specs = terms[0]
+        terms.append((-c, specs))
+    return terms
+
+
+@KERNEL
+@given(lincomb_terms())
+def test_lincomb_matches_the_sum_of_products(terms):
+    got = lincomb([(c, *(MultiPoly(*spec) for spec in specs)) for c, specs in terms])
+    want = RefPoly((), {})
+    want_sympy = to_sympy(MultiPoly((), {}), VARS)
+    for c, specs in terms:
+        prod = RefPoly.const(c)
+        prod_sympy = to_sympy(MultiPoly.const(c), VARS)
+        for spec in specs:
+            prod = prod * RefPoly(*spec)
+            prod_sympy = prod_sympy * to_sympy(MultiPoly(*spec), VARS)
+        want = want + prod
+        want_sympy = want_sympy + prod_sympy
+    assert agrees(got, want)
+    assert canonical(got)
+    assert to_sympy(got, VARS) == want_sympy
+
+
+def test_lincomb_of_nothing_is_zero():
+    assert lincomb([]).is_zero() and lincomb([]).vars == ()
+    x = MultiPoly.var("x")
+    assert lincomb([(x,), (-1, x)]).is_zero()
+    assert lincomb([(Fraction(3, 4),), (2, 1)]) == Fraction(11, 4)
+
+
+def test_lincomb_product_past_the_field_limit_raises():
+    top = EXP_LIMIT - 1
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    near = MultiPoly(("x", "y"), {(top - 1, top - 1): 1})
+    assert dict(lincomb([(1, near, x, y)]).terms) == {(top, top): Fraction(1)}
+    with pytest.raises(OverflowError):
+        lincomb([(1, x), (2, near, y, y)])
+    # cubing y^top would carry out of y's field into x's and clear the
+    # guard bit, so the intermediate product must be caught
+    ytop = MultiPoly(("x", "y"), {(0, top): 1})
+    with pytest.raises(OverflowError):
+        lincomb([(1, ytop, ytop, ytop)])
+
+
+@KERNEL
+@given(polys(), st.integers(0, 6))
+def test_power_matches_repeated_multiplication(spec, n):
+    names, terms = spec
+    for p in (MultiPoly(names, terms), MultiPoly(names, dict(list(terms.items())[:1]))):
+        want = MultiPoly.const(1, p.vars)
+        for _ in range(n):
+            want = want * p
+        got = p ** n
+        assert got == want and got.vars == want.vars and canonical(got)
+
+
 def test_terms_is_a_read_only_fraction_view():
     p = MultiPoly(("y", "x"), {(1, 2): Fraction(3, 4), (0, 0): 2})
     assert dict(p.terms) == {(2, 1): Fraction(3, 4), (0, 0): Fraction(2)}
@@ -152,6 +216,10 @@ def test_exponent_past_its_field_raises_overflow():
     x = MultiPoly.var("x")
     with pytest.raises(OverflowError):
         x ** (2 ** 31)
+    assert (x * MultiPoly.var("y") ** 2) ** (2 ** 30 - 1) == \
+        MultiPoly(("x", "y"), {(2 ** 30 - 1, 2 ** 31 - 2): 1})
+    with pytest.raises(OverflowError):
+        (x * MultiPoly.var("y") ** 2) ** (2 ** 30)
     with pytest.raises(OverflowError):
         MultiPoly(("x",), {(EXP_LIMIT,): 1})
     with pytest.raises(ValueError):

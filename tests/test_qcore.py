@@ -242,3 +242,11 @@ def test_chebyshev_at_degree_2000():
     assert t.terms[(2000,)] == 2 ** 1999
     assert poly_eval(t, {"x": Fraction(1)}) == 1   # T_n(cos 0) = 1
     assert poly_eval(t, {"x": Fraction(0)}) == 1   # T_n(cos pi/2) = cos(1000 pi)
+
+
+def test_qbinom_polynomial_at_degree_1100():
+    q = MultiPoly.var("q")
+    p = qbinom(1100, 2, q)
+    assert p.total_degree() == 2 * 1098
+    third = Fraction(1, 3)
+    assert p.substitute({"q": third}).constant_value() == qbinom(1100, 2, third)
