@@ -155,16 +155,24 @@ def _recombine(coeffs: list, rows: list) -> list:
             for m in range(len(coeffs))]
 
 
+def ybinom_brs(n: int, q: Fraction) -> MultiPoly:
+    """The y-binomial transform sum_k [n,k] y^k h_(n-k)(x,y|q), which equals
+    h_n(x|q)."""
+    q = frac(q)
+    y = MultiPoly.var("y")
+    return lincomb((qbinom(n, k, q), y ** k, brs_poly(n - k, q)) for k in range(n + 1))
+
+
 def h_to_bivariate(n: int, q: Fraction):
     """Both expansion identities relating h_n(x|q) and h_n(x,y|q).
 
     Returns ((lhs1, rhs1), (lhs2, rhs2)) as MultiPoly pairs:
-      lhs1 = h_n(x|q)      rhs1 = sum_k [n,k] y^k h_(n-k)(x,y|q)
+      lhs1 = h_n(x|q)      rhs1 = ybinom_brs(n, q)
       lhs2 = h_n(x,y|q)    rhs2 = sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q)
     """
     q = frac(q)
     y = MultiPoly.var("y")
-    rhs1 = lincomb((qbinom(n, k, q), y ** k, brs_poly(n - k, q)) for k in range(n + 1))
+    rhs1 = ybinom_brs(n, q)
     rhs2 = lincomb((qbinom(n, k, q) * (-1) ** k * q ** tri(k), y ** k, rs_poly(n - k, q))
                    for k in range(n + 1))
     return (rs_poly(n, q), rhs1), (brs_poly(n, q), rhs2)

@@ -24,10 +24,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
-                       cauchy_poly, change_base_big, change_base_c,
+from .families import (_qfac_ladder, big_qhermite_laurent, big_qhermite_poly,
+                       brs_poly, cauchy_poly, change_base_big, change_base_c,
                        h_to_bivariate, qhermite_eval, qhermite_laurent,
-                       qhermite_poly, rs_poly)
+                       qhermite_poly, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series, phi_sum, poch_series, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qpoch, tri
@@ -215,6 +215,45 @@ def _sum_terms(gen, ratio: float, tol: float, max_terms: int = 500) -> complex:
         if n >= max_terms:
             raise RuntimeError("numeric series did not settle within the term cap")
     return total
+
+
+def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
+    """sum_n coef(n) t^n / (base;base)_n through _sum_terms, tail ratio |t|."""
+    def terms():
+        qq = 1.0
+        tn = 1.0 + 0j
+        n = 0
+        while True:
+            if n:
+                qq *= 1 - base ** n
+                tn *= t
+            yield coef(n) * tn / qq
+            n += 1
+
+    return _sum_terms(terms(), abs(t), tol)
+
+
+def _unit_params(params, names) -> list:
+    """The named parameters as floats, each required to satisfy |p| < 1."""
+    vals = [float(params[name]) for name in names]
+    for name, val in zip(names, vals):
+        if not abs(val) < 1:
+            raise ValueError(f"parameter {name} must satisfy |{name}| < 1")
+    return vals
+
+
+def _quad_verdict(lhs: float, rhs: float, tol: float, perturb: bool,
+                  relative: bool = True,
+                  witness: str = "integral {lhs!r} vs product {rhs!r}"):
+    """Verdict of a quadrature case: |lhs - rhs|, relative to |rhs| or
+    absolute, against tol. perturb first offsets lhs as a negative control;
+    witness is formatted with the (perturbed) lhs and rhs on a fail."""
+    if perturb:
+        lhs += _perturbation(tol, abs(rhs) if relative else 1.0)
+    resid = abs(lhs - rhs) / max(abs(rhs), 1e-300) if relative else abs(lhs - rhs)
+    if resid <= tol:
+        return "pass", resid, None
+    return "fail", resid, clip_witness(witness.format(lhs=lhs, rhs=rhs))
 
 
 def _tvar(order: int) -> TruncSeries:
@@ -560,19 +599,14 @@ def _run_hlm(order, params, rng, perturb):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_mixed(order, params, rng, perturb):
     q = _exact_q(params)
+    yb = [ybinom_brs(n, q) for n in range(order + 1)]
     triples = []
     for n in range(order + 1):
         for m in range(order + 1):
             lhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k),
                            _X ** k, rs_poly(n + m - 2 * k, q)) for k in range(min(n, m) + 1))
-            rhs = _ybinom_transform(n, q) * _ybinom_transform(m, q)
-            triples.append((f"n={n}, m={m}", lhs, rhs))
+            triples.append((f"n={n}, m={m}", lhs, yb[n] * yb[m]))
     return _poly_sweep(triples, perturb)
-
-
-def _ybinom_transform(n: int, q: Fraction) -> MultiPoly:
-    """sum_k [n,k] y^k h_(n-k)(x,y|q)."""
-    return lincomb((qbinom(n, k, q), _Y ** k, brs_poly(n - k, q)) for k in range(n + 1))
 
 
 @_case("awilson-special",
@@ -806,20 +840,8 @@ def _run_nonsym_poisson(order, params, rng, perturb):
         t = _draw_complex(rng, 0.05, 0.4)
         zt = cmath.exp(1j * theta)
         zb = cmath.exp(1j * beta)
-
-        def lhs_terms():
-            qq = 1.0
-            tn = 1.0 + 0j
-            n = 0
-            while True:
-                if n:
-                    qq *= 1 - q ** n
-                    tn *= t
-                yield qhermite_eval(n, a, q, theta) \
-                    * qhermite_eval(n, b, q, beta) * tn / qq
-                n += 1
-
-        lhs = _sum_terms(lhs_terms(), abs(t), tol / 10)
+        lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta) * qhermite_eval(n, b, q, beta),
+                      t, q, tol / 10)
         pref = qpoch_inf(a * t * zb, q) * qpoch_inf(b / zb, q) * qpoch_inf(t * t, q) \
             / (qpoch_inf(t * zt * zb, q) * qpoch_inf(t * zt / zb, q)
                * qpoch_inf(t / (zt * zb), q) * qpoch_inf(t * zb / zt, q))
@@ -853,19 +875,14 @@ def _run_rogers_big(order, params, rng, perturb):
         s = _draw_complex(rng, 0.05, 0.4)
         t = _draw_complex(rng, 0.05, 0.4)
         z = cmath.exp(1j * theta)
-        qq = [1.0]
 
-        def lhs_terms():
-            big = 0
-            while True:
-                while len(qq) <= big:
-                    qq.append(qq[-1] * (1 - q ** len(qq)))
-                w = sum(t ** n * s ** (big - n) / (qq[n] * qq[big - n])
-                        for n in range(big + 1))
-                yield qhermite_eval(big, a, q, theta) * w
-                big += 1
+        def term(big):
+            qq = _qfac_ladder(q, big)
+            return qhermite_eval(big, a, q, theta) * sum(
+                t ** n * s ** (big - n) / (qq[n] * qq[big - n]) for n in range(big + 1))
 
-        lhs = _sum_terms(lhs_terms(), max(abs(s), abs(t)), tol / 10)
+        lhs = _sum_terms((term(big) for big in range(10 ** 9)),
+                         max(abs(s), abs(t)), tol / 10)
         rhs = qpoch_inf(a * s, q) \
             / (qpoch_inf(s * z, q) * qpoch_inf(s / z, q) * qpoch_inf(t / z, q)) \
             * phi_sum([a / z, s / z], [a * s], q, t * z)
@@ -890,19 +907,7 @@ def _run_gf_its_1(order, params, rng, perturb):
         theta = 0.3 + 2.5 * rng.random()
         t = _draw_complex(rng, 0.05, 0.4)
         z2 = cmath.exp(2j * theta)
-
-        def lhs_terms():
-            qq = 1.0
-            tn = 1.0 + 0j
-            n = 0
-            while True:
-                if n:
-                    qq *= 1 - q2 ** n
-                    tn *= t
-                yield qhermite_eval(2 * n, 0.0, q, theta) * tn / qq
-                n += 1
-
-        lhs = _sum_terms(lhs_terms(), abs(t), tol / 10)
+        lhs = _gf_sum(lambda n: qhermite_eval(2 * n, 0.0, q, theta), t, q2, tol / 10)
         rhs = qpoch_inf(-t, q) / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
         rows.append((f"draw {i}: theta={theta:.4f} t={t:.4f}", [lhs, rhs]))
     return _numeric_verdict(rows, tol, perturb)
@@ -924,19 +929,7 @@ def _run_gf_its_2(order, params, rng, perturb):
         theta = 0.3 + 2.5 * rng.random()
         t = _draw_complex(rng, 0.05, 0.4)
         z = cmath.exp(1j * theta)
-
-        def lhs_terms():
-            qq = 1.0
-            tn = 1.0 + 0j
-            n = 0
-            while True:
-                if n:
-                    qq *= 1 - q ** n
-                    tn *= t
-                yield qhermite_eval(n, 0.0, q2, theta) * tn / qq
-                n += 1
-
-        lhs = _sum_terms(lhs_terms(), abs(t), tol / 10)
+        lhs = _gf_sum(lambda n: qhermite_eval(n, 0.0, q2, theta), t, q, tol / 10)
         rhs = qpoch_inf(q * t * t, q2) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
         rows.append((f"draw {i}: theta={theta:.4f} t={t:.4f}", [lhs, rhs]))
     return _numeric_verdict(rows, tol, perturb)
@@ -960,13 +953,9 @@ def _run_gen_big_1(order, params, rng, perturb):
         a = _draw_complex(rng, 0.05, 0.5)
         t = _draw_complex(rng, 0.05, 0.4)
         z2 = cmath.exp(2j * theta)
-        qq, qq2 = [1.0], [1.0]
 
         def coef(n):
-            while len(qq) <= n:
-                qq.append(qq[-1] * (1 - q ** len(qq)))
-            while len(qq2) <= n:
-                qq2.append(qq2[-1] * (1 - q2 ** len(qq2)))
+            qq, qq2 = _qfac_ladder(q, n), _qfac_ladder(q2, n)
             return sum(q ** tri(n - 2 * k) * a ** (n - 2 * k) * t ** (n - k)
                        / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
 
@@ -998,13 +987,9 @@ def _run_gen_big_2(order, params, rng, perturb):
         a = _draw_complex(rng, 0.05, 0.5)
         t = _draw_complex(rng, 0.05, 0.4)
         z = cmath.exp(1j * theta)
-        qq, qq2 = [1.0], [1.0]
 
         def coef(n):
-            while len(qq) <= n:
-                qq.append(qq[-1] * (1 - q ** len(qq)))
-            while len(qq2) <= n:
-                qq2.append(qq2[-1] * (1 - q2 ** len(qq2)))
+            qq, qq2 = _qfac_ladder(q, n), _qfac_ladder(q2, n)
             return sum((-1) ** k * q ** (k * k) * a ** k * t ** (n + k)
                        / (qq2[k] * qq[n - k]) for k in range(n + 1))
 
@@ -1034,19 +1019,7 @@ def _run_gf_big(order, params, rng, perturb):
         a = _draw_complex(rng, 0.05, 0.5)
         t = _draw_complex(rng, 0.05, 0.4)
         z = cmath.exp(1j * theta)
-
-        def lhs_terms():
-            qq = 1.0
-            tn = 1.0 + 0j
-            n = 0
-            while True:
-                if n:
-                    qq *= 1 - q ** n
-                    tn *= t
-                yield qhermite_eval(n, a, q, theta) * tn / qq
-                n += 1
-
-        lhs = _sum_terms(lhs_terms(), abs(t), tol / 10)
+        lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta), t, q, tol / 10)
         rhs = qpoch_inf(a * t, q) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
         rows.append((f"draw {i}: theta={theta:.4f} a={a:.4f} t={t:.4f}",
                      [lhs, rhs]))
@@ -1065,19 +1038,10 @@ def _run_gf_big(order, params, rng, perturb):
        defaults={"a": 0.3, "b": 0.25, "c": 0.2, "d": 0.1, "q": 0.5,
                  "tol": QUAD_TOL})
 def _run_askey_wilson(order, params, rng, perturb):
-    a, b, c, d, q = (float(params[k]) for k in "abcdq")
+    a, b, c, d, q = _unit_params(params, "abcdq")
     tol = float(params["tol"])
-    for name in "abcdq":
-        if not abs(float(params[name])) < 1:
-            raise ValueError(f"parameter {name} must satisfy |{name}| < 1")
     lhs = askey_wilson_quad(a, b, c, d, q, tol=min(tol * 1e-2, 1e-10))
-    rhs = askey_wilson_closed(a, b, c, d, q)
-    if perturb:
-        lhs += _perturbation(tol, abs(rhs))
-    resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    if resid <= tol:
-        return "pass", resid, None
-    return "fail", resid, clip_witness(f"integral {lhs!r} vs product {rhs!r}")
+    return _quad_verdict(lhs, askey_wilson_closed(a, b, c, d, q), tol, perturb)
 
 
 @_case("ortho-big",
@@ -1089,58 +1053,42 @@ def _run_askey_wilson(order, params, rng, perturb):
        defaults={"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": QUAD_TOL})
 def _run_ortho_big(order, params, rng, perturb):
     n, m = int(params["n"]), int(params["m"])
-    a, q = float(params["a"]), float(params["q"])
+    a, q = _unit_params(params, "aq")
     tol = float(params["tol"])
-    if not (abs(a) < 1 and abs(q) < 1):
-        raise ValueError("need |a| < 1 and |q| < 1")
     val, _ = integrate(ortho_integrand(n, m, a, q), 0.0, math.pi,
                        min(tol * 1e-2, 1e-10))
     lhs = qpoch_inf(q, q).real / (2 * math.pi) * val
-    if perturb:
-        lhs += _perturbation(tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
-    resid = abs(lhs - rhs)
-    if resid <= tol:
-        return "pass", resid, None
-    return "fail", resid, clip_witness(f"moment({n},{m}) = {lhs!r}, expected {rhs!r}")
+    return _quad_verdict(lhs, rhs, tol, perturb, relative=False,
+                         witness=f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}")
 
 
-def _run_closed_h(variant):
+# closed-H-<variant>: description, and (q, a, t) -> (p, inner base, closed value)
+_CLOSED_H = (
+    ("qq", "equal bases: the mixed-base moment integral collapses to 1",
+     lambda q, a, t: (q, q, 1.0)),
+    ("mqq", "negated base: the mixed-base moment integral collapses to 1",
+     lambda q, a, t: (-q, q, 1.0)),
+    ("q2q", "squared base: the moment integral equals (q^2 t^2; q^4)_oo",
+     lambda q, a, t: (q * q, q, qpoch_inf(q * q * t * t, q ** 4).real)),
+    ("q2q3", "squared/cubed bases: the moment integral equals "
+             "(at^3 q^6;q^6)_oo / (t^2 q^4;q^4)_oo",
+     lambda q, a, t: (q * q, q ** 3, (qpoch_inf(a * t ** 3 * q ** 6, q ** 6)
+                                      / qpoch_inf(t * t * q ** 4, q ** 4)).real)),
+)
+
+
+def _run_closed_h(bases):
     def run(order, params, rng, perturb):
-        q, a, t = float(params["q"]), float(params["a"]), float(params["t"])
+        q, a, t = _unit_params(params, "qat")
         tol = float(params["tol"])
-        if not (abs(q) < 1 and abs(a) < 1 and abs(t) < 1):
-            raise ValueError("need |q|, |a|, |t| < 1")
-        if variant == "qq":
-            p, sub, rhs = q, q, 1.0
-        elif variant == "mqq":
-            p, sub, rhs = -q, q, 1.0
-        elif variant == "q2q":
-            p, sub = q * q, q
-            rhs = qpoch_inf(q * q * t * t, q ** 4).real
-        else:
-            p, sub = q * q, q ** 3
-            rhs = (qpoch_inf(a * t ** 3 * q ** 6, q ** 6)
-                   / qpoch_inf(t * t * q ** 4, q ** 4)).real
+        p, sub, rhs = bases(q, a, t)
         lhs = jhi_eval("H", p, sub, a, t, tol=min(tol * 1e-2, 1e-10))
-        if perturb:
-            lhs += _perturbation(tol, abs(rhs))
-        resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        if resid <= tol:
-            return "pass", resid, None
-        return "fail", resid, clip_witness(f"integral {lhs!r} vs product {rhs!r}")
+        return _quad_verdict(lhs, rhs, tol, perturb)
     return run
 
 
-for _variant, _blurb in (
-        ("qq", "equal bases: the mixed-base moment integral collapses to 1"),
-        ("mqq", "negated base: the mixed-base moment integral collapses to 1"),
-        ("q2q", "squared base: the moment integral equals (q^2 t^2; q^4)_oo"),
-        ("q2q3", "squared/cubed bases: the moment integral equals "
-                 "(at^3 q^6;q^6)_oo / (t^2 q^4;q^4)_oo")):
-    _REGISTRY[f"closed-H-{_variant}"] = IdentityCase(
-        id=f"closed-H-{_variant}", description=_blurb, mode="quadrature",
-        default_order=0, symbols="a, t, q bound floats",
-        domain="|q|, |a|, |t| < 1",
-        defaults={"q": 0.3, "a": 0.1, "t": 0.2, "tol": CLOSED_TOL},
-        runner=_run_closed_h(_variant))
+for _variant, _blurb, _bases in _CLOSED_H:
+    _case(f"closed-H-{_variant}", _blurb, "quadrature", 0,
+          "a, t, q bound floats", "|q|, |a|, |t| < 1",
+          defaults={"q": 0.3, "a": 0.1, "t": 0.2, "tol": CLOSED_TOL})(_run_closed_h(_bases))

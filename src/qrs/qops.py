@@ -9,14 +9,13 @@ truncation error of its own.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 
 from .families import CauchyExpansion, brs_poly
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series)
 from .qcore import MultiPoly, frac, lincomb, qfac
-from .reporting import IdentityReport, clip_witness
+from .reporting import IdentityReport
 
 
 def dq_apply(f: TruncSeries, q: Fraction, var: str | None = None) -> TruncSeries:
@@ -220,24 +219,8 @@ def zhang_wang_check(b, s, t, v, w, q: Fraction, order: int = 8) -> IdentityRepo
     The identity is verified as an exact bivariate (a,b) series at the given
     total order; the supplied b is recorded (any bound value follows from
     the graded statement) and must sit in (-1, 1) like the other parameters.
+    This is the registry case zhang-wang at these parameters.
     """
-    started = time.perf_counter()
-    params = {"b": frac(b), "s": frac(s), "t": frac(t), "v": frac(v),
-              "w": frac(w), "q": frac(q)}
-    for name, val in params.items():
-        if not abs(val) < 1:
-            raise ValueError(f"parameter {name} must lie in (-1, 1)")
-    lhs, rhs = t_op_product_sides(s, t, v, w, q, order)
-    diff = lhs.diff_witness(rhs)
-    report = IdentityReport(
-        id="zhang-wang", mode="exact-series", order=order, params=params,
-        description="q-exponential operator product transformation, three factors",
-    )
-    if diff is None:
-        report.status = "exact-pass"
-    else:
-        idx, delta = diff
-        report.status = "fail"
-        report.witness = clip_witness(f"a^{idx[0]} b^{idx[1]}: {delta}")
-    report.elapsed_ms = (time.perf_counter() - started) * 1000
-    return report
+    from .idverify import verify
+    return verify("zhang-wang", order=order,
+                  params={"b": b, "s": s, "t": t, "v": v, "w": w, "q": q})

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 from .families import qhermite_eval
@@ -225,25 +224,11 @@ def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> flo
 
 def askey_wilson_check(a: float, b: float, c: float, d: float, q: float,
                        tol: float = 1e-8) -> IdentityReport:
-    """Quadrature vs closed product for the Askey-Wilson integral."""
-    started = time.perf_counter()
-    for name, p in (("a", a), ("b", b), ("c", c), ("d", d), ("q", q)):
-        if abs(p) >= 1:
-            raise ValueError(f"parameter {name} must satisfy |{name}| < 1")
-    lhs = askey_wilson_quad(a, b, c, d, q, tol=min(tol * 1e-2, 1e-10))
-    rhs = askey_wilson_closed(a, b, c, d, q)
-    resid = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    report = IdentityReport(
-        id="askey-wilson", mode="quadrature", order=None,
-        params={"a": a, "b": b, "c": c, "d": d, "q": q},
-        status="pass" if resid <= tol else "fail",
-        residual=resid,
-        description="Askey-Wilson integral against its closed product form",
-    )
-    if not report.passed():
-        report.witness = f"quad {lhs!r} vs closed {rhs!r}"
-    report.elapsed_ms = (time.perf_counter() - started) * 1000
-    return report
+    """Quadrature vs closed product for the Askey-Wilson integral: the
+    registry case askey-wilson at these parameters."""
+    from .idverify import verify
+    return verify("askey-wilson", params={"a": a, "b": b, "c": c, "d": d, "q": q,
+                                          "tol": tol})
 
 
 # -- big q-Hermite orthogonality ---------------------------------------------
@@ -260,23 +245,10 @@ def ortho_integrand(n: int, m: int, a: float, q: float):
 
 
 def ortho_check(n: int, m: int, a: float, q: float, tol: float = 1e-8) -> IdentityReport:
-    """Orthogonality of H_n(x;a|q): the weighted moment is (q;q)_n delta_nm."""
-    started = time.perf_counter()
-    val, _ = integrate(ortho_integrand(n, m, a, q), 0.0, math.pi, min(tol * 1e-2, 1e-10))
-    lhs = qpoch_inf(q, q).real / (2 * math.pi) * val
-    rhs = float(abs(qpoch_n(q, q, n))) if n == m else 0.0
-    resid = abs(lhs - rhs)
-    report = IdentityReport(
-        id="ortho-big", mode="quadrature", order=None,
-        params={"n": n, "m": m, "a": a, "q": q},
-        status="pass" if resid <= tol else "fail",
-        residual=resid,
-        description="orthogonality of the big q-Hermite family on [0, pi]",
-    )
-    if not report.passed():
-        report.witness = f"moment({n},{m}) = {lhs!r}, expected {rhs!r}"
-    report.elapsed_ms = (time.perf_counter() - started) * 1000
-    return report
+    """Orthogonality of H_n(x;a|q), the weighted moment being (q;q)_n delta_nm:
+    the registry case ortho-big at these parameters."""
+    from .idverify import verify
+    return verify("ortho-big", params={"n": n, "m": m, "a": a, "q": q, "tol": tol})
 
 
 # -- mixed-base integrals and their closed forms ------------------------------
@@ -317,35 +289,13 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
 
 
 def closed_forms_suite(q: float, a: float, t: float, tol: float = 1e-7) -> list:
-    """The four H-kind integrals that collapse to products.
+    """The four H-kind integrals that collapse to products: the registry
+    cases closed-H-* at these parameters, in registry order.
 
     H_(q,q) = 1, H_(-q,q) = 1, H_(q^2,q) = (q^2 t^2; q^4)_oo and
-    H_(q^2,q^3) = (a t^3 q^6; q^6)_oo / (t^2 q^4; q^4)_oo. Each pair below
-    is (computed integral, closed product).
+    H_(q^2,q^3) = (a t^3 q^6; q^6)_oo / (t^2 q^4; q^4)_oo.
     """
-    cases = [
-        ("closed-H-qq", dict(p=q, q=q), lambda: 1.0),
-        ("closed-H-mqq", dict(p=-q, q=q), lambda: 1.0),
-        ("closed-H-q2q", dict(p=q * q, q=q),
-         lambda: qpoch_inf(q * q * t * t, q ** 4).real),
-        ("closed-H-q2q3", dict(p=q * q, q=q ** 3),
-         lambda: (qpoch_inf(a * t ** 3 * q ** 6, q ** 6) / qpoch_inf(t * t * q ** 4, q ** 4)).real),
-    ]
-    reports = []
-    for cid, bases, closed in cases:
-        started = time.perf_counter()
-        val = jhi_eval("H", bases["p"], bases["q"], a, t, tol=min(tol * 1e-2, 1e-10))
-        want = closed()
-        resid = abs(val - want) / max(abs(want), 1e-300)
-        rep = IdentityReport(
-            id=cid, mode="quadrature", order=None,
-            params={"q": q, "a": a, "t": t, **{k: float(v) for k, v in bases.items()}},
-            status="pass" if resid <= tol else "fail",
-            residual=resid,
-            description="mixed-base q-Hermite moment integral with a closed product value",
-        )
-        if not rep.passed():
-            rep.witness = f"integral {val!r} vs product {want!r}"
-        rep.elapsed_ms = (time.perf_counter() - started) * 1000
-        reports.append(rep)
-    return reports
+    from .idverify import registry, verify
+    params = {"q": q, "a": a, "t": t, "tol": tol}
+    return [verify(case.id, params=params) for case in registry()
+            if case.id.startswith("closed-H-")]

@@ -6,6 +6,8 @@ import pytest
 
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
+from qrs.qops import zhang_wang_check
+from qrs.quadrature import askey_wilson_check, closed_forms_suite, ortho_check
 
 MODES = {"exact-poly", "exact-series", "numeric-complex", "quadrature"}
 
@@ -179,3 +181,35 @@ def test_product_and_expansion_transforms_are_mutual_inverses():
                     want = MultiPoly.const(1 if r == 0 else 0)
                     assert al == want, (n, m, r)
                     assert la == want, (n, m, r)
+
+
+_HELPER_CASES = [
+    ("askey_wilson", lambda: askey_wilson_check(-0.35, 0.25, 0.2, 0.1, 0.4, tol=1e-9),
+     "askey-wilson", None,
+     {"a": -0.35, "b": 0.25, "c": 0.2, "d": 0.1, "q": 0.4, "tol": 1e-9}),
+    ("ortho_diagonal", lambda: ortho_check(3, 3, 0.3, 0.4),
+     "ortho-big", None, {"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": 1e-8}),
+    ("ortho_off_diagonal", lambda: ortho_check(2, 4, -0.2, 0.35, tol=1e-9),
+     "ortho-big", None, {"n": 2, "m": 4, "a": -0.2, "q": 0.35, "tol": 1e-9}),
+] + [
+    (cid, lambda i=i: closed_forms_suite(0.45, 0.3, 0.4)[i], cid, None,
+     {"q": 0.45, "a": 0.3, "t": 0.4, "tol": 1e-7})
+    for i, cid in enumerate(("closed-H-qq", "closed-H-mqq", "closed-H-q2q",
+                             "closed-H-q2q3"))
+] + [
+    ("zhang_wang",
+     lambda: zhang_wang_check(Fraction(1, 7), Fraction(1, 3), Fraction(1, 4),
+                              Fraction(1, 5), Fraction(0), Fraction(2, 5), order=4),
+     "zhang-wang", 4,
+     {"b": Fraction(1, 7), "s": Fraction(1, 3), "t": Fraction(1, 4),
+      "v": Fraction(1, 5), "w": Fraction(0), "q": Fraction(2, 5)}),
+]
+
+
+@pytest.mark.parametrize("helper, case_id, order, params",
+                         [c[1:] for c in _HELPER_CASES],
+                         ids=[c[0] for c in _HELPER_CASES])
+def test_check_helpers_report_exactly_what_verify_reports(helper, case_id, order, params):
+    rep = helper()
+    assert rep.passed(), rep.witness
+    assert rep.to_json_dict() == verify(case_id, order=order, params=params).to_json_dict()

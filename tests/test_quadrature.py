@@ -150,3 +150,15 @@ def test_closed_forms_suite_all_pass():
     for r in reports:
         assert r.passed(), r.id
         assert r.residual <= 1e-7
+
+
+def test_closed_forms_suite_reports_carry_the_callers_parameters():
+    reports = closed_forms_suite(0.3, 0.1, 0.2, tol=2e-7)
+    for r in reports:
+        assert r.params == {"q": 0.3, "a": 0.1, "t": 0.2, "tol": 2e-7}, r.id
+
+
+@pytest.mark.parametrize("a, q", [(1.5, 0.4), (-1.0, 0.4), (0.3, 1.0), (0.3, -1.2)])
+def test_orthogonality_rejects_out_of_domain(a, q):
+    with pytest.raises(ValueError):
+        ortho_check(2, 2, a, q)
