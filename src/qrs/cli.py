@@ -321,10 +321,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"qrs: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"qrs: error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureError, RuntimeError) as exc:

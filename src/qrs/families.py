@@ -113,12 +113,22 @@ def qhermite_eval(n: int, a, q, theta: float) -> complex:
     return total
 
 
-@lru_cache(maxsize=None)
-def _qfac_ladder(q: float, n: int):
-    out = [1.0]
-    for k in range(1, n + 1):
-        out.append(out[-1] * (1 - q ** k))
-    return tuple(out)
+def _qfac_ladder(q: float, n: int) -> list:
+    """The float ladder (q;q)_0, (q;q)_1, ... through at least (q;q)_n.
+
+    One ladder per q, grown in place, so a longer request extends the
+    shorter ones instead of rebuilding the prefix; callers only index it.
+    """
+    out = _qfac_ladders(q)
+    if len(out) <= n:
+        for k in range(len(out), n + 1):
+            out.append(out[-1] * (1 - q ** k))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _qfac_ladders(q: float) -> list:
+    return [1.0]
 
 
 # -- transforms between the classical and bivariate families ---------------

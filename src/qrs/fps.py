@@ -311,38 +311,35 @@ def poch_series(p, q: Fraction, n: int, variables, order: int) -> TruncSeries:
     return out
 
 
-def euler_series(z: TruncSeries, q: Fraction) -> TruncSeries:
-    """(z; q)_oo as a truncated series: sum_k (-1)^k q^(k(k-1)/2) z^k / (q;q)_k.
+def _power_sum(z: TruncSeries, weight, name: str) -> TruncSeries:
+    """1 + sum_k weight(k) z^k over k <= z.order, for the Euler-type expansions.
 
     z must have zero constant term, so z^k raises the valuation and the sum
     is finite at any truncation order.
     """
-    q = frac(q)
     if not is_zero_elem(z.constant_term()):
-        raise ValueError("euler_series needs a series with zero constant term")
+        raise ValueError(f"{name} needs a series with zero constant term")
     out = TruncSeries.one(z.vars, z.order)
     power = TruncSeries.one(z.vars, z.order)
     for k in range(1, z.order + 1):
         power = power * z
         if power.is_zero():
             break
-        out = out + power.scale(Fraction((-1) ** k) * q ** tri(k) / qfac(q, k))
+        out = out + power.scale(weight(k))
     return out
+
+
+def euler_series(z: TruncSeries, q: Fraction) -> TruncSeries:
+    """(z; q)_oo as a truncated series: sum_k (-1)^k q^(k(k-1)/2) z^k / (q;q)_k."""
+    q = frac(q)
+    return _power_sum(z, lambda k: Fraction((-1) ** k) * q ** tri(k) / qfac(q, k),
+                      "euler_series")
 
 
 def euler_inv_series(z: TruncSeries, q: Fraction) -> TruncSeries:
     """1/(z; q)_oo as a truncated series: sum_k z^k / (q;q)_k."""
     q = frac(q)
-    if not is_zero_elem(z.constant_term()):
-        raise ValueError("euler_inv_series needs a series with zero constant term")
-    out = TruncSeries.one(z.vars, z.order)
-    power = TruncSeries.one(z.vars, z.order)
-    for k in range(1, z.order + 1):
-        power = power * z
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1) / qfac(q, k))
-    return out
+    return _power_sum(z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series")
 
 
 def cauchy_series(a, z: TruncSeries, q: Fraction) -> TruncSeries:
@@ -351,16 +348,8 @@ def cauchy_series(a, z: TruncSeries, q: Fraction) -> TruncSeries:
     a is a ring element (rational or MultiPoly).
     """
     q = frac(q)
-    if not is_zero_elem(z.constant_term()):
-        raise ValueError("cauchy_series needs a series with zero constant term")
-    out = TruncSeries.one(z.vars, z.order)
-    power = TruncSeries.one(z.vars, z.order)
-    for k in range(1, z.order + 1):
-        power = power * z
-        if power.is_zero():
-            break
-        out = out + power.scale(qpoch(a, q, k) * (Fraction(1) / qfac(q, k)))
-    return out
+    return _power_sum(z, lambda k: qpoch(a, q, k) * (Fraction(1) / qfac(q, k)),
+                      "cauchy_series")
 
 
 def euler_expand(c, q: Fraction, order: int, var: str = "t") -> TruncSeries:

@@ -280,8 +280,7 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
     def f(theta: float) -> float:
         w = _aw_weight(theta, wbase)
         den = _param_factor(theta, a, abase) if a else 1.0
-        den *= _param_factor(tpair * theta, t, tbase) if tpair == 1 \
-            else _param_factor(2 * theta, t, tbase)
+        den *= _param_factor(tpair * theta, t, tbase)
         return (w / den).real
 
     val, _ = integrate(f, 0.0, math.pi, tol)

@@ -142,15 +142,23 @@ def test_verify_all_byte_identical_across_runs(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
-@pytest.mark.parametrize("extra, capture", [
-    ([], "verify_all_seed0.json"),
-    (["--order", "6"], "verify_all_seed0_order6.json"),
-])
-def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, extra, capture):
-    # `python -m qrs verify-all --seed 0 [--order 6]` as captured with the
-    # dict-of-Fraction MultiPoly kernel; a kernel change must reproduce every byte
+CAPTURED = [
+    (["verify-all", "--seed", "0"], "verify_all_seed0.json", 0),
+    (["verify-all", "--seed", "0", "--order", "6"], "verify_all_seed0_order6.json", 0),
+    (["verify-all", "--seed", "0", "--order", "2", "--perturb"],
+     "verify_all_seed0_order2_perturb.json", 1),
+    (["list"], "list.json", 0),
+]
+
+
+@pytest.mark.parametrize("argv, capture, code", CAPTURED,
+                         ids=[f"extra{i}-{capture}" for i, (_, capture, _) in enumerate(CAPTURED)])
+def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, capture, code):
+    # `python -m qrs <argv>` as captured with the dict-of-Fraction MultiPoly
+    # kernel (the first two) and before the registry runners were split from
+    # their verdicts (the last two); a refactor must reproduce every byte
     out = tmp_path / "out.json"
-    assert main(["verify-all", "--seed", "0", *extra, "--output", str(out)]) == 0
+    assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()
     assert out.read_bytes() == (DATA / capture).read_bytes()
 

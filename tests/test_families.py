@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qrs import families
 from qrs.families import (CauchyExpansion, big_qhermite_laurent,
                           big_qhermite_poly, brs_combo_to_rs, brs_poly,
                           brs_to_rs_coeffs, cauchy_poly, change_base_big,
@@ -259,3 +260,25 @@ def test_cauchy_expansion_is_linear_not_a_ring():
     assert 2 * f == doubled
     with pytest.raises(TypeError):
         f * g
+
+
+def _per_n_ladder(q: float, n: int) -> tuple:
+    # the ladder as one (q, n)-keyed entry built it, prefix and all
+    out = [1.0]
+    for k in range(1, n + 1):
+        out.append(out[-1] * (1 - q ** k))
+    return tuple(out)
+
+
+def test_qfac_ladder_cache_is_bounded_and_bit_equal_to_the_per_n_ladder():
+    ladders = families._qfac_ladders
+    bound = ladders.cache_info().maxsize
+    assert bound is not None
+    qs = [0.05 + 0.9 * i / (bound + 10) for i in range(bound + 10)]
+    for q in qs:
+        for n in (5, 0, 12, 3):
+            qhermite_eval(n, 0.25 + 0.1j, q, 0.7)
+            assert ladders.cache_info().currsize <= bound
+        for n in range(13):
+            assert tuple(families._qfac_ladder(q, n)[:n + 1]) == _per_n_ladder(q, n)
+    assert ladders.cache_info().currsize == bound

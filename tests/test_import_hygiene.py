@@ -1,7 +1,9 @@
-"""Every name a module under src/qrs imports is used in that module."""
+"""Every name a module under src/qrs imports is used in that module, and
+every module-level private name is referenced somewhere in the package."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -31,3 +33,61 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(node) -> list:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, line, name) of each module-level private function, class or
+    constant that no other top-level statement of any module refers to. A
+    function decorated by a call to a decorator of its own module (a
+    registry such as idverify._case) counts as used."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    local = {}
+    for module, node in statements:
+        local.setdefault(module, set()).update(_defined(node))
+    refs = [_referenced(node) for _, node in statements]
+    count = Counter(name for names in refs for name in names)
+    found = []
+    for (module, node), own in zip(statements, refs):
+        registered = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                         and d.func.id in local[module]
+                         for d in getattr(node, "decorator_list", ()))
+        found += [(module, node.lineno, name) for name in _defined(node)
+                  if name.startswith("_") and not name.startswith("__")
+                  and count[name] == (name in own) and not registered]
+    return sorted(found)
+
+
+def test_the_check_sees_an_unreferenced_private():
+    sources = {
+        "a": "_A = 1\n_B = 2\ndef _f():\n    return _f()\ndef _g():\n    pass\n"
+             "def _reg(x):\n    return lambda f: f\n@_reg(1)\ndef _h():\n    pass\n"
+             "@property\ndef _p():\n    pass\nprint(_A)\n",
+        "b": "from a import _g\n",
+    }
+    assert unreferenced_privates(sources) == [("a", 2, "_B"), ("a", 3, "_f"), ("a", 13, "_p")]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []
