@@ -162,7 +162,8 @@ def _cmd_list(args) -> int:
     return 0
 
 
-_FAMILIES = ("cauchy", "rs", "brs", "hermite", "big")
+# the --family builders taking (n, q); "big" also takes --a
+_FAMILIES = {"cauchy": cauchy_poly, "rs": rs_poly, "brs": brs_poly, "hermite": qhermite_poly}
 
 
 def _cmd_expand(args) -> int:
@@ -171,16 +172,10 @@ def _cmd_expand(args) -> int:
     q = _parse_exact("q", args.q)
     if args.family != "cauchy" and not 0 < abs(q) < 1:
         raise UsageError("--q must be a nonzero rational with |q| < 1")
-    if args.family == "cauchy":
-        poly = cauchy_poly(args.n, q)
-    elif args.family == "rs":
-        poly = rs_poly(args.n, q)
-    elif args.family == "brs":
-        poly = brs_poly(args.n, q)
-    elif args.family == "hermite":
-        poly = qhermite_poly(args.n, q)
-    else:
+    if args.family == "big":
         poly = big_qhermite_poly(args.n, _parse_exact("a", args.a), q)
+    else:
+        poly = _FAMILIES[args.family](args.n, q)
     if args.format == "json":
         _emit(_dump_json(poly.to_json_dict()), args.output)
     else:
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_list)
 
     p = sub.add_parser("expand", help="print one family polynomial")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=(*_FAMILIES, "big"), required=True)
     p.add_argument("--n", type=int, required=True, help="polynomial degree")
     p.add_argument("--q", default="1/2", metavar="RATIONAL")
     p.add_argument("--a", default="1/4", metavar="RATIONAL",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, lincomb,
-                    qbinom, tri)
+                    qbinom, qpoch, tri)
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +62,12 @@ def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
         H_n = sum_k [n,k]_q (a z; q)_k z^(n-2k).
 
     a may be a rational or a symbol; the result is symmetric under z -> 1/z.
+    Multiplied by z^n the sum is an ordinary polynomial in z,
+
+        z^n H_n = sum_k [n,k]_q (a z; q)_k z^(2n-2k),
+
+    which is built as one `lincomb`; the coefficient of z^d is the Laurent
+    coefficient of z^(d-n).
     """
     return _big_laurent(n, _a_elem(a), frac(q), z)
 
@@ -70,13 +76,10 @@ def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
 def _big_laurent(n: int, a, q: Fraction, z: str) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total = LaurentPoly({}, z)
-    for k in range(n + 1):
-        poch = LaurentPoly({0: MultiPoly.const(1)}, z)
-        for j in range(k):
-            poch = poch * LaurentPoly({0: MultiPoly.const(1), 1: a * (-(q ** j))}, z)
-        total = total + poch * LaurentPoly({n - 2 * k: MultiPoly.const(qbinom(n, k, q))}, z)
-    return total
+    zv = MultiPoly.var(z)
+    shifted = lincomb((qbinom(n, k, q), qpoch(zv * a, q, k), zv ** (2 * n - 2 * k))
+                      for k in range(n + 1))
+    return LaurentPoly({d - n: c for d, c in shifted.as_univariate(z).items()}, z)
 
 
 def big_qhermite_poly(n: int, a, q: Fraction, x: str = "x") -> MultiPoly:
@@ -169,8 +172,7 @@ def ybinom_brs(n: int, q: Fraction) -> MultiPoly:
     """The y-binomial transform sum_k [n,k] y^k h_(n-k)(x,y|q), which equals
     h_n(x|q)."""
     q = frac(q)
-    y = MultiPoly.var("y")
-    return lincomb((qbinom(n, k, q), y ** k, brs_poly(n - k, q)) for k in range(n + 1))
+    return lincomb((c, brs_poly(m, q)) for m, c in enumerate(rs_to_brs_coeffs(n, q)))
 
 
 def h_to_bivariate(n: int, q: Fraction):
@@ -181,11 +183,8 @@ def h_to_bivariate(n: int, q: Fraction):
       lhs2 = h_n(x,y|q)    rhs2 = sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q)
     """
     q = frac(q)
-    y = MultiPoly.var("y")
-    rhs1 = ybinom_brs(n, q)
-    rhs2 = lincomb((qbinom(n, k, q) * (-1) ** k * q ** tri(k), y ** k, rs_poly(n - k, q))
-                   for k in range(n + 1))
-    return (rs_poly(n, q), rhs1), (brs_poly(n, q), rhs2)
+    rhs2 = lincomb((c, rs_poly(m, q)) for m, c in enumerate(brs_to_rs_coeffs(n, q)))
+    return (rs_poly(n, q), ybinom_brs(n, q)), (brs_poly(n, q), rhs2)
 
 
 # -- change of base ---------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import starmap
+from itertools import count, starmap
 from operator import add, mul
 
 from .qcore import MultiPoly, frac, lincomb, qfac, qpoch, tri
@@ -150,11 +150,8 @@ class TruncSeries:
         return TruncSeries(self.vars, self.order, {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            wrapped = self._wrap(other)
-            if wrapped is None:
-                return NotImplemented
-            other = wrapped
+        if not isinstance(other, TruncSeries) and self._wrap(other) is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -444,34 +441,50 @@ def _ratio_product(ratios, q: Fraction, j: int):
 def phi_sum(upper, lower, q, z, tol: float = 1e-13, max_terms: int = 2000) -> complex:
     """Numeric value of r+1_phi_r(upper; lower; q, z) with a tail guard.
 
-    Terms follow the defining one-step recurrence; summation stops once
+    Terms follow the defining one-step recurrence; `_sum_terms` stops once
     three consecutive terms stay below tol scaled against the geometric
-    tail factor |z|/(1-|z|). Requires |z| < 1.
+    tail factor max(|z|/(1-|z|), 1). Requires |z| < 1.
     """
     z = complex(z)
     q = complex(q)
     r = abs(z)
     if r >= 0.999:
         raise ValueError("phi_sum needs |z| < 1")
-    tail = max(r / (1 - r), 1.0)
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    small = 0
-    for n in range(max_terms):
-        qn = q ** n
-        ratio = z
-        for u in upper:
-            ratio *= 1 - u * qn
-        for l in lower:
-            d = 1 - l * qn
+
+    def terms():
+        term = 1.0 + 0j
+        yield term
+        for n in count():
+            qn = q ** n
+            ratio = z
+            for u in upper:
+                ratio *= 1 - u * qn
+            for l in lower:
+                d = 1 - l * qn
+                if abs(d) < 1e-14:
+                    raise ZeroDivisionError("phi_sum lower parameter hit q^-n")
+                ratio /= d
+            d = 1 - q ** (n + 1)
             if abs(d) < 1e-14:
-                raise ZeroDivisionError("phi_sum lower parameter hit q^-n")
+                raise ZeroDivisionError("phi_sum base too close to a root of unity")
             ratio /= d
-        d = 1 - q ** (n + 1)
-        if abs(d) < 1e-14:
-            raise ZeroDivisionError("phi_sum base too close to a root of unity")
-        ratio /= d
-        term *= ratio
+            term *= ratio
+            yield term
+
+    return _sum_terms(terms(), r, tol, max_terms)
+
+
+def _sum_terms(terms, ratio: float, tol: float, max_terms: int = 500) -> complex:
+    """Sum a term iterator until three consecutive terms clear the geometric
+    tail bound max(ratio/(1-ratio), 1) for the given magnitude ratio.
+
+    A finite iterator that runs out first gives its full sum; RuntimeError
+    once max_terms + 1 terms have not settled.
+    """
+    tail = max(ratio / (1.0 - ratio), 1.0)
+    total = 0j
+    small = 0
+    for n, term in enumerate(terms):
         total += term
         if abs(term) * tail < tol:
             small += 1
@@ -479,4 +492,6 @@ def phi_sum(upper, lower, q, z, tol: float = 1e-13, max_terms: int = 2000) -> co
                 return total
         else:
             small = 0
-    raise RuntimeError("phi_sum did not converge within max_terms")
+        if n >= max_terms:
+            raise RuntimeError(f"numeric series did not settle within {max_terms} terms")
+    return total

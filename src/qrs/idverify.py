@@ -25,10 +25,15 @@ exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
 numeric-complex  runner(rng, q, tol) returns one draw (label, values): the
                draw's parameters and the values that must agree. verify()
                runs NUMERIC_DRAWS draws and prefixes each label "draw i: ".
+               The runner sums its series to tol = (the case's tol) / 10.
 quadrature     runner(params, tol) returns (integral, closed value), compared
                relative to |closed value|; or (integral, closed value,
                witness template), compared absolutely, for a closed value
-               that may be 0.
+               that may be 0. The runner integrates to
+               tol = min((the case's tol) * 1e-2, 1e-10).
+
+The tolerance a runner gets is thus tighter than the one its verdict
+compares against, so truncation and quadrature error stay well inside it.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from .families import (_qfac_ladder, big_qhermite_laurent, big_qhermite_poly,
                        brs_poly, cauchy_poly, change_base_big, change_base_c,
                        h_to_bivariate, qhermite_eval, qhermite_laurent,
                        qhermite_poly, rs_poly, ybinom_brs)
-from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                  phi_series, phi_sum, poch_series, series_inv)
+from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
+                  euler_series, phi_series, phi_sum, poch_series, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qpoch, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, integrate,
@@ -132,11 +137,11 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
         q, tol = float(merged["q"]), float(merged["tol"])
         sides = []
         for i in range(NUMERIC_DRAWS):
-            label, values = case.runner(rng, q, tol)
+            label, values = case.runner(rng, q, tol / 10)
             sides.append((f"draw {i}: {label}", values))
     else:
         tol = float(merged["tol"])
-        sides = case.runner(merged, tol)
+        sides = case.runner(merged, min(tol * 1e-2, 1e-10))
     report.status, report.residual, report.witness = \
         _VERDICTS[case.mode](sides, tol, perturb)
     report.elapsed_ms = (time.perf_counter() - started) * 1000
@@ -220,25 +225,6 @@ def _numeric_verdict(rows, tol: float, perturb: bool):
     return status, worst, witness
 
 
-def _sum_terms(gen, ratio: float, tol: float, max_terms: int = 500) -> complex:
-    """Sum a term generator until three consecutive terms clear the
-    geometric tail bound for the given magnitude ratio."""
-    tail = max(ratio / (1.0 - ratio), 1.0)
-    total = 0j
-    small = 0
-    for n, term in enumerate(gen):
-        total += term
-        if abs(term) * tail < tol:
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-        if n >= max_terms:
-            raise RuntimeError("numeric series did not settle within the term cap")
-    return total
-
-
 def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
     """sum_n coef(n) t^n / (base;base)_n through _sum_terms, tail ratio |t|."""
     def terms():
@@ -283,7 +269,7 @@ _VERDICTS = {"exact-series": _series_sweep, "exact-poly": _poly_sweep,
              "numeric-complex": _numeric_verdict, "quadrature": _quad_verdict}
 
 
-_X, _Y, _U, _V = (MultiPoly.var(n) for n in "xyuv")
+_X, _Y, _U, _V, _A = (MultiPoly.var(n) for n in "xyuva")
 
 
 def _inv_qfacs(q: Fraction, top: int) -> list:
@@ -504,9 +490,19 @@ def _run_linear_rs(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
     for n in range(order + 1):
         for m in range(order + 1):
-            rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k),
-                           _X ** k, rs_poly(n + m - 2 * k, q)) for k in range(min(n, m) + 1))
-            yield f"n={n}, m={m}", rs_pairs[n][m], rhs
+            yield f"n={n}, m={m}", rs_pairs[n][m], _lin_sum(
+                n, m, q, lambda k: rs_poly(n + m - 2 * k, q))
+
+
+def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
+             var: MultiPoly = _X) -> MultiPoly:
+    """sum_k [n,k][m,k](q;q)_k var^k factor(k) over k <= min(n, m), each
+    weight times (-1)^k q^(k(k-1)/2) when alternating: the linearization sums."""
+    def weight(k):
+        w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k)
+        return w * q ** tri(k) * Fraction((-1) ** k) if alternating else w
+
+    return lincomb((weight(k), var ** k, factor(k)) for k in range(min(n, m) + 1))
 
 
 @_case("linear-brs-double",
@@ -545,16 +541,10 @@ def _run_linear_brs_simple(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
     for n in range(order + 1):
         for m in range(order + 1):
-            terms = []
-            top = min(n, m)
-            for l in range(top + 1):
-                wl = qbinom(m, l, q) * qbinom(n, l, q) * qfac(q, l)
-                for k in range(top + 1):
-                    w = wl * qbinom(m - l, k, q) * qbinom(n - l, k, q) \
-                        * qfac(q, k) * Fraction((-1) ** k) * q ** tri(k)
-                    if w:
-                        terms.append((w, _X ** l, _Y ** k, brs_poly(n + m - 2 * l - k, q)))
-            yield f"n={n}, m={m}", brs_pairs[n][m], lincomb(terms)
+            rhs = _lin_sum(n, m, q, lambda l: _lin_sum(
+                n - l, m - l, q, lambda k: brs_poly(n + m - 2 * l - k, q),
+                alternating=True, var=_Y))
+            yield f"n={n}, m={m}", brs_pairs[n][m], rhs
 
 
 @_case("hlm-relation",
@@ -588,8 +578,7 @@ def _run_linear_mixed(order, q, params):
     yb = [ybinom_brs(n, q) for n in range(order + 1)]
     for n in range(order + 1):
         for m in range(order + 1):
-            lhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k),
-                           _X ** k, rs_poly(n + m - 2 * k, q)) for k in range(min(n, m) + 1))
+            lhs = _lin_sum(n, m, q, lambda k: rs_poly(n + m - 2 * k, q))
             yield f"n={n}, m={m}", lhs, yb[n] * yb[m]
 
 
@@ -637,10 +626,7 @@ def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list):
     lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
                                              for j in range(max(0, s - m), min(n, s) + 1)),
                    _Y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
-    rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) * q ** tri(k)
-                   * Fraction((-1) ** k), _X ** k, brs_pairs[n - k][m - k])
-                  for k in range(min(n, m) + 1))
-    return lhs, rhs
+    return lhs, _lin_sum(n, m, q, lambda k: brs_pairs[n - k][m - k], alternating=True)
 
 
 @_case("mixed-identity",
@@ -671,9 +657,7 @@ def _run_askey_ismail(order, q, params):
     for n in range(order + 1):
         for m in range(order + 1):
             lhs = rs_poly(n + m, q)
-            rhs = lincomb((qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) * q ** tri(k)
-                           * Fraction((-1) ** k), _X ** k, rs_pairs[n - k][m - k])
-                          for k in range(min(n, m) + 1))
+            rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k][m - k], alternating=True)
             yield f"n={n}, m={m}", lhs, rhs
             ml, mr = _mixed_sides(n, m, q, brs_pairs)
             yield f"n={n}, m={m} (y=0 shadow, left)", ml.substitute({"y": zero}), lhs
@@ -691,10 +675,9 @@ def _run_askey_ismail(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hxa_hx(order, q, params):
-    av = MultiPoly.var("a")
     for n in range(order + 1):
         lhs = big_qhermite_laurent(n, "a", q).to_x_poly()
-        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), av ** k,
+        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), _A ** k,
                        qhermite_laurent(n - k, q).to_x_poly()) for k in range(n + 1))
         yield f"n={n}", lhs, rhs
 
@@ -707,10 +690,9 @@ def _run_hxa_hx(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hx_hxa(order, q, params):
-    av = MultiPoly.var("a")
     for n in range(order + 1):
         lhs = qhermite_laurent(n, q).to_x_poly()
-        rhs = lincomb((qbinom(n, k, q), av ** k, big_qhermite_laurent(n - k, "a", q).to_x_poly())
+        rhs = lincomb((qbinom(n, k, q), _A ** k, big_qhermite_laurent(n - k, "a", q).to_x_poly())
                       for k in range(n + 1))
         yield f"n={n}", lhs, rhs
 
@@ -788,7 +770,7 @@ def _run_nonsym_poisson(rng, q, tol):
     zt = cmath.exp(1j * theta)
     zb = cmath.exp(1j * beta)
     lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta) * qhermite_eval(n, b, q, beta),
-                  t, q, tol / 10)
+                  t, q, tol)
     pref = qpoch_inf(a * t * zb, q) * qpoch_inf(b / zb, q) * qpoch_inf(t * t, q) \
         / (qpoch_inf(t * zt * zb, q) * qpoch_inf(t * zt / zb, q)
            * qpoch_inf(t / (zt * zb), q) * qpoch_inf(t * zb / zt, q))
@@ -824,7 +806,7 @@ def _run_rogers_big(rng, q, tol):
             t ** n * s ** (big - n) / (qq[n] * qq[big - n]) for n in range(big + 1))
 
     lhs = _sum_terms((term(big) for big in range(10 ** 9)),
-                     max(abs(s), abs(t)), tol / 10)
+                     max(abs(s), abs(t)), tol)
     rhs = qpoch_inf(a * s, q) \
         / (qpoch_inf(s * z, q) * qpoch_inf(s / z, q) * qpoch_inf(t / z, q)) \
         * phi_sum([a / z, s / z], [a * s], q, t * z)
@@ -843,7 +825,7 @@ def _run_gf_its_1(rng, q, tol):
     theta = 0.3 + 2.5 * rng.random()
     t = _draw_complex(rng, 0.05, 0.4)
     z2 = cmath.exp(2j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(2 * n, 0.0, q, theta), t, q2, tol / 10)
+    lhs = _gf_sum(lambda n: qhermite_eval(2 * n, 0.0, q, theta), t, q2, tol)
     rhs = qpoch_inf(-t, q) / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
     return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -860,7 +842,7 @@ def _run_gf_its_2(rng, q, tol):
     theta = 0.3 + 2.5 * rng.random()
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(n, 0.0, q2, theta), t, q, tol / 10)
+    lhs = _gf_sum(lambda n: qhermite_eval(n, 0.0, q2, theta), t, q, tol)
     rhs = qpoch_inf(q * t * t, q2) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
     return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -886,7 +868,7 @@ def _run_gen_big_1(rng, q, tol):
                    / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
 
     lhs = _sum_terms((coef(n) * qhermite_eval(n, a, q, theta) for n in range(10 ** 9)),
-                     math.sqrt(abs(t)), tol / 10)
+                     math.sqrt(abs(t)), tol)
     rhs = qpoch_inf(a * a * t, q2) * qpoch_inf(-t, q) \
         / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
     return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
@@ -913,7 +895,7 @@ def _run_gen_big_2(rng, q, tol):
                    / (qq2[k] * qq[n - k]) for k in range(n + 1))
 
     lhs = _sum_terms((coef(n) * qhermite_eval(n, a, q2, theta) for n in range(10 ** 9)),
-                     abs(t), tol / 10)
+                     abs(t), tol)
     rhs = qpoch_inf(a * t, q) * qpoch_inf(q * t * t, q2) \
         / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
     return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
@@ -931,7 +913,7 @@ def _run_gf_big(rng, q, tol):
     a = _draw_complex(rng, 0.05, 0.5)
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta), t, q, tol / 10)
+    lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta), t, q, tol)
     rhs = qpoch_inf(a * t, q) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
     return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -949,7 +931,7 @@ def _run_gf_big(rng, q, tol):
                  "tol": QUAD_TOL})
 def _run_askey_wilson(params, tol):
     a, b, c, d, q = _unit_params(params, "abcdq")
-    lhs = askey_wilson_quad(a, b, c, d, q, tol=min(tol * 1e-2, 1e-10))
+    lhs = askey_wilson_quad(a, b, c, d, q, tol=tol)
     return lhs, askey_wilson_closed(a, b, c, d, q)
 
 
@@ -963,8 +945,7 @@ def _run_askey_wilson(params, tol):
 def _run_ortho_big(params, tol):
     n, m = int(params["n"]), int(params["m"])
     a, q = _unit_params(params, "aq")
-    val, _ = integrate(ortho_integrand(n, m, a, q), 0.0, math.pi,
-                       min(tol * 1e-2, 1e-10))
+    val, _ = integrate(ortho_integrand(n, m, a, q), 0.0, math.pi, tol)
     lhs = qpoch_inf(q, q).real / (2 * math.pi) * val
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
     return lhs, rhs, f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}"
@@ -989,7 +970,7 @@ def _run_closed_h(bases):
     def run(params, tol):
         q, a, t = _unit_params(params, "qat")
         p, sub, rhs = bases(q, a, t)
-        return jhi_eval("H", p, sub, a, t, tol=min(tol * 1e-2, 1e-10)), rhs
+        return jhi_eval("H", p, sub, a, t, tol=tol), rhs
     return run
 
 

@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: rationals, multivariate polynomials, Laurent
-polynomials, q-shifted factorials and Gaussian binomials.
+"""Exact arithmetic kernel: rationals, multivariate polynomials, q-shifted
+factorials and Gaussian binomials, plus the Laurent-polynomial container of
+the circle representation (its arithmetic is done on MultiPoly).
 
 Exact scalars are arbitrary-precision rationals (fractions.Fraction). A
 MultiPoly keeps its coefficients over the integers instead: one positive
@@ -585,9 +586,11 @@ ZERO = MultiPoly((), {})
 class LaurentPoly:
     """Laurent polynomial in one variable with MultiPoly coefficients.
 
-    Used for q-Hermite work on the unit circle: the variable z stands for
-    e^(i*theta), and symmetric Laurent polynomials fold into ordinary
-    polynomials in x = cos(theta) via z^k + z^-k = 2 T_k(x).
+    The circle representation of the q-Hermite families: the variable z
+    stands for e^(i*theta), and symmetric Laurent polynomials fold into
+    ordinary polynomials in x = cos(theta) via z^k + z^-k = 2 T_k(x). It is
+    a container, not an arithmetic kernel: builders form z^N times the
+    Laurent polynomial as a MultiPoly in z and read the terms off that.
     """
 
     __slots__ = ("var", "terms")
@@ -605,54 +608,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    @classmethod
-    def const(cls, c, var: str = "z") -> "LaurentPoly":
-        return cls({0: MultiPoly.const(c) if _is_scalar(c) else c}, var)
-
-    def __add__(self, other):
-        if _is_scalar(other) or isinstance(other, MultiPoly):
-            other = LaurentPoly.const(other, self.var)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if other.var != self.var:
-            raise ValueError("Laurent variable mismatch")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, ZERO) + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return LaurentPoly(terms, self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly({k: -c for k, c in self.terms.items()}, self.var)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if _is_scalar(other) or isinstance(other, MultiPoly):
-            return LaurentPoly({k: c * other for k, c in self.terms.items()}, self.var)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        if other.var != self.var:
-            raise ValueError("Laurent variable mismatch")
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                prod = c1 * c2
-                acc[k] = acc[k] + prod if k in acc else prod
-        return LaurentPoly(acc, self.var)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if _is_scalar(other) or isinstance(other, MultiPoly):
-            other = LaurentPoly.const(other, self.var)
+            other = LaurentPoly({0: other}, self.var)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.var == other.var and self.terms == other.terms

@@ -148,6 +148,9 @@ CAPTURED = [
     (["verify-all", "--seed", "0", "--order", "2", "--perturb"],
      "verify_all_seed0_order2_perturb.json", 1),
     (["list"], "list.json", 0),
+    (["expand", "--family", "big", "--n", "8", "--q", "2/5", "--a", "1/4"],
+     "expand_big_n8.json", 0),
+    (["expand", "--family", "hermite", "--n", "8", "--q=-3/7"], "expand_hermite_n8.json", 0),
 ]
 
 
@@ -155,8 +158,10 @@ CAPTURED = [
                          ids=[f"extra{i}-{capture}" for i, (_, capture, _) in enumerate(CAPTURED)])
 def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, capture, code):
     # `python -m qrs <argv>` as captured with the dict-of-Fraction MultiPoly
-    # kernel (the first two) and before the registry runners were split from
-    # their verdicts (the last two); a refactor must reproduce every byte
+    # kernel (the first two), before the registry runners were split from
+    # their verdicts (the next two) and while the circle form was still
+    # multiplied out with Laurent arithmetic (the two expands); a refactor
+    # must reproduce every byte
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

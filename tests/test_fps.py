@@ -221,6 +221,15 @@ def test_phi_sum_rejects_divergent_argument():
         phi_sum([0.5], [0.25], 0.3, 1.2)
 
 
+def test_phi_sum_term_cap_and_pole_guards():
+    with pytest.raises(RuntimeError):
+        phi_sum([0.5], [], 0.3, 0.9, max_terms=5)
+    with pytest.raises(ZeroDivisionError):
+        phi_sum([0.5], [1 / 0.3 ** 2], 0.3, 0.5)   # 1 - l q^2 vanishes
+    with pytest.raises(ZeroDivisionError):
+        phi_sum([0.5], [], -1.0, 0.5)              # 1 - q^2 vanishes
+
+
 def test_diff_witness_reports_first_lexicographic_difference():
     f = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): Fraction(2)})
     g = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): Fraction(3),
