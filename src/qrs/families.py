@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, lincomb,
-                    qbinom, qpoch, tri)
+                    qbinom, tri)
 
 
 @lru_cache(maxsize=None)
@@ -66,8 +66,8 @@ def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
 
         z^n H_n = sum_k [n,k]_q (a z; q)_k z^(2n-2k),
 
-    which is built as one `lincomb`; the coefficient of z^d is the Laurent
-    coefficient of z^(d-n).
+    which is built as one `lincomb` over the running products (az; q)_k; the
+    coefficient of z^d is the Laurent coefficient of z^(d-n).
     """
     return _big_laurent(n, _a_elem(a), frac(q), z)
 
@@ -77,7 +77,12 @@ def _big_laurent(n: int, a, q: Fraction, z: str) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     zv = MultiPoly.var(z)
-    shifted = lincomb((qbinom(n, k, q), qpoch(zv * a, q, k), zv ** (2 * n - 2 * k))
+    az = zv * a
+    one = MultiPoly.const(1, az.vars)
+    pochs = [one]  # (az;q)_k for k <= n, one running product
+    for k in range(n):
+        pochs.append(pochs[-1] * (one - az * q ** k))
+    shifted = lincomb((qbinom(n, k, q), pochs[k], zv ** (2 * n - 2 * k))
                       for k in range(n + 1))
     return LaurentPoly({d - n: c for d, c in shifted.as_univariate(z).items()}, z)
 

@@ -51,7 +51,7 @@ from .families import (_qfac_ladder, big_qhermite_laurent, big_qhermite_poly,
                        h_to_bivariate, qhermite_eval, qhermite_laurent,
                        qhermite_poly, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
-                  euler_series, phi_series, phi_sum, poch_series, series_inv)
+                  euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qpoch, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, integrate,
@@ -463,16 +463,20 @@ def _run_lemma_23(order, q, params):
     kernel = euler_series(t1.scale(_Y), q) * euler_inv_series(t1.scale(_X), q)
     pre = euler_series(t1.scale(_Y), q) * euler_inv_series(t1, q) \
         * euler_inv_series(t1.scale(_X), q)
+    # 1/(yt;q)_k and (xt;q)_k/(yt;q)_k for k <= nmax, as running products
+    one = TruncSeries.one(("t",), order)
+    yinvs, ratios = [one], [one]
+    for k in range(nmax):
+        step = series_inv(one - t1.scale(_Y * q ** k))
+        yinvs.append(yinvs[-1] * step)
+        ratios.append(ratios[-1] * (one - t1.scale(_X * q ** k)) * step)
     for n in range(nmax + 1):
-        op = kernel * series_inv(poch_series(t1.scale(_Y), q, n, ("t",), order))
-        op = op.scale(cauchy_poly(n, q))
+        op = (kernel * yinvs[n]).scale(cauchy_poly(n, q))
         lhs = e_op_apply(cauchy_operand(dict(op.coeffs), q, order), route="basis")
         ksum = TruncSeries.zero(("t",), order)
         for k in range(n + 1):
-            ratio = poch_series(t1.scale(_X), q, k, ("t",), order) \
-                * series_inv(poch_series(t1.scale(_Y), q, k, ("t",), order))
             coef = qbinom(n, k, q) * qpoch(_Y, q, k) * _X ** (n - k)
-            ksum = ksum + ratio.scale(coef)
+            ksum = ksum + ratios[k].scale(coef)
         yield f"n={n}", lhs, pre * ksum
 
 

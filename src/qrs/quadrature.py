@@ -5,15 +5,26 @@ The integrator is a Gauss-Kronrod 7/15 embedded pair with interval halving:
 the worst panel (largest error estimate) is split until the error budget or
 the evaluation budget is met, and the final sum runs over panels sorted by
 left endpoint so results are reproducible run to run.
+
+Every circle weight here is a product of conjugate pairs
+(c e^{i t}, c e^{-i t}; base)_oo. With c and base real, the factors of the
+second product are the conjugates of the first's, and float complex
+multiplication maps conjugated operands to the conjugated result bit for
+bit (round-to-nearest is symmetric under negation), so each pair is
+computed as p * p.conjugate() from the one product p = (c e^{i t}; base)_oo.
+That shortcut is only valid for real parameters and bases, so the integrand
+builders pass them through float(), which raises TypeError on a complex
+value. The base^k ladder of each base is built once per integral.
 """
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
 
-from .families import qhermite_eval
+from .families import _qfac_ladder
 from .reporting import IdentityReport
 
 EVAL_BUDGET = 2_000_000
@@ -58,23 +69,24 @@ class ProductSpec:
         return inf_product(self)
 
 
-def inf_product(spec) -> complex:
-    """Numeric (c1; b1)_oo (c2; b2)_oo ... for |b_i| < 1.
-
-    Each factor is truncated at K = ceil(log(eps)/log(max |base|)) + 8
-    terms, past which the remaining factors differ from 1 by less than
-    eps = 1e-17 relative.
-    """
-    factors = spec.factors if isinstance(spec, ProductSpec) else tuple(spec)
-    if not factors:
-        return 1.0 + 0j
-    maxbase = max(abs(b) for _, b in factors)
+def _truncation(maxbase: float) -> int:
+    """Factors kept per (c; base)_oo when the largest |base| is maxbase:
+    K = ceil(log(eps)/log(maxbase)) + 8, past which the remaining factors
+    differ from 1 by less than eps = 1e-17 relative."""
     if maxbase >= 1:
         raise ValueError("inf_product needs |base| < 1")
     if maxbase == 0:
-        K = 1
-    else:
-        K = math.ceil(math.log(_PROD_EPS) / math.log(maxbase)) + 8
+        return 1
+    return math.ceil(math.log(_PROD_EPS) / math.log(maxbase)) + 8
+
+
+def inf_product(spec) -> complex:
+    """Numeric (c1; b1)_oo (c2; b2)_oo ... for |b_i| < 1, each factor
+    truncated after _truncation(max |b_i|) terms."""
+    factors = spec.factors if isinstance(spec, ProductSpec) else tuple(spec)
+    if not factors:
+        return 1.0 + 0j
+    K = _truncation(max(abs(b) for _, b in factors))
     total = 1.0 + 0j
     for c, base in factors:
         c = complex(c)
@@ -184,25 +196,42 @@ def integrate(spec, lo: float | None = None, hi: float | None = None,
 # -- Askey-Wilson integral ----------------------------------------------------
 
 
-def _aw_weight(theta: float, q: float) -> float:
+def _ladder(base: float) -> list:
+    """base^k for k < K, by inf_product's bk *= base steps and truncation:
+    the factor ladder of (c; base)_oo for every c, built once per integral.
+    base must be real (float() raises TypeError on a complex one)."""
+    base = float(base)
+    ladder, bk = [], 1.0
+    for _ in range(_truncation(abs(base))):
+        ladder.append(bk)
+        bk *= base
+    return ladder
+
+
+def _param_factor(theta: float, c: float, ladder: list) -> complex:
+    """(c e^{i t}; base)_oo (c e^{-i t}; base)_oo for real c and the ladder of
+    a real base: one product p, returned as p * p.conjugate()."""
+    c = float(c) * complex(math.cos(theta), math.sin(theta))
+    p = 1.0 + 0j
+    for bk in ladder:
+        p *= 1 - c * bk
+    return p * p.conjugate()
+
+
+def _aw_weight(theta: float, ladder: list) -> float:
     """(e^{2i t}, e^{-2i t}; q)_oo, the free weight of the circle measure."""
-    z2 = complex(math.cos(2 * theta), math.sin(2 * theta))
-    return (qpoch_inf(z2, q) * qpoch_inf(z2.conjugate(), q)).real
-
-
-def _param_factor(theta: float, c: complex, base: float) -> complex:
-    """(c e^{i t}; base)_oo (c e^{-i t}; base)_oo."""
-    z = complex(math.cos(theta), math.sin(theta))
-    return qpoch_inf(c * z, base) * qpoch_inf(c * z.conjugate(), base)
+    return _param_factor(2 * theta, 1.0, ladder).real
 
 
 def aw_integrand(a: float, b: float, c: float, d: float, q: float):
+    shifts = [p for p in map(float, (a, b, c, d)) if p]
+    ladder = _ladder(q)
+
     def f(theta: float) -> float:
-        w = _aw_weight(theta, q)
+        w = _aw_weight(theta, ladder)
         den = 1.0 + 0j
-        for p in (a, b, c, d):
-            if p:
-                den *= _param_factor(theta, p, q)
+        for p in shifts:
+            den *= _param_factor(theta, p, ladder)
         return (w / den).real
     return f
 
@@ -234,13 +263,34 @@ def askey_wilson_check(a: float, b: float, c: float, d: float, q: float,
 # -- big q-Hermite orthogonality ---------------------------------------------
 
 
+def _hermite_terms(n: int, q: float) -> list:
+    """(weight, q^k, n - 2k) for k <= n: the theta-free part of
+    families.qhermite_eval's sum, by the same float expressions."""
+    qk = _qfac_ladder(q, n)
+    return [(qk[n] / (qk[k] * qk[n - k]), q ** k, n - 2 * k) for k in range(n + 1)]
+
+
+def _hermite_at(terms: list, az: complex, zi: complex) -> complex:
+    """qhermite_eval's sum over _hermite_terms at zi = e^{i t}, az = a zi."""
+    total = 0j
+    poch = 1.0 + 0j
+    for binom, qpow, e in terms:
+        total += binom * poch * zi ** e
+        poch *= 1 - az * qpow
+    return total
+
+
 def ortho_integrand(n: int, m: int, a: float, q: float):
+    a, q = float(a), float(q)
+    ladder = _ladder(q)
+    hn, hm = _hermite_terms(n, q), _hermite_terms(m, q)
+
     def f(theta: float) -> float:
-        w = _aw_weight(theta, q)
-        den = _param_factor(theta, a, q) if a else 1.0
-        hn = qhermite_eval(n, a, q, theta)
-        hm = qhermite_eval(m, a, q, theta)
-        return (w / den * hn * hm).real
+        w = _aw_weight(theta, ladder)
+        den = _param_factor(theta, a, ladder) if a else 1.0
+        zi = cmath.exp(1j * theta)
+        az = a * zi
+        return (w / den * _hermite_at(hn, az, zi) * _hermite_at(hm, az, zi)).real
     return f
 
 
@@ -254,9 +304,8 @@ def ortho_check(n: int, m: int, a: float, q: float, tol: float = 1e-8) -> Identi
 # -- mixed-base integrals and their closed forms ------------------------------
 
 
-def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
-             tol: float = 1e-10) -> float:
-    """The three mixed-base weight integrals.
+def jhi_integrand(kind: str, p: float, q: float, a: float, t: float):
+    """(prefactor, integrand) of one of the three mixed-base weight integrals.
 
     J: weight base q, poles (a e^{+-i t}; q), (t e^{+-2i t}; p^2),
        prefactor (q;q)_oo (a^2 t; p^2)_oo (-t; p)_oo / 2 pi.
@@ -264,27 +313,37 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
        prefactor (q^2;q^2)_oo (a t; p)_oo (p t^2; p^2)_oo / 2 pi.
     I: weight base q, poles (a e^{+-i t}; q), (t e^{+-i t}; p),
        prefactor (q;q)_oo (a t; p)_oo / 2 pi.
+
+    The weight and the a-pair share one base in all three.
     """
+    p, q, a, t = float(p), float(q), float(a), float(t)
     if kind == "J":
-        wbase, abase, tpair, tbase = q, q, 2, p * p
+        wbase, tpair, tbase = q, 2, p * p
         pref = (qpoch_inf(q, q) * qpoch_inf(a * a * t, p * p) * qpoch_inf(-t, p)).real
     elif kind == "H":
-        wbase, abase, tpair, tbase = q * q, q * q, 1, p
+        wbase, tpair, tbase = q * q, 1, p
         pref = (qpoch_inf(q * q, q * q) * qpoch_inf(a * t, p) * qpoch_inf(p * t * t, p * p)).real
     elif kind == "I":
-        wbase, abase, tpair, tbase = q, q, 1, p
+        wbase, tpair, tbase = q, 1, p
         pref = (qpoch_inf(q, q) * qpoch_inf(a * t, p)).real
     else:
         raise ValueError(f"unknown integral kind {kind!r}")
+    wladder, tladder = _ladder(wbase), _ladder(tbase)
 
     def f(theta: float) -> float:
-        w = _aw_weight(theta, wbase)
-        den = _param_factor(theta, a, abase) if a else 1.0
-        den *= _param_factor(tpair * theta, t, tbase)
+        w = _aw_weight(theta, wladder)
+        den = _param_factor(theta, a, wladder) if a else 1.0
+        den *= _param_factor(tpair * theta, t, tladder)
         return (w / den).real
+    return pref / (2 * math.pi), f
 
+
+def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
+             tol: float = 1e-10) -> float:
+    """The mixed-base weight integral of jhi_integrand."""
+    pref, f = jhi_integrand(kind, p, q, a, t)
     val, _ = integrate(f, 0.0, math.pi, tol)
-    return pref / (2 * math.pi) * val
+    return pref * val
 
 
 def closed_forms_suite(q: float, a: float, t: float, tol: float = 1e-7) -> list:

@@ -151,6 +151,18 @@ CAPTURED = [
     (["expand", "--family", "big", "--n", "8", "--q", "2/5", "--a", "1/4"],
      "expand_big_n8.json", 0),
     (["expand", "--family", "hermite", "--n", "8", "--q=-3/7"], "expand_hermite_n8.json", 0),
+    (["integrate", "--kind", "aw", "--a", "0.45", "--b=-0.3", "--c", "0.2", "--d", "0.05",
+      "--q", "0.68"], "integrate_aw_offdefault.json", 0),
+    (["integrate", "--kind", "J", "--p", "0.35", "--q", "0.55", "--a=-0.25", "--t", "0.4"],
+     "integrate_J_offdefault.json", 0),
+    (["integrate", "--kind", "H", "--p=-0.4", "--q", "0.4", "--a", "0.2", "--t", "0.3"],
+     "integrate_H_offdefault.json", 0),
+    (["integrate", "--kind", "I", "--p", "0.6", "--q", "0.3", "--a", "0", "--t=-0.35"],
+     "integrate_I_offdefault.json", 0),
+    (["verify", "--identity", "ortho-big", "--set", "n=7", "--set", "m=5", "--set", "a=-0.4",
+      "--set", "q=0.65"], "verify_ortho_big_n7_m5.json", 0),
+    (["verify", "--identity", "closed-H-mqq", "--q", "0.7", "--set", "a=-0.35",
+      "--set", "t=0.45"], "verify_closed_H_mqq_q07.json", 0),
 ]
 
 
@@ -160,8 +172,10 @@ def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, cap
     # `python -m qrs <argv>` as captured with the dict-of-Fraction MultiPoly
     # kernel (the first two), before the registry runners were split from
     # their verdicts (the next two) and while the circle form was still
-    # multiplied out with Laurent arithmetic (the two expands); a refactor
-    # must reproduce every byte
+    # multiplied out with Laurent arithmetic (the two expands) and while each
+    # quadrature integrand multiplied out both halves of every conjugate pair
+    # (the integrals off their default parameters); a refactor must reproduce
+    # every byte
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

@@ -13,7 +13,7 @@ from qrs.families import (CauchyExpansion, big_qhermite_laurent,
                           change_base_c, h_to_bivariate, poly_to_cauchy,
                           qhermite_eval, qhermite_laurent, qhermite_poly,
                           rs_combo_to_brs, rs_poly, rs_to_brs_coeffs)
-from qrs.qcore import MultiPoly, poly_eval, qbinom
+from qrs.qcore import LaurentPoly, MultiPoly, lincomb, poly_eval, qbinom, qpoch
 
 RNG_SEED = 550211
 
@@ -165,6 +165,25 @@ def test_big_qhermite_frozen_low_degrees():
     lp2 = big_qhermite_laurent(2, "a", q).to_x_poly()
     expect = 4 * X * X - 2 * (1 + q) * A * X + q * A * A + (q - 1)
     assert lp2 == expect
+
+
+def test_big_qhermite_running_poch_matches_qpoch_for_every_k():
+    # the circle form takes (az;q)_k from one running product; rebuilt with
+    # qpoch for every k its terms print, key and serialise the same
+    z = MultiPoly.var("z")
+    for q in (Fraction(1, 2), Fraction(2, 5), Fraction(-3, 7)):
+        for a in ("a", 0, Fraction(1, 4), Fraction(-2, 3)):
+            az = z * (A if a == "a" else a)
+            for n in range(11):
+                shifted = lincomb((qbinom(n, k, q), qpoch(az, q, k), z ** (2 * n - 2 * k))
+                                  for k in range(n + 1))
+                want = LaurentPoly({d - n: c for d, c in shifted.as_univariate("z").items()})
+                got = big_qhermite_laurent(n, a, q)
+                assert str(got) == str(want)
+                assert sorted(got.terms) == sorted(want.terms)
+                for d, c in got.terms.items():
+                    assert c.key() == want.terms[d].key()
+                    assert c.to_json_dict() == want.terms[d].to_json_dict()
 
 
 def test_big_qhermite_a_zero_is_plain_family():

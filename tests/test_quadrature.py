@@ -1,16 +1,18 @@
 """Unit tests for infinite products and adaptive quadrature."""
 
+import cmath
 import math
 import random
 
 import pytest
 
+import reference_quadrature as ref
 from qrs.quadrature import (IntegralSpec, ProductSpec, QuadratureError,
                             askey_wilson_check, askey_wilson_closed,
                             askey_wilson_quad, aw_integrand,
                             closed_forms_suite, inf_product, integrate,
-                            jhi_eval, ortho_check, ortho_integrand, qpoch_inf,
-                            qpoch_n)
+                            jhi_eval, jhi_integrand, ortho_check,
+                            ortho_integrand, qpoch_inf, qpoch_n)
 
 RNG_SEED = 131071
 
@@ -162,3 +164,77 @@ def test_closed_forms_suite_reports_carry_the_callers_parameters():
 def test_orthogonality_rejects_out_of_domain(a, q):
     with pytest.raises(ValueError):
         ortho_check(2, 2, a, q)
+
+
+# -- bit-exactness against the frozen integrands (reference_quadrature.py) ----
+
+
+def _theta_grid(rng, size=16):
+    return [0.0, math.pi, math.pi / 2, *(rng.uniform(0.0, math.pi) for _ in range(size))]
+
+
+def _shift(rng):
+    """A shift parameter in [-0.5, 0.5], exactly 0 one time in four."""
+    return 0.0 if rng.random() < 0.25 else rng.uniform(-0.5, 0.5)
+
+
+def test_conjugate_pair_is_the_conjugated_product_bit_for_bit():
+    rng = random.Random(RNG_SEED + 2)
+    for _ in range(200):
+        c, b = rng.uniform(-0.95, 0.95), rng.uniform(-0.9, 0.9)
+        z = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        assert qpoch_inf(c * z.conjugate(), b) == qpoch_inf(c * z, b).conjugate()
+
+
+@pytest.mark.parametrize("q", [0.1, 0.37, 0.62, 0.9])
+def test_aw_integrand_matches_the_reference_bit_for_bit(q):
+    rng = random.Random(f"aw:{q}")
+    for _ in range(6):
+        shifts = [_shift(rng) for _ in range(4)]
+        new, old = aw_integrand(*shifts, q), ref.aw_integrand(*shifts, q)
+        for theta in _theta_grid(rng):
+            assert new(theta) == old(theta), (shifts, theta)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.45, 0.8, 0.9])
+def test_ortho_integrand_matches_the_reference_bit_for_bit(q):
+    rng = random.Random(f"ortho:{q}")
+    for _ in range(6):
+        n, m, a = rng.randint(0, 8), rng.randint(0, 8), _shift(rng)
+        new, old = ortho_integrand(n, m, a, q), ref.ortho_integrand(n, m, a, q)
+        for theta in _theta_grid(rng, 8):
+            assert new(theta) == old(theta), (n, m, a, theta)
+
+
+@pytest.mark.parametrize("kind", ["J", "H", "I"])
+def test_jhi_integrand_matches_the_reference_bit_for_bit(kind):
+    rng = random.Random(f"jhi:{kind}")
+    for _ in range(10):
+        q = rng.uniform(0.1, 0.9)
+        # equal and negated bases (closed-H-qq, closed-H-mqq), then free ones
+        p = rng.choice([q, -q, q * q, rng.uniform(-0.9, 0.9)])
+        a, t = _shift(rng), _shift(rng)
+        (pref, new), (old_pref, old) = jhi_integrand(kind, p, q, a, t), \
+            ref.jhi_integrand(kind, p, q, a, t)
+        assert pref == old_pref
+        for theta in _theta_grid(rng, 8):
+            assert new(theta) == old(theta), (p, q, a, t, theta)
+
+
+def test_integrands_reject_complex_parameters_and_bases():
+    # the conjugate-pair shortcut holds for real shifts and bases only
+    with pytest.raises(TypeError):
+        aw_integrand(0.3, 0.2j, 0.1, 0.0, 0.5)
+    with pytest.raises(TypeError):
+        aw_integrand(0.3, 0.2, 0.1, 0.0, 0.5 + 0j)
+    with pytest.raises(TypeError):
+        askey_wilson_quad(0.3 + 0.1j, 0.2, 0.1, 0.0, 0.5)
+    with pytest.raises(TypeError):
+        ortho_integrand(3, 2, 0.3j, 0.4)
+    with pytest.raises(TypeError):
+        ortho_integrand(3, 2, 0.3, complex(0.4, 0.0))
+    for bad in range(4):
+        args = [0.3, 0.4, 0.1, 0.2]
+        args[bad] = complex(args[bad], 0.1)
+        with pytest.raises(TypeError):
+            jhi_eval("H", *args)
