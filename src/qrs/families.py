@@ -2,49 +2,55 @@
 h_n(x|q) and their bivariate extension h_n(x,y|q), continuous q-Hermite and
 big q-Hermite polynomials, and change-of-base expansions between them.
 
-Every constructor is exact over rationals and memoized on its arguments, so
-repeated identity checks share one copy of each polynomial.
+Every constructor is exact over rationals; the families indexed by n at a
+base q are memoised in qcore's bounded tables (`memo_table`), so repeated
+identity checks share one copy of each polynomial.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import lru_cache
 
-from .qcore import (LaurentPoly, MultiPoly, fill_memo_below, frac, lincomb,
-                    qbinom, tri)
+from .qcore import (LaurentPoly, MultiPoly, frac, lincomb, memo_table, qbinom,
+                    qfacs, qpochs, tri)
 
 
-@lru_cache(maxsize=None)
 def cauchy_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
     """Cauchy polynomial P_n(x,y) = (x-y)(x-qy)...(x-q^(n-1) y)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = frac(q)
-    if n == 0:
-        return MultiPoly.const(1, (x, y))
-    fill_memo_below(n, lambda k: cauchy_poly(k, q, x, y))
-    xv, yv = MultiPoly.var(x), MultiPoly.var(y)
-    return cauchy_poly(n - 1, q, x, y) * (xv - yv * q ** (n - 1))
+    table = memo_table(("cauchy", x, y), q)
+    if n not in table:
+        xv, yv = MultiPoly.var(x), MultiPoly.var(y)
+        table.setdefault(0, MultiPoly.const(1, (x, y)))
+        for m in range(1, n + 1):
+            if m not in table:
+                table[m] = table[m - 1] * (xv - yv * q ** (m - 1))
+    return table[n]
 
 
-@lru_cache(maxsize=None)
 def rs_poly(n: int, q: Fraction, x: str = "x") -> MultiPoly:
     """Rogers-Szego polynomial h_n(x|q) = sum_k [n,k]_q x^k."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = frac(q)
-    return MultiPoly((x,), {(k,): qbinom(n, k, q) for k in range(n + 1)})
+    table = memo_table(("rs", x), q)
+    if n not in table:
+        table[n] = MultiPoly((x,), {(k,): qbinom(n, k, q) for k in range(n + 1)})
+    return table[n]
 
 
-@lru_cache(maxsize=None)
 def brs_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
     """Bivariate Rogers-Szego polynomial h_n(x,y|q) = sum_k [n,k]_q P_k(x,y)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     q = frac(q)
-    return lincomb((qbinom(n, k, q), cauchy_poly(k, q, x, y)) for k in range(n + 1))
+    table = memo_table(("brs", x, y), q)
+    if n not in table:
+        table[n] = lincomb((qbinom(n, k, q), cauchy_poly(k, q, x, y)) for k in range(n + 1))
+    return table[n]
 
 
 def _a_elem(a):
@@ -69,22 +75,17 @@ def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
     which is built as one `lincomb` over the running products (az; q)_k; the
     coefficient of z^d is the Laurent coefficient of z^(d-n).
     """
-    return _big_laurent(n, _a_elem(a), frac(q), z)
-
-
-@lru_cache(maxsize=None)
-def _big_laurent(n: int, a, q: Fraction, z: str) -> LaurentPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    zv = MultiPoly.var(z)
-    az = zv * a
-    one = MultiPoly.const(1, az.vars)
-    pochs = [one]  # (az;q)_k for k <= n, one running product
-    for k in range(n):
-        pochs.append(pochs[-1] * (one - az * q ** k))
-    shifted = lincomb((qbinom(n, k, q), pochs[k], zv ** (2 * n - 2 * k))
-                      for k in range(n + 1))
-    return LaurentPoly({d - n: c for d, c in shifted.as_univariate(z).items()}, z)
+    a, q = _a_elem(a), frac(q)
+    table = memo_table(("big", z, type(a), a), q)
+    if n not in table:
+        zv = MultiPoly.var(z)
+        pochs = qpochs(zv * a, q, n)
+        shifted = lincomb((qbinom(n, k, q), pochs[k], zv ** (2 * n - 2 * k))
+                          for k in range(n + 1))
+        table[n] = LaurentPoly({d - n: c for d, c in shifted.as_univariate(z).items()}, z)
+    return table[n]
 
 
 def big_qhermite_poly(n: int, a, q: Fraction, x: str = "x") -> MultiPoly:
@@ -104,39 +105,28 @@ def qhermite_laurent(n: int, q: Fraction, z: str = "z") -> LaurentPoly:
 def qhermite_eval(n: int, a, q, theta: float) -> complex:
     """Numeric H_n(cos theta; a|q) straight from the circle representation.
 
-    Float arithmetic, O(n) per call after the cached (q;q)_k ladder; meant
-    for quadrature and numeric series work where exact values are overkill.
+    Float arithmetic, O(n) per call after the memoised weights; meant for
+    quadrature and numeric series work where exact values are overkill.
     """
     q = float(q)
-    a = complex(a)
     zi = cmath.exp(1j * theta)
-    qk = _qfac_ladder(q, n)
+    az = complex(a) * zi
     total = 0j
     poch = 1.0 + 0j
-    az = a * zi
-    for k in range(n + 1):
-        binom = qk[n] / (qk[k] * qk[n - k])
+    for k, binom in enumerate(_hermite_weights(n, q)):
         total += binom * poch * zi ** (n - 2 * k)
         poch *= 1 - az * q ** k
     return total
 
 
-def _qfac_ladder(q: float, n: int) -> list:
-    """The float ladder (q;q)_0, (q;q)_1, ... through at least (q;q)_n.
-
-    One ladder per q, grown in place, so a longer request extends the
-    shorter ones instead of rebuilding the prefix; callers only index it.
-    """
-    out = _qfac_ladders(q)
-    if len(out) <= n:
-        for k in range(len(out), n + 1):
-            out.append(out[-1] * (1 - q ** k))
-    return out
-
-
-@lru_cache(maxsize=64)
-def _qfac_ladders(q: float) -> list:
-    return [1.0]
+def _hermite_weights(n: int, q: float) -> tuple:
+    """The float weights [n, k] = (q;q)_n / ((q;q)_k (q;q)_(n-k)), k <= n, of
+    qhermite_eval's sum, memoised per q and n."""
+    table = memo_table("hermite", q)
+    if n not in table:
+        qk = qfacs(q, n)
+        table[n] = tuple(qk[n] / (qk[k] * qk[n - k]) for k in range(n + 1))
+    return table[n]
 
 
 # -- transforms between the classical and bivariate families ---------------

@@ -15,7 +15,7 @@ from functools import reduce
 from itertools import count, starmap
 from operator import add, mul
 
-from .qcore import MultiPoly, frac, lincomb, qfac, qpoch, tri
+from .qcore import MultiPoly, frac, lincomb, qfac, qpochs, tri
 
 _SCALARS = (int, Fraction, float, complex)
 
@@ -300,12 +300,7 @@ def as_series(value, variables, order: int) -> TruncSeries:
 
 def poch_series(p, q: Fraction, n: int, variables, order: int) -> TruncSeries:
     """(p; q)_n where p is a ring element or series: prod_{k<n} (1 - p q^k)."""
-    ps = as_series(p, variables, order)
-    one = TruncSeries.one(variables, ps.order)
-    out = one
-    for k in range(n):
-        out = out * (one - ps.scale(frac(q) ** k))
-    return out
+    return qpochs(as_series(p, variables, order), q, n)[n]
 
 
 def _power_sum(z: TruncSeries, weight, name: str) -> TruncSeries:
@@ -345,7 +340,8 @@ def cauchy_series(a, z: TruncSeries, q: Fraction) -> TruncSeries:
     a is a ring element (rational or MultiPoly).
     """
     q = frac(q)
-    return _power_sum(z, lambda k: qpoch(a, q, k) * (Fraction(1) / qfac(q, k)),
+    pochs = qpochs(a, q, z.order)
+    return _power_sum(z, lambda k: pochs[k] * (Fraction(1) / qfac(q, k)),
                       "cauchy_series")
 
 
@@ -410,32 +406,20 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
     num = one
     den_inv = one
     argpow = one
+    ratio = Fraction(1)
     for j in range(1, N + 1):
         qk = q ** (j - 1)
         for u in uppers:
             num = num * (one - u.scale(qk))
+        for rnum, rden in spec.ratio_upper:
+            ratio = ratio * (rden - rnum * qk)
         for l in lowers:
             den_inv = den_inv * series_inv(one - l.scale(qk))
         argpow = argpow * arg
         if argpow.is_zero():
             break
-        term = num * den_inv * argpow
-        scale = Fraction(1) / qfac(q, j)
-        if spec.ratio_upper:
-            term = term.scale(_ratio_product(spec.ratio_upper, q, j) * scale)
-        else:
-            term = term.scale(scale)
-        out = out + term
+        out = out + (num * den_inv * argpow).scale(ratio * (Fraction(1) / qfac(q, j)))
     return out
-
-
-def _ratio_product(ratios, q: Fraction, j: int):
-    """prod over ratios of prod_{k<j} (den - num q^k), a ring element."""
-    total = Fraction(1)
-    for (num, den) in ratios:
-        for k in range(j):
-            total = total * (den - num * q ** k)
-    return total
 
 
 def phi_sum(upper, lower, q, z, tol: float = 1e-13, max_terms: int = 2000) -> complex:

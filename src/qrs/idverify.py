@@ -46,13 +46,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import (_qfac_ladder, big_qhermite_laurent, big_qhermite_poly,
-                       brs_poly, cauchy_poly, change_base_big, change_base_c,
+from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
+                       cauchy_poly, change_base_big, change_base_c,
                        h_to_bivariate, qhermite_eval, qhermite_laurent,
                        qhermite_poly, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
-from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qpoch, tri
+from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, integrate,
                          jhi_eval, ortho_integrand, qpoch_inf, qpoch_n)
@@ -463,7 +463,8 @@ def _run_lemma_23(order, q, params):
     kernel = euler_series(t1.scale(_Y), q) * euler_inv_series(t1.scale(_X), q)
     pre = euler_series(t1.scale(_Y), q) * euler_inv_series(t1, q) \
         * euler_inv_series(t1.scale(_X), q)
-    # 1/(yt;q)_k and (xt;q)_k/(yt;q)_k for k <= nmax, as running products
+    # (y;q)_k, 1/(yt;q)_k and (xt;q)_k/(yt;q)_k for k <= nmax, as running products
+    ypochs = qpochs(_Y, q, nmax)
     one = TruncSeries.one(("t",), order)
     yinvs, ratios = [one], [one]
     for k in range(nmax):
@@ -475,7 +476,7 @@ def _run_lemma_23(order, q, params):
         lhs = e_op_apply(cauchy_operand(dict(op.coeffs), q, order), route="basis")
         ksum = TruncSeries.zero(("t",), order)
         for k in range(n + 1):
-            coef = qbinom(n, k, q) * qpoch(_Y, q, k) * _X ** (n - k)
+            coef = qbinom(n, k, q) * ypochs[k] * _X ** (n - k)
             ksum = ksum + ratios[k].scale(coef)
         yield f"n={n}", lhs, pre * ksum
 
@@ -518,7 +519,7 @@ def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
        defaults={"q": Fraction(1, 2)})
 def _run_linear_brs_double(order, q, params):
     span = range(order + 1)
-    ypoch = [qpoch(_Y, q, k) for k in span]
+    ypoch = qpochs(_Y, q, order)
     yp = [[ypoch[k] * cauchy_poly(l, q) for l in span] for k in span]
     yh = [[ypoch[k] * brs_poly(j, q) for j in range(order + 1 - k)] for k in span]
     # d[k][m] = sum_l [m,l] q^(kl) P_l h_(m-l), the right side's inner sum
@@ -805,7 +806,7 @@ def _run_rogers_big(rng, q, tol):
     z = cmath.exp(1j * theta)
 
     def term(big):
-        qq = _qfac_ladder(q, big)
+        qq = qfacs(q, big)
         return qhermite_eval(big, a, q, theta) * sum(
             t ** n * s ** (big - n) / (qq[n] * qq[big - n]) for n in range(big + 1))
 
@@ -867,7 +868,7 @@ def _run_gen_big_1(rng, q, tol):
     z2 = cmath.exp(2j * theta)
 
     def coef(n):
-        qq, qq2 = _qfac_ladder(q, n), _qfac_ladder(q2, n)
+        qq, qq2 = qfacs(q, n), qfacs(q2, n)
         return sum(q ** tri(n - 2 * k) * a ** (n - 2 * k) * t ** (n - k)
                    / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
 
@@ -894,7 +895,7 @@ def _run_gen_big_2(rng, q, tol):
     z = cmath.exp(1j * theta)
 
     def coef(n):
-        qq, qq2 = _qfac_ladder(q, n), _qfac_ladder(q2, n)
+        qq, qq2 = qfacs(q, n), qfacs(q2, n)
         return sum((-1) ** k * q ** (k * k) * a ** k * t ** (n + k)
                    / (qq2[k] * qq[n - k]) for k in range(n + 1))
 

@@ -19,6 +19,11 @@ the whole accumulator at every step.
 
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
+
+Sequences indexed by n at a base q, such as (q; q)_n and the families built
+on them, are memoised in tables n -> value held by one LRU of MEMO_KEYS
+tables (`memo_table`). Recurrences fill a table lowest n first in a loop,
+so no degree is too deep for the recursion limit.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ _FIELD = 32
 _FIELD_MASK = (1 << _FIELD) - 1
 EXP_LIMIT = 1 << (_FIELD - 1)
 
-# How far cached recurrences (qfac, chebyshev_t, cauchy_poly) may recurse
-# before an earlier value is memoised first.
-RECURSION_STEP = 128
+# How many memo tables the shared LRU keeps; see memo_table.
+MEMO_KEYS = 64
 
 
 def frac(value) -> Fraction:
@@ -80,24 +84,24 @@ def _unpack(packed: int, n: int) -> tuple:
     return tuple(packed >> s & _FIELD_MASK for s in range(_FIELD * (n - 1), -1, -_FIELD))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _guard_bits(n: int) -> int:
     return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _sorted_vars(variables: tuple) -> tuple:
     if len(set(variables)) != len(variables):
         raise ValueError("duplicate variable names")
     return tuple(sorted(variables))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _union(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(set(a) | set(b)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _moves(old: tuple, new: tuple):
     """How a packed exponent over `old` becomes one over `new`.
 
@@ -648,39 +652,73 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-def fill_memo_below(n: int, fn) -> None:
-    """Call fn(k) for every RECURSION_STEP-th k below n, lowest first.
+@lru_cache(maxsize=MEMO_KEYS)
+def _table(*key) -> dict:
+    return {}
 
-    A memoised recurrence that steps down from n one value at a time calls
-    this first, so that it recurses at most RECURSION_STEP levels before it
-    meets a memoised value, however large n is. Below RECURSION_STEP the
-    loop is empty and the recurrence runs exactly as written.
+
+def memo_table(tag, q) -> dict:
+    """The memo table n -> value of the sequence `tag` at base q.
+
+    q is keyed with its type, as 0.5 and Fraction(1, 2) compare and hash
+    alike, and a Fraction by numerator and denominator, as Fraction.__hash__
+    is slow Python code. Entries are keyed by n, never by position, so two
+    threads growing one table can at worst compute an entry twice.
     """
-    for k in range(RECURSION_STEP, n, RECURSION_STEP):
-        fn(k)
+    if type(q) is Fraction:
+        return _table(tag, Fraction, q.numerator, q.denominator)
+    return _table(tag, type(q), q)
 
 
-@lru_cache(maxsize=None)
 def chebyshev_t(k: int, xvar: str = "x") -> MultiPoly:
     """Chebyshev polynomial T_k, with T_k(cos t) = cos(k t)."""
-    if k == 0:
-        return MultiPoly.const(1, (xvar,))
-    x = MultiPoly.var(xvar)
-    if k == 1:
-        return x
-    fill_memo_below(k, lambda j: chebyshev_t(j, xvar))
-    return x * chebyshev_t(k - 1, xvar) * 2 - chebyshev_t(k - 2, xvar)
+    table = memo_table("chebyshev", xvar)
+    if k not in table:
+        x = MultiPoly.var(xvar)
+        table.setdefault(0, MultiPoly.const(1, (xvar,)))
+        table.setdefault(1, x)
+        for j in range(2, k + 1):
+            if j not in table:
+                table[j] = x * table[j - 1] * 2 - table[j - 2]
+    return table[k]
 
 
-@lru_cache(maxsize=None)
+def qfacs(q, n: int) -> dict:
+    """The memo table k -> (q; q)_k, filled through k = n.
+
+    q is a Fraction or a float and the values share its type, so the exact
+    factorials and the float ladder of the numeric cases are one recurrence
+    in two tables. Callers only index the table.
+    """
+    # the numeric sums look the float ladder up once per term, so its key
+    # is built here rather than in memo_table
+    table = _table("qfac", float, q) if type(q) is float else memo_table("qfac", q)
+    if n not in table:
+        table.setdefault(0, q ** 0)
+        for k in range(1, n + 1):
+            if k not in table:
+                table[k] = table[k - 1] * (1 - q ** k)
+    return table
+
+
 def qfac(q: Fraction, n: int) -> Fraction:
     """(q; q)_n for rational q."""
     if n < 0:
         raise ValueError("qfac needs n >= 0")
-    if n == 0:
-        return Fraction(1)
-    fill_memo_below(n, lambda k: qfac(q, k))
-    return qfac(q, n - 1) * (1 - q ** n)
+    return qfacs(frac(q), n)[n]
+
+
+def qpochs(a, q: Fraction, n: int) -> list:
+    """[(a; q)_0, (a; q)_1, ..., (a; q)_n] as one running product.
+
+    a is a rational, a MultiPoly or a truncated series; each entry lives in
+    a's ring, (a; q)_0 included.
+    """
+    q = frac(q)
+    out = [Fraction(1) - a * 0]   # 1 in a's ring
+    for k in range(n):
+        out.append(out[-1] * (out[0] - a * q ** k))
+    return out
 
 
 def qpoch(a, q: Fraction, n: int):
@@ -692,16 +730,7 @@ def qpoch(a, q: Fraction, n: int):
     """
     q = frac(q)
     if n >= 0:
-        if _is_scalar(a):
-            a = Fraction(a)
-            prod = Fraction(1)
-            for k in range(n):
-                prod *= 1 - a * q ** k
-            return prod
-        prod = MultiPoly.const(1, a.vars)
-        for k in range(n):
-            prod = prod * (MultiPoly.const(1, a.vars) - a * q ** k)
-        return prod
+        return qpochs(a, q, n)[n]
     shifted = a * q ** n
     denom = qpoch(shifted, q, -n)
     if isinstance(denom, MultiPoly):
@@ -717,38 +746,30 @@ def qbinom(n: int, k: int, q):
     """Gaussian binomial [n choose k]_q.
 
     Out-of-range k (or negative n) gives 0, which keeps finite q-sums
-    writable without explicit range guards. For rational q the product
-    formula is used; a MultiPoly q goes through the Pascal recurrence so
-    the result stays a polynomial with no division.
+    writable without explicit range guards. q is a rational or a MultiPoly,
+    and the value comes from Pascal's q-recurrence, so a polynomial q needs
+    no division.
     """
-    if isinstance(q, MultiPoly):
-        if k < 0 or n < 0 or k > n:
-            return MultiPoly.const(0, q.vars)
-        return _qbinom_poly(n, k, q)
-    q = frac(q)
+    if type(q) is not MultiPoly:
+        q = frac(q)
     if k < 0 or n < 0 or k > n:
-        return Fraction(0)
-    return _qbinom_rational(n, min(k, n - k), q)
-
-
-@lru_cache(maxsize=None)
-def _qbinom_rational(n: int, k: int, q: Fraction) -> Fraction:
-    """prod_{i=1..k} (1 - q^(n-k+i)) / (1 - q^i), a loop of k steps."""
-    out = Fraction(1)
-    for i in range(1, k + 1):
-        out = out * (1 - q ** (n - k + i)) / (1 - q ** i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _qbinom_poly(n: int, k: int, q: MultiPoly) -> MultiPoly:
-    """Pascal's q-recurrence [n,k] = [n-1,k-1] + q^k [n-1,k], memoised."""
-    if k == 0 or k == n:
-        return MultiPoly.const(1, q.vars)
-    # every [j, i] with i <= k that the recurrence can meet, at each
-    # RECURSION_STEP-th j, so the recursion stops within that many levels
-    fill_memo_below(n, lambda j: [_qbinom_poly(j, i, q) for i in range(min(k, j) + 1)])
-    return lincomb(((_qbinom_poly(n - 1, k - 1, q),), (q ** k, _qbinom_poly(n - 1, k, q))))
+        return q * 0   # 0 in q's ring, as q ** 0 is 1
+    k = min(k, n - k)
+    if not k:
+        return q ** 0
+    column = memo_table(("qbinom", k), q)
+    if n not in column:
+        # column j holds [m, j] for m >= j, and [m, j] = [m-1, j-1] + q^j [m-1, j]
+        # reads column j - 1 one row up: fill columns 1..k, lowest row first
+        one = q ** 0
+        left = dict.fromkeys(range(n - k + 1), one)
+        for j in range(1, k + 1):
+            column = memo_table(("qbinom", j), q)
+            for m in range(j, n - k + j + 1):
+                if m not in column:
+                    column[m] = one if m == j else left[m - 1] + q ** j * column[m - 1]
+            left = column
+    return column[n]
 
 
 def poly_eval(p: MultiPoly, bindings: dict):

@@ -24,7 +24,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .families import _qfac_ladder
+from .families import _hermite_weights
 from .reporting import IdentityReport
 
 EVAL_BUDGET = 2_000_000
@@ -59,16 +59,6 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Product of q-shifted factorials: prod over (c, base) of (c; base)_oo."""
-
-    factors: tuple
-
-    def value(self) -> complex:
-        return inf_product(self)
-
-
 def _truncation(maxbase: float) -> int:
     """Factors kept per (c; base)_oo when the largest |base| is maxbase:
     K = ceil(log(eps)/log(maxbase)) + 8, past which the remaining factors
@@ -80,10 +70,11 @@ def _truncation(maxbase: float) -> int:
     return math.ceil(math.log(_PROD_EPS) / math.log(maxbase)) + 8
 
 
-def inf_product(spec) -> complex:
-    """Numeric (c1; b1)_oo (c2; b2)_oo ... for |b_i| < 1, each factor
-    truncated after _truncation(max |b_i|) terms."""
-    factors = spec.factors if isinstance(spec, ProductSpec) else tuple(spec)
+def inf_product(factors) -> complex:
+    """Numeric (c1; b1)_oo (c2; b2)_oo ... over the (c, base) pairs in
+    factors, for |b_i| < 1, each factor truncated after
+    _truncation(max |b_i|) terms."""
+    factors = tuple(factors)
     if not factors:
         return 1.0 + 0j
     K = _truncation(max(abs(b) for _, b in factors))
@@ -266,8 +257,7 @@ def askey_wilson_check(a: float, b: float, c: float, d: float, q: float,
 def _hermite_terms(n: int, q: float) -> list:
     """(weight, q^k, n - 2k) for k <= n: the theta-free part of
     families.qhermite_eval's sum, by the same float expressions."""
-    qk = _qfac_ladder(q, n)
-    return [(qk[n] / (qk[k] * qk[n - k]), q ** k, n - 2 * k) for k in range(n + 1)]
+    return [(w, q ** k, n - 2 * k) for k, w in enumerate(_hermite_weights(n, q))]
 
 
 def _hermite_at(terms: list, az: complex, zi: complex) -> complex:

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from qrs import families
+from qrs import qcore
 from qrs.families import (CauchyExpansion, big_qhermite_laurent,
                           big_qhermite_poly, brs_combo_to_rs, brs_poly,
                           brs_to_rs_coeffs, cauchy_poly, change_base_big,
                           change_base_c, h_to_bivariate, poly_to_cauchy,
                           qhermite_eval, qhermite_laurent, qhermite_poly,
                           rs_combo_to_brs, rs_poly, rs_to_brs_coeffs)
-from qrs.qcore import LaurentPoly, MultiPoly, lincomb, poly_eval, qbinom, qpoch
+from qrs.qcore import (LaurentPoly, MultiPoly, lincomb, poly_eval, qbinom, qfac,
+                       qpoch)
 
 RNG_SEED = 550211
 
@@ -290,14 +291,33 @@ def _per_n_ladder(q: float, n: int) -> tuple:
 
 
 def test_qfac_ladder_cache_is_bounded_and_bit_equal_to_the_per_n_ladder():
-    ladders = families._qfac_ladders
-    bound = ladders.cache_info().maxsize
-    assert bound is not None
+    tables = qcore._table
+    bound = tables.cache_info().maxsize
+    assert bound == qcore.MEMO_KEYS
     qs = [0.05 + 0.9 * i / (bound + 10) for i in range(bound + 10)]
     for q in qs:
         for n in (5, 0, 12, 3):
             qhermite_eval(n, 0.25 + 0.1j, q, 0.7)
-            assert ladders.cache_info().currsize <= bound
+            assert tables.cache_info().currsize <= bound
         for n in range(13):
-            assert tuple(families._qfac_ladder(q, n)[:n + 1]) == _per_n_ladder(q, n)
-    assert ladders.cache_info().currsize == bound
+            ladder = qcore.qfacs(q, n)
+            assert tuple(ladder[k] for k in range(n + 1)) == _per_n_ladder(q, n)
+    assert tables.cache_info().currsize == bound
+
+
+def test_memo_tables_stay_bounded_and_rebuild_equal_values():
+    bound = qcore.MEMO_KEYS
+    qs = [Fraction(i + 2, 2 * i + 7) for i in range(bound + 5)]
+
+    def values(q):
+        return qfac(q, 6), qbinom(8, 3, q), cauchy_poly(5, q), brs_poly(5, q)
+
+    first = {}
+    for q in qs:
+        first[q] = values(q)
+        assert qcore._table.cache_info().currsize <= bound
+    for q in qs[:3]:
+        again = values(q)
+        assert again == first[q]
+        # the first q's tables were evicted, so these are rebuilt objects
+        assert again[2] is not first[q][2] and again[3] is not first[q][3]

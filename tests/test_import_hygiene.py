@@ -1,5 +1,6 @@
-"""Every name a module under src/qrs imports is used in that module, and
-every module-level private name is referenced somewhere in the package."""
+"""Every name a module under src/qrs imports is used in that module, every
+module-level private name is referenced somewhere in the package, and every
+cache is bounded."""
 
 import ast
 import pathlib
@@ -91,3 +92,37 @@ def test_the_check_sees_an_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def unbounded_caches(source: str) -> list:
+    """(line, name) of each function cached by `cache`, a bare `lru_cache`
+    or an `lru_cache` whose maxsize is None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for d in getattr(node, "decorator_list", ()):
+            func = d.func if isinstance(d, ast.Call) else d
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "lru_cache":
+                args = d.args + [k.value for k in d.keywords if k.arg == "maxsize"] \
+                    if isinstance(d, ast.Call) else []
+                bounded = bool(args) and not (isinstance(args[0], ast.Constant)
+                                              and args[0].value is None)
+            else:
+                bounded = name != "cache"
+            if not bounded:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_the_check_sees_an_unbounded_cache():
+    source = ("from functools import cache, lru_cache\nimport functools\n"
+              "@lru_cache\ndef a(): pass\n@lru_cache(maxsize=None)\ndef b(): pass\n"
+              "@functools.lru_cache(None)\ndef c(): pass\n@cache\ndef d(): pass\n"
+              "@lru_cache(maxsize=8)\ndef e(): pass\n@functools.lru_cache(N)\ndef f(): pass\n"
+              "@property\ndef g(): pass\n")
+    assert unbounded_caches(source) == [(4, "a"), (6, "b"), (8, "c"), (10, "d")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_cache_has_a_finite_maxsize(path):
+    assert unbounded_caches(path.read_text()) == []

@@ -2,12 +2,15 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from qrs import qcore
 from qrs.qcore import (LaurentPoly, MultiPoly, chebyshev_t, frac, poly_eval,
-                       qbinom, qfac, qpoch, tri)
+                       qbinom, qfac, qfacs, qpoch, qpochs, tri)
 
 RNG_SEED = 20240811
 
@@ -210,6 +213,69 @@ def test_poly_eval_numeric_and_exact_paths():
     assert abs(poly_eval(p, {"x": 0.5, "y": 3.0}) - 2.5) < 1e-15
     with pytest.raises(ValueError):
         poly_eval(p, {"x": 1})
+
+
+def test_exact_and_float_factorials_keep_their_own_types():
+    # 0.5 == Fraction(1, 2) and both hash alike, yet each gets its own table
+    half = Fraction(1, 2)
+    for exact_first in (True, False):
+        qcore._table.cache_clear()
+        if exact_first:
+            exact, ladder = qfac(half, 6), qfacs(0.5, 6)
+        else:
+            ladder, exact = qfacs(0.5, 6), qfac(half, 6)
+        assert type(exact) is Fraction and exact == Fraction(3 * 7 * 15 * 31 * 63, 2 ** 21)
+        assert [type(ladder[k]) for k in range(7)] == [float] * 7
+        assert abs(ladder[6] - float(exact)) < 1e-15
+
+
+def test_qpochs_is_the_running_product():
+    q = Fraction(1, 3)
+    a = MultiPoly.var("a")
+    for elem in (Fraction(2, 5), a):
+        pochs = qpochs(elem, q, 5)
+        assert len(pochs) == 6
+        prod = 1
+        for k in range(6):
+            assert pochs[k] == prod
+            prod = prod * (1 - elem * q ** k)
+    assert qpochs(a, q, 0) == [MultiPoly.const(1, ("a",))]
+    assert qpochs(a, q, 0)[0].vars == ("a",)
+
+
+def test_threads_growing_shared_tables_agree_with_the_product():
+    # entries are keyed by n, so racing fills can only recompute an entry
+    qs = [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)]
+    ns = (150, 20, 250, 90)
+    want = {}
+    for q in qs:
+        prod = Fraction(1)
+        for k in range(1, max(ns) + 1):
+            prod *= 1 - q ** k
+            want[q, k] = prod
+    results = []
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait(timeout=30)
+        for q in qs:
+            results.extend((q, n, qfac(q, n)) for n in ns)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            qcore._table.cache_clear()
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 5 * 4 * len(qs) * len(ns)
+    assert all(value == want[q, n] for q, n, value in results)
 
 
 # -- degrees far past the interpreter's recursion limit ----------------------

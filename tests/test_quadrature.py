@@ -7,11 +7,10 @@ import random
 import pytest
 
 import reference_quadrature as ref
-from qrs.quadrature import (IntegralSpec, ProductSpec, QuadratureError,
-                            askey_wilson_check, askey_wilson_closed,
-                            askey_wilson_quad, aw_integrand,
-                            closed_forms_suite, inf_product, integrate,
-                            jhi_eval, jhi_integrand, ortho_check,
+from qrs.quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
+                            askey_wilson_closed, askey_wilson_quad,
+                            aw_integrand, closed_forms_suite, inf_product,
+                            integrate, jhi_eval, jhi_integrand, ortho_check,
                             ortho_integrand, qpoch_inf, qpoch_n)
 
 RNG_SEED = 131071
@@ -32,7 +31,7 @@ def test_infinite_product_edge_cases():
     assert qpoch_inf(0.0, 0.3) == 1.0
     assert qpoch_inf(0.4, 0.0) == pytest.approx(0.6)  # only the k=0 factor
     with pytest.raises(ValueError):
-        inf_product(ProductSpec(((0.5, 1.0),)))
+        inf_product(((0.5, 1.0),))
     with pytest.raises(ValueError):
         qpoch_inf(0.5, 1.2)
 
