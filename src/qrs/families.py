@@ -108,20 +108,42 @@ def qhermite_eval(n: int, a, q, theta: float) -> complex:
     Float arithmetic, O(n) per call after the memoised weights; meant for
     quadrature and numeric series work where exact values are overkill.
     """
+    return qhermite_circle(a, q, theta)(n)
+
+
+def qhermite_circle(a, q, theta: float):
+    """The map n -> H_n(cos theta; a|q) at one (a, q, theta), by the circle
+    sum sum_k [n,k] (a z; q)_k z^(n-2k), z = e^(i theta).
+
+    The products (a z; q)_k, the powers q^k and z^e are each built once and
+    extended as n grows, with the same float expressions in the same order
+    as a sum built afresh for every n, so H_n is the same float whichever
+    n were asked for before it.
+    """
     q = float(q)
     zi = cmath.exp(1j * theta)
     az = complex(a) * zi
-    total = 0j
-    poch = 1.0 + 0j
-    for k, binom in enumerate(_hermite_weights(n, q)):
-        total += binom * poch * zi ** (n - 2 * k)
-        poch *= 1 - az * q ** k
-    return total
+    pochs = [1.0 + 0j]
+    zpows = {0: zi ** 0}
+
+    def hermite(n: int) -> complex:
+        while len(pochs) <= n:
+            pochs.append(pochs[-1] * (1 - az * q ** (len(pochs) - 1)))
+        # the powers of one parity run contiguously up from 0 or 1
+        for e in range(n, 0, -2):
+            if e in zpows:
+                break
+            zpows[e], zpows[-e] = zi ** e, zi ** -e
+        total = 0j
+        for binom, poch, e in zip(_hermite_weights(n, q), pochs, range(n, -n - 1, -2)):
+            total += binom * poch * zpows[e]
+        return total
+    return hermite
 
 
 def _hermite_weights(n: int, q: float) -> tuple:
     """The float weights [n, k] = (q;q)_n / ((q;q)_k (q;q)_(n-k)), k <= n, of
-    qhermite_eval's sum, memoised per q and n."""
+    qhermite_circle's sum, memoised per q and n."""
     table = memo_table("hermite", q)
     if n not in table:
         qk = qfacs(q, n)

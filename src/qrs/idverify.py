@@ -7,7 +7,7 @@ exact-poly     both sides are polynomials for each (n, m) in a sweep range;
                equality is exact.
 numeric-complex  both sides evaluated at seeded complex parameter draws
                inside the convergence guards, with tail-bounded partial sums.
-quadrature     one side is an adaptive integral, the other a closed product.
+quadrature     one side is a circle integral, the other a closed product.
 
 Each case states which symbols stay symbolic and which are bound; exact
 modes ignore analytic magnitude constraints (polynomial coefficient
@@ -48,14 +48,14 @@ from fractions import Fraction
 
 from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
-                       h_to_bivariate, qhermite_eval, qhermite_laurent,
+                       h_to_bivariate, qhermite_circle, qhermite_laurent,
                        qhermite_poly, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
-from .quadrature import (askey_wilson_closed, askey_wilson_quad, integrate,
-                         jhi_eval, ortho_integrand, qpoch_inf, qpoch_n)
+from .quadrature import (IntegralSpec, askey_wilson_closed, askey_wilson_quad,
+                         integrate, jhi_eval, ortho_integrand, qpoch_inf, qpoch_n)
 from .reporting import IdentityReport, clip_witness
 
 NUMERIC_TOL = 1e-10
@@ -774,8 +774,8 @@ def _run_nonsym_poisson(rng, q, tol):
     t = _draw_complex(rng, 0.05, 0.4)
     zt = cmath.exp(1j * theta)
     zb = cmath.exp(1j * beta)
-    lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta) * qhermite_eval(n, b, q, beta),
-                  t, q, tol)
+    ha, hb = qhermite_circle(a, q, theta), qhermite_circle(b, q, beta)
+    lhs = _gf_sum(lambda n: ha(n) * hb(n), t, q, tol)
     pref = qpoch_inf(a * t * zb, q) * qpoch_inf(b / zb, q) * qpoch_inf(t * t, q) \
         / (qpoch_inf(t * zt * zb, q) * qpoch_inf(t * zt / zb, q)
            * qpoch_inf(t / (zt * zb), q) * qpoch_inf(t * zb / zt, q))
@@ -804,10 +804,11 @@ def _run_rogers_big(rng, q, tol):
     s = _draw_complex(rng, 0.05, 0.4)
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
+    hermite = qhermite_circle(a, q, theta)
 
     def term(big):
         qq = qfacs(q, big)
-        return qhermite_eval(big, a, q, theta) * sum(
+        return hermite(big) * sum(
             t ** n * s ** (big - n) / (qq[n] * qq[big - n]) for n in range(big + 1))
 
     lhs = _sum_terms((term(big) for big in range(10 ** 9)),
@@ -830,7 +831,8 @@ def _run_gf_its_1(rng, q, tol):
     theta = 0.3 + 2.5 * rng.random()
     t = _draw_complex(rng, 0.05, 0.4)
     z2 = cmath.exp(2j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(2 * n, 0.0, q, theta), t, q2, tol)
+    hermite = qhermite_circle(0.0, q, theta)
+    lhs = _gf_sum(lambda n: hermite(2 * n), t, q2, tol)
     rhs = qpoch_inf(-t, q) / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
     return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -847,7 +849,7 @@ def _run_gf_its_2(rng, q, tol):
     theta = 0.3 + 2.5 * rng.random()
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(n, 0.0, q2, theta), t, q, tol)
+    lhs = _gf_sum(qhermite_circle(0.0, q2, theta), t, q, tol)
     rhs = qpoch_inf(q * t * t, q2) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
     return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -872,7 +874,8 @@ def _run_gen_big_1(rng, q, tol):
         return sum(q ** tri(n - 2 * k) * a ** (n - 2 * k) * t ** (n - k)
                    / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
 
-    lhs = _sum_terms((coef(n) * qhermite_eval(n, a, q, theta) for n in range(10 ** 9)),
+    hermite = qhermite_circle(a, q, theta)
+    lhs = _sum_terms((coef(n) * hermite(n) for n in range(10 ** 9)),
                      math.sqrt(abs(t)), tol)
     rhs = qpoch_inf(a * a * t, q2) * qpoch_inf(-t, q) \
         / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
@@ -899,7 +902,8 @@ def _run_gen_big_2(rng, q, tol):
         return sum((-1) ** k * q ** (k * k) * a ** k * t ** (n + k)
                    / (qq2[k] * qq[n - k]) for k in range(n + 1))
 
-    lhs = _sum_terms((coef(n) * qhermite_eval(n, a, q2, theta) for n in range(10 ** 9)),
+    hermite = qhermite_circle(a, q2, theta)
+    lhs = _sum_terms((coef(n) * hermite(n) for n in range(10 ** 9)),
                      abs(t), tol)
     rhs = qpoch_inf(a * t, q) * qpoch_inf(q * t * t, q2) \
         / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
@@ -918,7 +922,7 @@ def _run_gf_big(rng, q, tol):
     a = _draw_complex(rng, 0.05, 0.5)
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
-    lhs = _gf_sum(lambda n: qhermite_eval(n, a, q, theta), t, q, tol)
+    lhs = _gf_sum(qhermite_circle(a, q, theta), t, q, tol)
     rhs = qpoch_inf(a * t, q) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
     return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
 
@@ -950,8 +954,9 @@ def _run_askey_wilson(params, tol):
 def _run_ortho_big(params, tol):
     n, m = int(params["n"]), int(params["m"])
     a, q = _unit_params(params, "aq")
-    val, _ = integrate(ortho_integrand(n, m, a, q), 0.0, math.pi, tol)
-    lhs = qpoch_inf(q, q).real / (2 * math.pi) * val
+    lhs, _ = integrate(IntegralSpec(ortho_integrand(n, m, a, q), tol=tol,
+                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi),
+                                    periodic=True))
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
     return lhs, rhs, f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}"
 

@@ -1,10 +1,21 @@
-"""Numeric infinite products and deterministic adaptive quadrature for the
+"""Numeric infinite products and deterministic quadrature for the
 weight-function integrals attached to the q-Hermite families.
 
-The integrator is a Gauss-Kronrod 7/15 embedded pair with interval halving:
-the worst panel (largest error estimate) is split until the error budget or
-the evaluation budget is met, and the final sum runs over panels sorted by
-left endpoint so results are reproducible run to run.
+`integrate` has two rules. The circle integrals (Askey-Wilson, big
+q-Hermite orthogonality, the mixed-base J/H/I integrals) have integrands
+in theta that are even, 2 pi-periodic and analytic in a strip, so their
+IntegralSpec is marked periodic and they take the endpoint trapezoidal rule
+on [0, pi], which then converges geometrically (Trefethen and Weideman,
+SIAM Review 56, 2014). N doubles from 8, each sum T_2N reuses the N + 1
+points of T_N, the sums are math.fsum, and the rule stops when
+|T_2N - T_N| <= tol. When that difference is down to the rounding floor
+of the sums but still above tol, no larger N can help, and it raises
+QuadratureError instead of running on towards the evaluation budget.
+
+Every other integrand takes a Gauss-Kronrod 7/15 embedded pair with
+interval halving: the worst panel (largest error estimate) is split until
+the error budget or the evaluation budget is met, and the final sum runs
+over panels sorted by left endpoint so results are reproducible run to run.
 
 Every circle weight here is a product of conjugate pairs
 (c e^{i t}, c e^{-i t}; base)_oo. With c and base real, the factors of the
@@ -19,16 +30,19 @@ value. The base^k ladder of each base is built once per integral.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
 
-from .families import _hermite_weights
+from .families import qhermite_circle
 from .reporting import IdentityReport
 
 EVAL_BUDGET = 2_000_000
 _PROD_EPS = 1e-17
+# The trapezoidal rule's first N, and its rounding floor
+# _FLOOR_ULPS * eps * h * sum |f_k| (trapezoid weights included).
+_TRAP_START = 8
+_FLOOR_ULPS = 16
 
 # 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
 _XGK = (
@@ -109,7 +123,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class IntegralSpec:
-    """An integral of a smooth real integrand over [lo, hi]."""
+    """An integral of a smooth real integrand over [lo, hi].
+
+    periodic marks an integrand for the trapezoidal rule: smooth and
+    (hi - lo)-periodic, or even about lo and hi, as every circle integrand
+    in theta on [0, pi] is. Any other integrand takes adaptive GK15.
+    """
 
     integrand: object
     lo: float = 0.0
@@ -117,6 +136,7 @@ class IntegralSpec:
     prefactor: float = 1.0
     tol: float = 1e-10
     budget: int = EVAL_BUDGET
+    periodic: bool = False
 
 
 def _gk15(f, a: float, b: float):
@@ -137,27 +157,9 @@ def _gk15(f, a: float, b: float):
     return kron, abs(kron - gauss)
 
 
-def integrate(spec, lo: float | None = None, hi: float | None = None,
-              tol: float | None = None, budget: int | None = None):
-    """Adaptive integral of a callable or an IntegralSpec.
-
-    Returns (value, error_estimate). Panels are split worst-first; the
-    final value sums panels ordered by left endpoint. Raises
-    QuadratureError if the tolerance cannot be met inside the evaluation
-    budget.
-    """
-    if isinstance(spec, IntegralSpec):
-        f, lo, hi = spec.integrand, spec.lo, spec.hi
-        tol = spec.tol if tol is None else tol
-        budget = spec.budget if budget is None else budget
-        pref = spec.prefactor
-    else:
-        f = spec
-        lo = 0.0 if lo is None else lo
-        hi = math.pi if hi is None else hi
-        tol = 1e-10 if tol is None else tol
-        budget = EVAL_BUDGET if budget is None else budget
-        pref = 1.0
+def _adaptive_gk15(f, lo: float, hi: float, tol: float, budget: int):
+    """Adaptive GK15 on [lo, hi]: (value, error estimate). Panels are split
+    worst-first; the value sums panels ordered by left endpoint."""
     evals = 0
     counter = 0
     val, err = _gk15(f, lo, hi)
@@ -180,8 +182,63 @@ def integrate(spec, lo: float | None = None, hi: float | None = None,
         counter += 1
         heapq.heappush(heap, (-e2, counter, m, b, v2, e2))
     panels = sorted((a, v) for _, _, a, _, v, _ in heap)
-    total = math.fsum(v for _, v in panels)
-    return pref * total, total_err
+    return math.fsum(v for _, v in panels), total_err
+
+
+def _trapezoid(f, lo: float, hi: float, tol: float, budget: int):
+    """Nested endpoint trapezoid sums T_N on [lo, hi], N = 8, 16, 32, ...:
+    (T_2N, |T_2N - T_N|) for the first N with |T_2N - T_N| <= tol."""
+    n = _TRAP_START
+    h = (hi - lo) / n
+    # trapezoid-weighted values f_k: the two ends halved, every point kept
+    vals = [0.5 * f(lo), 0.5 * f(hi)] + [f(lo + k * h) for k in range(1, n)]
+    prev, diff = h * math.fsum(vals), math.inf
+    while True:
+        if len(vals) + n > budget:
+            raise QuadratureError(
+                f"evaluation budget {budget} exhausted: error {diff:.3e} > tol {tol:.3e} "
+                f"with {n} trapezoid panels")
+        h *= 0.5
+        vals += [f(lo + k * h) for k in range(1, 2 * n, 2)]
+        n *= 2
+        cur = h * math.fsum(vals)
+        diff = abs(cur - prev)
+        if diff <= tol:
+            return cur, diff
+        floor = _FLOOR_ULPS * math.ulp(1.0) * h * math.fsum(map(abs, vals))
+        if diff <= floor:
+            raise QuadratureError(
+                f"rounding floor reached: |T_{n} - T_{n // 2}| = {diff:.3e} is within "
+                f"the rounding floor {floor:.3e} of the sums but above tol {tol:.3e}")
+        prev = cur
+
+
+def integrate(spec, lo: float | None = None, hi: float | None = None,
+              tol: float | None = None, budget: int | None = None):
+    """Integral of a callable or an IntegralSpec: (value, error estimate).
+
+    A periodic IntegralSpec takes the trapezoidal rule, anything else
+    adaptive GK15. Raises QuadratureError if the tolerance cannot be met
+    inside the evaluation budget, or, on the trapezoidal rule, above the
+    rounding floor of the sums.
+    """
+    rule = _adaptive_gk15
+    if isinstance(spec, IntegralSpec):
+        f, lo, hi = spec.integrand, spec.lo, spec.hi
+        tol = spec.tol if tol is None else tol
+        budget = spec.budget if budget is None else budget
+        pref = spec.prefactor
+        if spec.periodic:
+            rule = _trapezoid
+    else:
+        f = spec
+        lo = 0.0 if lo is None else lo
+        hi = math.pi if hi is None else hi
+        tol = 1e-10 if tol is None else tol
+        budget = EVAL_BUDGET if budget is None else budget
+        pref = 1.0
+    total, err = rule(f, lo, hi, tol, budget)
+    return pref * total, err
 
 
 # -- Askey-Wilson integral ----------------------------------------------------
@@ -230,8 +287,10 @@ def aw_integrand(a: float, b: float, c: float, d: float, q: float):
 def askey_wilson_quad(a: float, b: float, c: float, d: float, q: float,
                       tol: float = 1e-10) -> float:
     """Left side: (q;q)_oo/(2 pi) times the weight integral over [0, pi]."""
-    val, _ = integrate(aw_integrand(a, b, c, d, q), 0.0, math.pi, tol)
-    return qpoch_inf(q, q).real / (2 * math.pi) * val
+    val, _ = integrate(IntegralSpec(aw_integrand(a, b, c, d, q), tol=tol,
+                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi),
+                                    periodic=True))
+    return val
 
 
 def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> float:
@@ -254,33 +313,16 @@ def askey_wilson_check(a: float, b: float, c: float, d: float, q: float,
 # -- big q-Hermite orthogonality ---------------------------------------------
 
 
-def _hermite_terms(n: int, q: float) -> list:
-    """(weight, q^k, n - 2k) for k <= n: the theta-free part of
-    families.qhermite_eval's sum, by the same float expressions."""
-    return [(w, q ** k, n - 2 * k) for k, w in enumerate(_hermite_weights(n, q))]
-
-
-def _hermite_at(terms: list, az: complex, zi: complex) -> complex:
-    """qhermite_eval's sum over _hermite_terms at zi = e^{i t}, az = a zi."""
-    total = 0j
-    poch = 1.0 + 0j
-    for binom, qpow, e in terms:
-        total += binom * poch * zi ** e
-        poch *= 1 - az * qpow
-    return total
-
-
 def ortho_integrand(n: int, m: int, a: float, q: float):
     a, q = float(a), float(q)
     ladder = _ladder(q)
-    hn, hm = _hermite_terms(n, q), _hermite_terms(m, q)
 
     def f(theta: float) -> float:
         w = _aw_weight(theta, ladder)
         den = _param_factor(theta, a, ladder) if a else 1.0
-        zi = cmath.exp(1j * theta)
-        az = a * zi
-        return (w / den * _hermite_at(hn, az, zi) * _hermite_at(hm, az, zi)).real
+        hermite = qhermite_circle(a, q, theta)
+        hn = hermite(n)
+        return (w / den * hn * (hn if m == n else hermite(m))).real
     return f
 
 
@@ -332,8 +374,8 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
              tol: float = 1e-10) -> float:
     """The mixed-base weight integral of jhi_integrand."""
     pref, f = jhi_integrand(kind, p, q, a, t)
-    val, _ = integrate(f, 0.0, math.pi, tol)
-    return pref * val
+    val, _ = integrate(IntegralSpec(f, tol=tol, prefactor=pref, periodic=True))
+    return val
 
 
 def closed_forms_suite(q: float, a: float, t: float, tol: float = 1e-7) -> list:

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 from qrs import qcore
+import reference_quadrature as ref
 from qrs.families import (CauchyExpansion, big_qhermite_laurent,
                           big_qhermite_poly, brs_combo_to_rs, brs_poly,
                           brs_to_rs_coeffs, cauchy_poly, change_base_big,
                           change_base_c, h_to_bivariate, poly_to_cauchy,
-                          qhermite_eval, qhermite_laurent, qhermite_poly,
-                          rs_combo_to_brs, rs_poly, rs_to_brs_coeffs)
+                          qhermite_circle, qhermite_eval, qhermite_laurent,
+                          qhermite_poly, rs_combo_to_brs, rs_poly,
+                          rs_to_brs_coeffs)
 from qrs.qcore import (LaurentPoly, MultiPoly, lincomb, poly_eval, qbinom, qfac,
                        qpoch)
 
@@ -213,6 +215,25 @@ def test_qhermite_eval_is_x_polynomial_value():
         via_poly = poly_eval(qhermite_poly(n, q), {"x": math.cos(theta)})
         via_eval = qhermite_eval(n, 0.0, 0.5, theta)
         assert abs(via_poly - via_eval) < 1e-12
+
+
+def test_qhermite_circle_is_the_frozen_circle_sum_bit_for_bit():
+    # one qhermite_circle per (a, q, theta) serves every n, in any order,
+    # with the floats of a sum built afresh for each n
+    rng = random.Random(RNG_SEED + 13)
+    for draw in range(24):
+        q = rng.uniform(0.05, 0.95)
+        a = rng.choice([0.0, rng.uniform(-0.6, 0.6),
+                        complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))])
+        theta = rng.uniform(-3.5, 3.5)
+        hermite = qhermite_circle(a, q, theta)
+        ns = list(range(81))
+        if draw % 2:
+            rng.shuffle(ns)
+        for n in ns:
+            expect = ref.qhermite_eval(n, a, q, theta)
+            assert hermite(n) == expect, (n, a, q, theta)
+            assert qhermite_eval(n, a, q, theta) == expect, (n, a, q, theta)
 
 
 def test_change_base_c_spot_values():

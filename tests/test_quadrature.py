@@ -1,12 +1,16 @@
 """Unit tests for infinite products and adaptive quadrature."""
 
 import cmath
+import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
 import reference_quadrature as ref
+from qrs.cli import main
+from qrs.idverify import verify
 from qrs.quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
                             askey_wilson_closed, askey_wilson_quad,
                             aw_integrand, closed_forms_suite, inf_product,
@@ -237,3 +241,130 @@ def test_integrands_reject_complex_parameters_and_bases():
         args[bad] = complex(args[bad], 0.1)
         with pytest.raises(TypeError):
             jhi_eval("H", *args)
+
+
+# -- the trapezoidal rule for the circle integrals ------------------------------
+
+
+def _circle_integrands():
+    """(label, integrand) over q up to 0.9: Askey-Wilson weights, q-Hermite
+    moments on and off the diagonal, and the J/H/I mixed-base weights."""
+    for q in (0.1, 0.5, 0.7, 0.9):
+        for shifts in ((0.3, 0.25, 0.2, 0.1), (0.45, -0.3, 0.2, 0.05), (0.0,) * 4):
+            yield f"aw{shifts} q={q}", aw_integrand(*shifts, q)
+        for n, m, a in ((3, 3, 0.3), (8, 7, -0.4), (5, 5, 0.0)):
+            yield f"ortho({n},{m}) a={a} q={q}", ortho_integrand(n, m, a, q)
+        for kind in "JHI":
+            for p, a, t in ((0.6 * q, 0.2, 0.3), (-q, -0.35, 0.45)):
+                yield f"{kind} p={p} a={a} t={t} q={q}", jhi_integrand(kind, p, q, a, t)[1]
+
+
+CIRCLE_INTEGRANDS = list(_circle_integrands())
+
+
+@pytest.mark.parametrize("label, f", CIRCLE_INTEGRANDS,
+                         ids=[label for label, _ in CIRCLE_INTEGRANDS])
+def test_periodic_rule_agrees_with_gk15_and_scipy(label, f):
+    from scipy.integrate import quad as scipy_quad
+    # the scale is sqrt(pi * integral of f^2) >= integral of |f| (the moments
+    # off the diagonal are 0); a few digits of it are enough
+    square, _ = scipy_quad(lambda t: f(t) ** 2, 0.0, math.pi, epsabs=0.0, epsrel=1e-6)
+    scale = math.sqrt(math.pi * square)
+    oracle, _ = scipy_quad(f, 0.0, math.pi, epsabs=1e-13 * scale, epsrel=0.0, limit=200)
+    tol = 1e-13 * scale
+    trap, err = integrate(IntegralSpec(f, tol=tol, periodic=True))
+    gk15, _ = integrate(f, 0.0, math.pi, tol)
+    assert err <= tol
+    assert abs(trap - gk15) <= 1e-12 * scale
+    assert abs(trap - oracle) <= 1e-12 * scale
+
+
+def _counted(f, log):
+    def g(theta):
+        log[-1][1] += 1
+        return f(theta)
+    return g
+
+
+@pytest.fixture
+def integrate_log(monkeypatch):
+    """Every call of quadrature.integrate, wherever a qrs module binds it, as
+    [periodic, evaluations]."""
+    log = []
+
+    def recording(spec, *args, **kwargs):
+        periodic = isinstance(spec, IntegralSpec) and spec.periodic
+        log.append([periodic, 0])
+        if isinstance(spec, IntegralSpec):
+            spec = dataclasses.replace(spec, integrand=_counted(spec.integrand, log))
+        else:
+            spec = _counted(spec, log)
+        return integrate(spec, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "qrs" or name.startswith("qrs.")) and vars(module).get("integrate") is integrate:
+            monkeypatch.setattr(module, "integrate", recording)
+    return log
+
+
+def test_circle_integrals_go_through_integrate_as_periodic(integrate_log):
+    askey_wilson_quad(0.3, 0.25, 0.2, 0.1, 0.5)
+    for kind in "JHI":
+        jhi_eval(kind, 0.35, 0.55, -0.25, 0.4)
+    assert verify("ortho-big").passed()
+    assert all(r.passed() for r in closed_forms_suite(0.3, 0.1, 0.2))
+    assert len(integrate_log) == 1 + 3 + 1 + 4
+    assert all(periodic for periodic, _ in integrate_log)
+
+
+def test_default_askey_wilson_integral_takes_at_most_65_evaluations(integrate_log):
+    # nested sums at N = 8, 16, 32, 64 cost 9, 17, 33, 65 points in all;
+    # adaptive GK15 took 135 on this integral
+    got = askey_wilson_quad(0.3, 0.25, 0.2, 0.1, 0.5)
+    assert integrate_log == [[True, integrate_log[0][1]]]
+    assert integrate_log[0][1] <= 65
+    assert abs(got - askey_wilson_closed(0.3, 0.25, 0.2, 0.1, 0.5)) < 1e-12
+
+
+def test_periodic_rule_reuses_every_point_and_is_exact_on_trig_polynomials():
+    seen = []
+
+    def f(theta):
+        seen.append(theta)
+        return 2.0 + math.cos(2 * theta) + 0.5 * math.cos(7 * theta)
+
+    val, err = integrate(IntegralSpec(f, tol=1e-14, periodic=True))
+    assert abs(val - 2 * math.pi) < 1e-14 and err <= 1e-14
+    # T_8 and T_16 already agree: 17 distinct points, none evaluated twice
+    assert len(seen) == len(set(seen)) == 17
+    assert seen[:2] == [0.0, math.pi]
+
+
+def test_periodic_rule_enforces_the_budget():
+    f = aw_integrand(0.45, -0.3, 0.2, 0.05, 0.68)
+    with pytest.raises(QuadratureError, match="budget 40 exhausted"):
+        integrate(IntegralSpec(f, tol=1e-14, budget=40, periodic=True))
+
+
+def test_periodic_rule_stops_at_the_rounding_floor():
+    # at q = 0.8 with every shift 0.5 the weight integral is about 4.5e6, so
+    # its sums round at ~1e-8 and an absolute 1e-10 cannot be met; the rule
+    # says so after 129 points instead of doubling towards the budget
+    f = aw_integrand(0.5, 0.5, 0.5, 0.5, 0.8)
+    seen = []
+
+    def counted(theta):
+        seen.append(theta)
+        return f(theta)
+
+    with pytest.raises(QuadratureError, match=r"rounding floor .* above tol 1\.000e-10"):
+        integrate(IntegralSpec(counted, tol=1e-10, periodic=True))
+    assert len(seen) == 129
+
+
+def test_cli_reports_the_rounding_floor_and_exits_one(capsys):
+    code = main(["verify", "--identity", "askey-wilson", "--q", "0.8", "--set", "a=0.5",
+                 "--set", "b=0.5", "--set", "c=0.5", "--set", "d=0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "rounding floor" in err and "above tol" in err
