@@ -9,11 +9,11 @@ identity checks share one copy of each polynomial.
 
 from __future__ import annotations
 
-import cmath
+import math
 from fractions import Fraction
 
 from .qcore import (LaurentPoly, MultiPoly, frac, lincomb, memo_table, qbinom,
-                    qfacs, qpochs, tri)
+                    qpochs, tri)
 
 
 def cauchy_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
@@ -103,52 +103,55 @@ def qhermite_laurent(n: int, q: Fraction, z: str = "z") -> LaurentPoly:
 
 
 def qhermite_eval(n: int, a, q, theta: float) -> complex:
-    """Numeric H_n(cos theta; a|q) straight from the circle representation.
+    """Numeric H_n(cos theta; a|q) by the three-term recurrence.
 
-    Float arithmetic, O(n) per call after the memoised weights; meant for
-    quadrature and numeric series work where exact values are overkill.
+    Float arithmetic, O(n) per call; meant for quadrature and numeric series
+    work where exact values are overkill. A caller that wants H_n for many n
+    at one (a, q, theta) holds one `qhermite_circle` instead.
     """
     return qhermite_circle(a, q, theta)(n)
 
 
 def qhermite_circle(a, q, theta: float):
-    """The map n -> H_n(cos theta; a|q) at one (a, q, theta), by the circle
-    sum sum_k [n,k] (a z; q)_k z^(n-2k), z = e^(i theta).
+    """The map n -> H_n(cos theta; a|q) at one (a, q, theta), by the
+    three-term recurrence (Koekoek, Lesky & Swarttouw 2010, section 14.18)
 
-    The products (a z; q)_k, the powers q^k and z^e are each built once and
-    extended as n grows, with the same float expressions in the same order
-    as a sum built afresh for every n, so H_n is the same float whichever
-    n were asked for before it.
+        H_(n+1) = (2 cos theta - a q^n) H_n - (1 - q^n) H_(n-1),
+        H_0 = 1,  H_1 = 2 cos theta - a.
+
+    Unlike the circle sum sum_k [n,k] (a z; q)_k z^(n-2k), it does not
+    cancel for q near 1. It runs forward in Reinsch's form, on the steps
+    d_n = H_n - H_(n-1) with 2 cos theta = 2 - s, s = 4 sin^2(theta/2):
+
+        d_(n+1) = d_n - (s + a q^n) H_n + q^n H_(n-1),
+
+    so neither the rounding of cos theta nor the near-cancelling steps at
+    x near 1 cost n^2 ulps. For cos theta < 0 it runs at -x with -a, as
+    H_n(-x; a|q) = (-1)^n H_n(x; -a|q). The values are kept in one list, so
+    each new n costs O(1) and H_n is the same float whichever n were asked
+    for before it.
     """
-    q = float(q)
-    zi = cmath.exp(1j * theta)
-    az = complex(a) * zi
-    pochs = [1.0 + 0j]
-    zpows = {0: zi ** 0}
+    q, a = float(q), complex(a)
+    flip = math.cos(theta) < 0
+    if flip:
+        a, s = -a, 4 * math.cos(0.5 * theta) ** 2
+    else:
+        s = 4 * math.sin(0.5 * theta) ** 2
+    d = 1 - s - a
+    before, last, qn = 1.0 + 0j, 1 + d, q     # H_(n-1), H_n, q^n at n = 1
+    values = [before, -last if flip else last]
 
     def hermite(n: int) -> complex:
-        while len(pochs) <= n:
-            pochs.append(pochs[-1] * (1 - az * q ** (len(pochs) - 1)))
-        # the powers of one parity run contiguously up from 0 or 1
-        for e in range(n, 0, -2):
-            if e in zpows:
-                break
-            zpows[e], zpows[-e] = zi ** e, zi ** -e
-        total = 0j
-        for binom, poch, e in zip(_hermite_weights(n, q), pochs, range(n, -n - 1, -2)):
-            total += binom * poch * zpows[e]
-        return total
+        nonlocal before, last, d, qn
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        while len(values) <= n:
+            d = d - (s + a * qn) * last + qn * before
+            before, last = last, last + d
+            qn *= q
+            values.append(-last if flip and len(values) % 2 else last)
+        return values[n]
     return hermite
-
-
-def _hermite_weights(n: int, q: float) -> tuple:
-    """The float weights [n, k] = (q;q)_n / ((q;q)_k (q;q)_(n-k)), k <= n, of
-    qhermite_circle's sum, memoised per q and n."""
-    table = memo_table("hermite", q)
-    if n not in table:
-        qk = qfacs(q, n)
-        table[n] = tuple(qk[n] / (qk[k] * qk[n - k]) for k in range(n + 1))
-    return table[n]
 
 
 # -- transforms between the classical and bivariate families ---------------

@@ -241,6 +241,14 @@ def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
     return _sum_terms(terms(), abs(t), tol)
 
 
+def _powers(ladder: list, x, top: int, exponent=None) -> None:
+    """Extend ladder in place through index top, entry j being
+    x ** exponent(j) (x ** j by default): a draw's sums take each power from
+    the ladder rather than raising x afresh in every term."""
+    for j in range(len(ladder), top + 1):
+        ladder.append(x ** (exponent(j) if exponent else j))
+
+
 def _unit_params(params, names) -> list:
     """The named parameters as floats, each required to satisfy |p| < 1."""
     vals = [float(params[name]) for name in names]
@@ -502,12 +510,14 @@ def _run_linear_rs(order, q, params):
 def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
              var: MultiPoly = _X) -> MultiPoly:
     """sum_k [n,k][m,k](q;q)_k var^k factor(k) over k <= min(n, m), each
-    weight times (-1)^k q^(k(k-1)/2) when alternating: the linearization sums."""
+    weight times (-1)^k q^(k(k-1)/2) when alternating: the linearization sums.
+    The weight's factors go to lincomb one by one, which multiplies their
+    numerators and denominators as ints."""
     def weight(k):
-        w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k)
-        return w * q ** tri(k) * Fraction((-1) ** k) if alternating else w
+        w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k))
+        return (*w, q ** tri(k), (-1) ** k) if alternating else w
 
-    return lincomb((weight(k), var ** k, factor(k)) for k in range(min(n, m) + 1))
+    return lincomb((*weight(k), var ** k, factor(k)) for k in range(min(n, m) + 1))
 
 
 @_case("linear-brs-double",
@@ -565,10 +575,9 @@ def _run_hlm(order, q, params):
         for m in range(order + 1):
             terms = []
             for k in range(min(n, m) + 1):
-                w = qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k) \
-                    * Fraction((-1) ** k) * q ** tri(k)
-                terms.append((w, _X ** k, brs_pairs[n - k][m - k]))
-                terms.append((-w, _Y ** k, brs_poly(n + m - k, q)))
+                w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k), (-1) ** k, q ** tri(k))
+                terms.append((*w, _X ** k, brs_pairs[n - k][m - k]))
+                terms.append((*w, -1, _Y ** k, brs_poly(n + m - k, q)))
             yield f"n={n}, m={m}", lincomb(terms), MultiPoly.const(0)
 
 
@@ -805,11 +814,14 @@ def _run_rogers_big(rng, q, tol):
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
     hermite = qhermite_circle(a, q, theta)
+    tp, sp = [], []
 
     def term(big):
         qq = qfacs(q, big)
+        _powers(tp, t, big)
+        _powers(sp, s, big)
         return hermite(big) * sum(
-            t ** n * s ** (big - n) / (qq[n] * qq[big - n]) for n in range(big + 1))
+            tp[n] * sp[big - n] / (qq[n] * qq[big - n]) for n in range(big + 1))
 
     lhs = _sum_terms((term(big) for big in range(10 ** 9)),
                      max(abs(s), abs(t)), tol)
@@ -869,9 +881,14 @@ def _run_gen_big_1(rng, q, tol):
     t = _draw_complex(rng, 0.05, 0.4)
     z2 = cmath.exp(2j * theta)
 
+    qt, ap, tp = [], [], []
+
     def coef(n):
         qq, qq2 = qfacs(q, n), qfacs(q2, n)
-        return sum(q ** tri(n - 2 * k) * a ** (n - 2 * k) * t ** (n - k)
+        _powers(qt, q, n, tri)
+        _powers(ap, a, n)
+        _powers(tp, t, n)
+        return sum(qt[n - 2 * k] * ap[n - 2 * k] * tp[n - k]
                    / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
 
     hermite = qhermite_circle(a, q, theta)
@@ -897,9 +914,15 @@ def _run_gen_big_2(rng, q, tol):
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
 
+    sg, qs, ap, tp = [], [], [], []
+
     def coef(n):
         qq, qq2 = qfacs(q, n), qfacs(q2, n)
-        return sum((-1) ** k * q ** (k * k) * a ** k * t ** (n + k)
+        _powers(sg, -1, n)
+        _powers(qs, q, n, lambda k: k * k)
+        _powers(ap, a, n)
+        _powers(tp, t, 2 * n)
+        return sum(sg[k] * qs[k] * ap[k] * tp[n + k]
                    / (qq2[k] * qq[n - k]) for k in range(n + 1))
 
     hermite = qhermite_circle(a, q2, theta)

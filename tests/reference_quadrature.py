@@ -1,19 +1,19 @@
 """Frozen reference for the quadrature integrand tests: the integrands as
 `qrs.quadrature` computed them before each conjugate pair was taken from a
-single infinite product and the base^k ladders and q-Hermite weights were
-built once per integral.
+single infinite product and the base^k ladders were built once per
+integral, with H_n by the three-term recurrence (it was the circle sum
+sum_k [n,k] (a z; q)_k z^(n-2k) until H_n moved to the recurrence).
 
 Every integrand evaluation here multiplies out both halves of every pair,
-rebuilds each ladder and recomputes the H_n weights, with the same float
-expressions, so test_quadrature.py can require float equality between the
-two. It is self-contained (its own (c; base)_oo and H_n evaluator), not
-part of the package, and nothing outside the tests imports it; do not
-optimise it.
+rebuilds each ladder and runs the H_n recurrence from the start, with the
+same float expressions, so test_quadrature.py can require float equality
+between the two. It is self-contained (its own (c; base)_oo and H_n
+evaluator), not part of the package, and nothing outside the tests imports
+it; do not optimise it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 _PROD_EPS = 1e-17
@@ -34,21 +34,24 @@ def qpoch_inf(c, base) -> complex:
 
 
 def qhermite_eval(n: int, a, q, theta: float) -> complex:
-    """H_n(cos theta; a|q) from the circle sum sum_k [n,k] (a z; q)_k z^(n-2k)."""
-    q = float(q)
-    a = complex(a)
-    zi = cmath.exp(1j * theta)
-    qk = [1.0]
-    for k in range(1, n + 1):
-        qk.append(qk[-1] * (1 - q ** k))
-    total = 0j
-    poch = 1.0 + 0j
-    az = a * zi
-    for k in range(n + 1):
-        binom = qk[n] / (qk[k] * qk[n - k])
-        total += binom * poch * zi ** (n - 2 * k)
-        poch *= 1 - az * q ** k
-    return total
+    """H_n(cos theta; a|q) by the three-term recurrence, run from H_0 and H_1
+    afresh for each call on the steps d_k = H_k - H_(k-1) (at -x with -a
+    when cos theta < 0), as `qrs.families.qhermite_circle` runs it."""
+    if n == 0:
+        return 1.0 + 0j
+    q, a = float(q), complex(a)
+    flip = math.cos(theta) < 0
+    if flip:
+        a, s = -a, 4 * math.cos(0.5 * theta) ** 2
+    else:
+        s = 4 * math.sin(0.5 * theta) ** 2
+    before, d, qk = 1.0 + 0j, 1 - s - a, q
+    value = before + d
+    for _ in range(1, n):
+        d = d - (s + a * qk) * value + qk * before
+        before, value = value, value + d
+        qk *= q
+    return -value if flip and n % 2 else value
 
 
 def _aw_weight(theta: float, q: float) -> float:

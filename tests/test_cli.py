@@ -178,7 +178,11 @@ def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, cap
     # every byte. The captures holding quadrature floats were re-taken with
     # the same argv when the circle integrals moved from GK15 to the
     # trapezoidal rule: only integral values, residuals and the --perturb
-    # witnesses that print them moved, by at most 1.9e-15 relative
+    # witnesses that print them moved, by at most 1.9e-15 relative. The
+    # verify-all captures and the ortho-big one were re-taken again when H_n
+    # moved from the circle sum to the three-term recurrence: only the
+    # residuals of the seven gf cases and ortho-big, and the ortho-big
+    # --perturb witness that prints the integral, moved, by at most 1.2e-16
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

@@ -4,10 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qrs import qcore
-import reference_quadrature as ref
 from qrs.families import (CauchyExpansion, big_qhermite_laurent,
                           big_qhermite_poly, brs_combo_to_rs, brs_poly,
                           brs_to_rs_coeffs, cauchy_poly, change_base_big,
@@ -217,10 +217,71 @@ def test_qhermite_eval_is_x_polynomial_value():
         assert abs(via_poly - via_eval) < 1e-12
 
 
-def test_qhermite_circle_is_the_frozen_circle_sum_bit_for_bit():
-    # one qhermite_circle per (a, q, theta) serves every n, in any order,
-    # with the floats of a sum built afresh for each n
+def _defining_sums(ns, a, q: float, theta: float, dps: int) -> dict:
+    """{n: H_n(cos theta; a|q) for n in ns} from the defining sum
+    sum_k [n,k] (a z; q)_k z^(n-2k), z = e^(i theta), in mpmath at dps
+    digits, each rounded to complex once at the end."""
+    top = max(ns)
+    with mpmath.workdps(dps):
+        q, z = mpmath.mpf(q), mpmath.expj(mpmath.mpf(theta))
+        az = mpmath.mpc(a) * z
+        qfac, poch, qk = [mpmath.mpf(1)], [mpmath.mpc(1)], mpmath.mpf(1)
+        for _ in range(top):
+            poch.append(poch[-1] * (1 - az * qk))
+            qk *= q
+            qfac.append(qfac[-1] * (1 - qk))
+        zpow = {e: z ** e for e in range(-top, top + 1)}
+        return {n: complex(mpmath.fsum(qfac[n] / (qfac[k] * qfac[n - k]) * poch[k]
+                                       * zpow[n - 2 * k] for k in range(n + 1)))
+                for n in ns}
+
+
+def _hermite_error(got: complex, exact: dict, n: int) -> float:
+    """|got - H_n| relative to max(|H_n|, |H_(n-1)|), the size of the terms
+    the recurrence combines. A real H_n has n real zeros, and next to one
+    no float evaluation is accurate relative to |H_n| alone."""
+    return abs(got - exact[n]) / max(abs(exact[n]), abs(exact.get(n - 1, 0.0)))
+
+
+def test_qhermite_circle_matches_the_defining_sum_to_1e_12():
+    # 90-digit defining sums as the oracle; a = 0, real and complex, q up to
+    # 0.95, and theta anywhere, near 0 and near pi included
     rng = random.Random(RNG_SEED + 13)
+    for draw in range(24):
+        q = rng.uniform(0.05, 0.95)
+        a = (0.0, rng.uniform(-0.6, 0.6),
+             complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))[draw % 3]
+        theta = rng.choice([rng.uniform(-3.5, 3.5), rng.uniform(-0.1, 0.1),
+                            math.pi - rng.uniform(0.0, 0.1)])
+        exact = _defining_sums(range(81), a, q, theta, 90)
+        hermite = qhermite_circle(a, q, theta)
+        for n in range(81):
+            for got in (hermite(n), qhermite_eval(n, a, q, theta)):
+                assert _hermite_error(got, exact, n) <= 1e-12, (n, a, q, theta, got, exact[n])
+
+
+@pytest.mark.parametrize("q, a, theta", [(0.35, -0.3, 0.04), (0.35, 0.3 + 0.2j, 3.09),
+                                         (0.5, 0.45, 0.04), (0.5, -0.3, 3.09)])
+def test_qhermite_circle_near_x_equal_to_plus_or_minus_1(q, a, theta):
+    # here H_n stays large and the plain forward recurrence loses about
+    # n^2 ulps (1.7e-12 to 2.9e-12 at n <= 80); the increments keep it near n
+    exact = _defining_sums(range(81), a, q, theta, 90)
+    hermite = qhermite_circle(a, q, theta)
+    assert max(_hermite_error(hermite(n), exact, n) for n in range(81)) <= 1e-12
+
+
+@pytest.mark.parametrize("a, theta", [(0.3 + 0.2j, 1.3), (-0.4, 2.0), (0.0, 0.7)])
+def test_qhermite_eval_at_n_300_and_q_095(a, theta):
+    # terms of the circle sum reach 1e11 to 1e14 here and H_300 at the first
+    # point is about 5e-6: the sum cancels some 20 digits, the oracle keeps 200
+    exact = _defining_sums((299, 300), a, 0.95, theta, 200)
+    assert _hermite_error(qhermite_eval(300, a, 0.95, theta), exact, 300) <= 1e-12
+
+
+def test_qhermite_circle_gives_the_same_floats_in_any_order():
+    # one qhermite_circle per (a, q, theta) serves every n, asked in any
+    # order, with the floats qhermite_eval builds afresh for each n
+    rng = random.Random(RNG_SEED + 14)
     for draw in range(24):
         q = rng.uniform(0.05, 0.95)
         a = rng.choice([0.0, rng.uniform(-0.6, 0.6),
@@ -228,12 +289,9 @@ def test_qhermite_circle_is_the_frozen_circle_sum_bit_for_bit():
         theta = rng.uniform(-3.5, 3.5)
         hermite = qhermite_circle(a, q, theta)
         ns = list(range(81))
-        if draw % 2:
-            rng.shuffle(ns)
+        rng.shuffle(ns)
         for n in ns:
-            expect = ref.qhermite_eval(n, a, q, theta)
-            assert hermite(n) == expect, (n, a, q, theta)
-            assert qhermite_eval(n, a, q, theta) == expect, (n, a, q, theta)
+            assert hermite(n) == qhermite_eval(n, a, q, theta), (n, a, q, theta)
 
 
 def test_change_base_c_spot_values():
