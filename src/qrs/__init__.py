@@ -14,9 +14,8 @@ from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
                        poly_to_cauchy, qhermite_eval, qhermite_laurent,
                        qhermite_poly, rs_poly)
-from .fps import (PhiSpec, TruncSeries, euler_expand, euler_inv_expand,
-                  euler_inv_series, euler_series, phi_series, phi_sum,
-                  poch_series, series_inv)
+from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
+                  phi_series, phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import LaurentPoly, MultiPoly, frac, qbinom, qfac, qpoch
 from .qops import dq_apply, dxy_poly, e_op_apply, t_op_apply, t_op_graded
@@ -34,11 +33,10 @@ __all__ = [
     "askey_wilson_check", "askey_wilson_closed", "askey_wilson_quad",
     "big_qhermite_laurent", "big_qhermite_poly", "brs_poly", "cauchy_poly",
     "change_base_big", "change_base_c", "closed_forms_suite", "dq_apply",
-    "dxy_poly", "e_op_apply", "euler_expand", "euler_inv_expand",
-    "euler_inv_series", "euler_series", "frac", "get_case", "inf_product",
-    "integrate", "jhi_eval", "ortho_check", "phi_series", "phi_sum",
-    "poch_series", "poly_to_cauchy", "qbinom", "qfac", "qhermite_eval",
-    "qhermite_laurent", "qhermite_poly", "qpoch", "qpoch_inf", "qpoch_n",
-    "registry", "rs_poly", "series_inv", "t_op_apply", "t_op_graded",
-    "verify", "verify_all",
+    "dxy_poly", "e_op_apply", "euler_inv_series", "euler_series", "frac",
+    "get_case", "inf_product", "integrate", "jhi_eval", "ortho_check",
+    "phi_series", "phi_sum", "poly_to_cauchy", "qbinom", "qfac",
+    "qhermite_eval", "qhermite_laurent", "qhermite_poly", "qpoch",
+    "qpoch_inf", "qpoch_n", "registry", "rs_poly", "series_inv", "t_op_apply",
+    "t_op_graded", "verify", "verify_all",
 ]

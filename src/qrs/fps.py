@@ -1,54 +1,117 @@
 """Truncated formal power series in one or two variables, Euler product
 expansions, and basic hypergeometric series.
 
-Coefficients live in a commutative ring: exact rationals, MultiPoly values,
-or (for numeric work) complex floats. Bivariate series are truncated by
-total degree. Operations on series of different orders propagate the
-minimum order, which is the honest amount of information available.
+Coefficients are exact: rationals or MultiPoly values. A series is stored
+the way `qcore.MultiPoly` is, on plain ints: for each total degree d up to
+the order, one layer holding a positive int denominator and a dict from
+packed exponents to nonzero int numerators, reduced so that the two share
+no factor. A packed exponent carries the series indices in its leading
+fields and the coefficient variables (`cvars`, the sorted union of every
+coefficient's variables) in the trailing ones, so a rational coefficient is
+a constant term of its layer and a product of two terms is one integer
+addition. A product runs `qcore._mul_into` once per pair of layers whose
+degrees fit the order, at the common denominator of the output layer, and
+normalises each output layer once. `coeffs` is a read-only view {index
+tuple: coefficient}, built on first use.
+
+Bivariate series are truncated by total degree. Operations on series of
+different orders propagate the minimum order, which is the honest amount of
+information available.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import count, starmap
-from operator import add, mul
+from itertools import count
+from math import gcd, lcm
+from types import MappingProxyType
 
-from .qcore import MultiPoly, frac, lincomb, qfac, qpochs, tri
+from .qcore import (_FIELD, MultiPoly, _check_guard, _moves, _mul_into, _normal,
+                    _pack, _repack, _union, _unpack, frac, qfac, qpochs, tri)
 
-_SCALARS = (int, Fraction, float, complex)
+_SCALARS = (int, Fraction)
 
-
-def is_zero_elem(e) -> bool:
-    if isinstance(e, MultiPoly):
-        return e.is_zero()
-    return e == 0
+# the layer of a degree with no terms; layers are never mutated once built
+_EMPTY = (1, MappingProxyType({}))
 
 
-def invert_elem(e):
-    """Multiplicative inverse of a ring unit (scalars and constant polys)."""
-    if isinstance(e, MultiPoly):
-        c = e.constant_value()
-        if not c:
-            raise ZeroDivisionError("cannot invert zero")
-        return Fraction(1) / c
-    if isinstance(e, (int, Fraction)):
-        if not e:
-            raise ZeroDivisionError("cannot invert zero")
-        return Fraction(1) / Fraction(e)
-    return 1.0 / e
+def _fields(nser: int, cvars: tuple) -> tuple:
+    """Names of the packed fields of a series: placeholders that sort before
+    any variable name for the series indices, then the coefficient variables,
+    so that `qcore._moves` can re-key exponents to a wider cvars."""
+    return tuple(f"\0{i}" for i in range(nser)) + cvars
+
+
+def _norm(den: int, num: dict) -> tuple:
+    """The canonical layer num/den: no zero numerator, no common factor."""
+    if 0 in num.values():
+        num = {e: c for e, c in num.items() if c}
+    if not num:
+        return _EMPTY
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        num = {e: c // g for e, c in num.items()}
+    return den, num
+
+
+def _sum(layers) -> tuple:
+    """The sum of nonempty layers, at their common denominator; the largest
+    starts the sum, copied whole at C speed when it needs no scaling."""
+    layers = sorted(layers, key=lambda layer: len(layer[1]), reverse=True)
+    den = lcm(*[d for d, _ in layers])
+    d, num = layers[0]
+    acc = dict(num) if d == den else {e: c * (den // d) for e, c in num.items()}
+    get = acc.get
+    for d, num in layers[1:]:
+        s = den // d
+        for e, c in num.items():
+            acc[e] = get(e, 0) + c * s
+    return _norm(den, acc)
+
+
+def _convolve(pairs: list, names: tuple, cn: int = 1, cd: int = 1) -> tuple:
+    """cn/cd times the sum of the products of the nonempty layer pairs.
+
+    Every product goes into one dict at the common denominator of the
+    pairs, the scale riding on the smaller factor; names are the fields,
+    for the exponent guard.
+    """
+    dens = [a[0] * b[0] for a, b in pairs]
+    den = lcm(*dens)
+    acc = {}
+    for d, (a, b) in zip(dens, pairs):
+        small, big = (a[1], b[1]) if len(a[1]) <= len(b[1]) else (b[1], a[1])
+        s = cn * (den // d)
+        if s != 1:
+            small = {e: c * s for e, c in small.items()}
+        acc = _mul_into(acc, small, big)
+    _check_guard(acc, names)
+    return _norm(den * cd, acc)
+
+
+def _coef(cvars: tuple, den: int, num: dict):
+    """A coefficient from its numerators over cvars: a Fraction when the
+    series has no coefficient variables, else a MultiPoly."""
+    if not cvars:
+        return Fraction(num.get(0, 0), den)
+    return _normal(cvars, den, num)
 
 
 class TruncSeries:
     """Power series known exactly through total degree `order`.
 
-    coeffs maps index tuples (one entry per series variable) to ring
-    elements; absent indices are zero. Indices beyond the order are dropped
-    at construction, so arithmetic needs no range bookkeeping.
+    `vars` are the series variables (one or two) and `cvars` the sorted
+    variables of the coefficients. `_layers[d]` is the layer (den, num) of
+    total degree d, canonical as described in the module docstring, so equal
+    series over the same cvars have equal layers. `coeffs` is the read-only
+    view {index tuple: Fraction or MultiPoly}, absent indices being zero, and
+    `coefficient(idx)` reads it. Indices beyond the order are dropped at
+    construction.
     """
 
-    __slots__ = ("vars", "order", "coeffs")
+    __slots__ = ("vars", "order", "cvars", "_layers", "_coeffs")
 
     def __init__(self, variables, order: int, coeffs: dict):
         variables = tuple(variables)
@@ -56,18 +119,33 @@ class TruncSeries:
             raise ValueError("series support one or two variables")
         if order < 0:
             raise ValueError("order must be nonnegative")
-        clean = {}
+        cvars = ()
+        for c in coeffs.values():
+            if type(c) is MultiPoly and c.vars != cvars:
+                cvars = _union(cvars, c.vars)
+        shift = _FIELD * len(cvars)
+        parts = [[] for _ in range(order + 1)]
         for idx, c in coeffs.items():
             idx = tuple(idx)
             if len(idx) != len(variables):
                 raise ValueError("index arity does not match variables")
             if any(i < 0 for i in idx):
                 raise ValueError("negative series exponent")
-            if sum(idx) <= order and not is_zero_elem(c):
-                clean[idx] = c
-        object.__setattr__(self, "vars", variables)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", clean)
+            if sum(idx) > order:
+                continue
+            base = _pack(idx) << shift
+            if type(c) is MultiPoly:
+                num = {base + e: v for e, v in _repack(c._num, _moves(c.vars, cvars)).items()}
+                den = c._den
+            elif isinstance(c, _SCALARS):
+                num = {base: c.numerator} if c else {}
+                den = c.denominator
+            else:
+                raise TypeError(f"cannot use {c!r} as a series coefficient")
+            if num:
+                parts[sum(idx)].append((den, num))
+        _init(self, variables, order, cvars,
+              tuple(_sum(p) if len(p) > 1 else p[0] if p else _EMPTY for p in parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -99,25 +177,53 @@ class TruncSeries:
 
     # -- basics -----------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """Read-only mapping from index tuples to nonzero coefficients."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            shift = _FIELD * len(self.cvars)
+            mask = (1 << shift) - 1
+            view = {}
+            for den, num in self._layers:
+                groups = {}
+                for e, c in num.items():
+                    groups.setdefault(e >> shift, {})[e & mask] = c
+                for key, part in sorted(groups.items()):
+                    view[_unpack(key, len(self.vars))] = _coef(self.cvars, den, part)
+            view = MappingProxyType(view)
+            _set_coeffs(self, view)
+            return view
+
     def coefficient(self, idx):
         return self.coeffs.get(tuple(idx), Fraction(0))
 
-    def constant_term(self):
-        return self.coefficient((0,) * len(self.vars))
-
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(num for _, num in self._layers)
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order`. Never extends knowledge."""
         if order >= self.order:
             return self
-        return TruncSeries(self.vars, order, self.coeffs)
+        return _make(self.vars, order, self.cvars, self._layers[:order + 1])
 
-    def _compat(self, other: "TruncSeries") -> int:
+    def _over(self, cvars: tuple, order: int) -> tuple:
+        """The layers through `order`, re-keyed over the wider cvars."""
+        layers = self._layers[:order + 1]
+        if cvars == self.cvars:
+            return layers
+        n = len(self.vars)
+        moves = _moves(_fields(n, self.cvars), _fields(n, cvars))
+        return tuple((den, _repack(num, moves)) if num else _EMPTY for den, num in layers)
+
+    def _common(self, other: "TruncSeries"):
+        """The joint order and cvars, and both operands' layers over them."""
         if self.vars != other.vars:
             raise ValueError(f"series variable mismatch: {self.vars} vs {other.vars}")
-        return min(self.order, other.order)
+        order = min(self.order, other.order)
+        cvars = self.cvars if self.cvars == other.cvars else _union(self.cvars, other.cvars)
+        return order, cvars, self._over(cvars, order), other._over(cvars, order)
 
     def _wrap(self, other):
         if isinstance(other, _SCALARS) or isinstance(other, MultiPoly):
@@ -131,23 +237,17 @@ class TruncSeries:
             other = self._wrap(other)
             if other is None:
                 return NotImplemented
-        order = self._compat(other)
-        coeffs = {i: c for i, c in self.coeffs.items() if sum(i) <= order}
-        for i, c in other.coeffs.items():
-            if sum(i) > order:
-                continue
-            s = coeffs.get(i)
-            s = c if s is None else s + c
-            if is_zero_elem(s):
-                coeffs.pop(i, None)
-            else:
-                coeffs[i] = s
-        return TruncSeries(self.vars, order, coeffs)
+        order, cvars, a, b = self._common(other)
+        return _make(self.vars, order, cvars, tuple(
+            la if not lb[1] else lb if not la[1] else _sum((la, lb))
+            for la, lb in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.vars, self.order, {i: -c for i, c in self.coeffs.items()})
+        return _make(self.vars, self.order, self.cvars, tuple(
+            (den, {e: -c for e, c in num.items()}) if num else _EMPTY
+            for den, num in self._layers))
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries) and self._wrap(other) is None:
@@ -162,49 +262,70 @@ class TruncSeries:
             if isinstance(other, _SCALARS) or isinstance(other, MultiPoly):
                 return self.scale(other)
             return NotImplemented
-        order = self._compat(other)
-        pairs = {}
-        for i1, c1 in self.coeffs.items():
-            d1 = sum(i1)
-            if d1 > order:
-                continue
-            for i2, c2 in other.coeffs.items():
-                if d1 + sum(i2) > order:
-                    continue
-                key = tuple(a + b for a, b in zip(i1, i2))
-                if key in pairs:
-                    pairs[key].append((c1, c2))
-                else:
-                    pairs[key] = [(c1, c2)]
-        return TruncSeries(self.vars, order,
-                           {key: _dot(terms) for key, terms in pairs.items()})
+        order, cvars, a, b = self._common(other)
+        names = self.vars + cvars
+        da = [d for d, layer in enumerate(a) if layer[1]]
+        db = [d for d, layer in enumerate(b) if layer[1]]
+        pairs = [[] for _ in range(order + 1)]
+        for d1 in da:
+            for d2 in db:
+                if d1 + d2 > order:
+                    break
+                pairs[d1 + d2].append((a[d1], b[d2]))
+        return _make(self.vars, order, cvars,
+                     tuple(_convolve(p, names) if p else _EMPTY for p in pairs))
 
     __rmul__ = __mul__
 
     def scale(self, elem) -> "TruncSeries":
-        if is_zero_elem(elem):
+        if not elem:
             return TruncSeries.zero(self.vars, self.order)
-        return TruncSeries(self.vars, self.order, {i: c * elem for i, c in self.coeffs.items()})
+        if type(elem) is MultiPoly:
+            cvars = _union(self.cvars, elem.vars)
+            factor = (elem._den, _repack(elem._num, _moves(elem.vars, cvars)))
+            names = self.vars + cvars
+            return _make(self.vars, self.order, cvars, tuple(
+                _convolve([(layer, factor)], names) if layer[1] else _EMPTY
+                for layer in self._over(cvars, self.order)))
+        if not isinstance(elem, _SCALARS):
+            raise TypeError(f"cannot scale a series by {elem!r}")
+        return _make(self.vars, self.order, self.cvars, tuple(
+            _scaled(layer, elem.numerator, elem.denominator) if layer[1] else _EMPTY
+            for layer in self._layers))
 
     def shift(self, idx) -> "TruncSeries":
         """Multiply by the monomial with exponent tuple idx."""
         idx = tuple(idx)
-        return TruncSeries(self.vars, self.order,
-                           {tuple(a + b for a, b in zip(i, idx)): c
-                            for i, c in self.coeffs.items()})
+        k = sum(idx)
+        s = _pack(idx) << _FIELD * len(self.cvars)
+        layers = [_EMPTY] * min(k, self.order + 1)
+        for den, num in self._layers[:max(0, self.order + 1 - k)]:
+            layers.append((den, {e + s: c for e, c in num.items()}) if num else _EMPTY)
+        return _make(self.vars, self.order, self.cvars, tuple(layers))
 
     # -- comparison ---------------------------------------------------------
 
     def diff_witness(self, other: "TruncSeries"):
         """First differing index (lexicographic) and the difference, or None."""
-        order = self._compat(other)
-        for idx in sorted(set(self.coeffs) | set(other.coeffs)):
-            if sum(idx) > order:
+        order, cvars, a, b = self._common(other)
+        shift = _FIELD * len(cvars)
+        best = None
+        for la, lb in zip(a, b):
+            if la == lb:
                 continue
-            d = self.coefficient(idx) - other.coefficient(idx)
-            if not is_zero_elem(d):
-                return idx, d
-        return None
+            neg = (lb[0], {e: -c for e, c in lb[1].items()})
+            den, num = _sum([layer for layer in (la, neg) if layer[1]])
+            key = min(e >> shift for e in num)
+            if best is None or key < best[0]:
+                best = key, den, num
+            if len(self.vars) == 1:
+                break
+        if best is None:
+            return None
+        key, den, num = best
+        mask = (1 << shift) - 1
+        part = {e & mask: c for e, c in num.items() if e >> shift == key}
+        return _unpack(key, len(self.vars)), _coef(cvars, den, part)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -216,21 +337,6 @@ class TruncSeries:
         return self.diff_witness(other) is None
 
     __hash__ = None
-
-    # -- serialization --------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for idx in sorted(self.coeffs):
-            c = self.coeffs[idx]
-            poly = c if isinstance(c, MultiPoly) else MultiPoly.const(c)
-            entries.append({"deg": list(idx), "poly": poly.to_json_dict()})
-        return {"vars": list(self.vars), "order": self.order, "coeffs": entries}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TruncSeries":
-        return cls(tuple(d["vars"]), d["order"],
-                   {tuple(e["deg"]): MultiPoly.from_json_dict(e["poly"]) for e in d["coeffs"]})
 
     def __str__(self):
         if not self.coeffs:
@@ -245,48 +351,73 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
-def _dot(terms: list, scale=1):
-    """scale * sum of a * b over the nonempty list of (a, b) pairs in terms.
+_new = object.__new__
+_set_vars = TruncSeries.vars.__set__
+_set_order = TruncSeries.order.__set__
+_set_cvars = TruncSeries.cvars.__set__
+_set_layers = TruncSeries._layers.__set__
+_set_coeffs = TruncSeries._coeffs.__set__
 
-    With a polynomial among them the sum is one `lincomb`; scalar pairs
-    (rational or float) keep a plain sum of products.
-    """
-    for a, b in terms:
-        if type(a) is MultiPoly or type(b) is MultiPoly:
-            return lincomb((scale, a, b) for a, b in terms)
-    total = reduce(add, starmap(mul, terms))
-    return total if scale == 1 else total * scale
+
+def _init(s: TruncSeries, variables: tuple, order: int, cvars: tuple, layers: tuple) -> None:
+    _set_vars(s, variables)
+    _set_order(s, order)
+    _set_cvars(s, cvars)
+    _set_layers(s, layers)
+
+
+def _make(variables: tuple, order: int, cvars: tuple, layers: tuple) -> TruncSeries:
+    """Wrap canonical layers 0..order."""
+    s = _new(TruncSeries)
+    _init(s, variables, order, cvars, layers)
+    return s
+
+
+def _scaled(layer: tuple, p: int, q: int) -> tuple:
+    """layer * p/q for a reduced p/q; only gcd(p, den) and the gcd of q with
+    the numerators can cancel, so no full gcd pass is needed."""
+    den, num = layer
+    g = gcd(p, den)
+    gq = gcd(q, *num.values()) if q != 1 else 1
+    p //= g
+    if p != 1 or gq != 1:
+        num = {e: c // gq * p for e, c in num.items()}
+    return den // g * (q // gq), num
 
 
 def series_inv(f: TruncSeries) -> TruncSeries:
-    """Inverse of a series whose constant term is a ring unit.
+    """Inverse of a series whose constant term is a nonzero rational."""
+    return _divide(TruncSeries.one(f.vars, f.order), f)
 
-    Solved degree layer by degree layer from g_0 = 1/f_0 and the convolution
-    recurrence sum_{k<=n} f_k g_{n-k} = 0; exact for exact coefficients.
+
+# -1 as a layer, in any frame
+_MINUS_ONE = (1, {0: -1})
+
+
+def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
+    """f / d for a series d whose constant term is a nonzero rational.
+
+    Solved degree layer by degree layer from g_n = (f_n - sum_{k>=1} d_k
+    g_{n-k}) / d_0, each layer of g one `_convolve` over the nonzero layers
+    of d; exact. A sparse d, such as 1 - c t, costs one pair per layer.
     """
-    inv0 = invert_elem(f.constant_term())
-    n = len(f.vars)
-    out = {(0,) * n: inv0}
-    nonconst = {i: c for i, c in f.coeffs.items() if any(i)}
-    for total in range(1, f.order + 1):
-        for idx in _indices_of_total(n, total):
-            terms = []
-            for fi, fc in nonconst.items():
-                gi = tuple(a - b for a, b in zip(idx, fi))
-                gc = out.get(gi)
-                if gc is not None:
-                    terms.append((fc, gc))
-            if terms:
-                g = _dot(terms, -inv0)
-                if not is_zero_elem(g):
-                    out[idx] = g
-    return TruncSeries(f.vars, f.order, out)
-
-
-def _indices_of_total(nvars: int, total: int):
-    if nvars == 1:
-        return [(total,)]
-    return [(i, total - i) for i in range(total + 1)]
+    order, cvars, fl, dl = f._common(d)
+    den0, num0 = dl[0]
+    if not num0:
+        raise ZeroDivisionError("cannot divide by a series with zero constant term")
+    if set(num0) != {0}:
+        raise ValueError("the constant term of the divisor is not a rational")
+    c0 = num0[0]
+    # -1/d_0 = -den0/c0, with a positive denominator
+    cn, cd = (-den0, c0) if c0 > 0 else (den0, -c0)
+    names = f.vars + cvars
+    nonconst = [k for k in range(1, order + 1) if dl[k][1]]
+    g = []
+    for n in range(order + 1):
+        pairs = [(fl[n], _MINUS_ONE)] if fl[n][1] else []
+        pairs += [(dl[k], g[n - k]) for k in nonconst if k <= n and g[n - k][1]]
+        g.append(_convolve(pairs, names, cn, cd) if pairs else _EMPTY)
+    return _make(f.vars, order, cvars, tuple(g))
 
 
 def as_series(value, variables, order: int) -> TruncSeries:
@@ -298,18 +429,13 @@ def as_series(value, variables, order: int) -> TruncSeries:
     return TruncSeries.const(value, variables, order)
 
 
-def poch_series(p, q: Fraction, n: int, variables, order: int) -> TruncSeries:
-    """(p; q)_n where p is a ring element or series: prod_{k<n} (1 - p q^k)."""
-    return qpochs(as_series(p, variables, order), q, n)[n]
-
-
 def _power_sum(z: TruncSeries, weight, name: str) -> TruncSeries:
     """1 + sum_k weight(k) z^k over k <= z.order, for the Euler-type expansions.
 
     z must have zero constant term, so z^k raises the valuation and the sum
     is finite at any truncation order.
     """
-    if not is_zero_elem(z.constant_term()):
+    if z._layers[0][1]:
         raise ValueError(f"{name} needs a series with zero constant term")
     out = TruncSeries.one(z.vars, z.order)
     power = TruncSeries.one(z.vars, z.order)
@@ -343,24 +469,6 @@ def cauchy_series(a, z: TruncSeries, q: Fraction) -> TruncSeries:
     pochs = qpochs(a, q, z.order)
     return _power_sum(z, lambda k: pochs[k] * (Fraction(1) / qfac(q, k)),
                       "cauchy_series")
-
-
-def euler_expand(c, q: Fraction, order: int, var: str = "t") -> TruncSeries:
-    """(c t; q)_oo as a series in the single variable var."""
-    z = TruncSeries.variable((var,), order, var).scale(c)
-    return euler_series(z, q)
-
-
-def euler_inv_expand(c, q: Fraction, order: int, var: str = "t") -> TruncSeries:
-    """1/(c t; q)_oo as a series in the single variable var."""
-    z = TruncSeries.variable((var,), order, var).scale(c)
-    return euler_inv_series(z, q)
-
-
-def cauchy_expand(a, c, q: Fraction, order: int, var: str = "t") -> TruncSeries:
-    """(a c t; q)_oo / (c t; q)_oo as a series in the single variable var."""
-    z = TruncSeries.variable((var,), order, var).scale(c)
-    return cauchy_series(a, z, q)
 
 
 @dataclass(frozen=True)
@@ -402,10 +510,7 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
     one = TruncSeries.one(variables, N)
     uppers = [as_series(p, variables, N) for p in spec.upper]
     lowers = [as_series(p, variables, N) for p in spec.lower]
-    out = one
-    num = one
-    den_inv = one
-    argpow = one
+    out = num = den_inv = argpow = one
     ratio = Fraction(1)
     for j in range(1, N + 1):
         qk = q ** (j - 1)
@@ -414,7 +519,7 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
         for rnum, rden in spec.ratio_upper:
             ratio = ratio * (rden - rnum * qk)
         for l in lowers:
-            den_inv = den_inv * series_inv(one - l.scale(qk))
+            den_inv = _divide(den_inv, one - l.scale(qk))
         argpow = argpow * arg
         if argpow.is_zero():
             break

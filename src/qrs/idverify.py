@@ -665,7 +665,6 @@ def _run_mixed_identity(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_askey_ismail(order, q, params):
-    zero = Fraction(0)
     rs_pairs = _pair_products(rs_poly, q, order)
     brs_pairs = _pair_products(brs_poly, q, order)
     for n in range(order + 1):
@@ -674,8 +673,8 @@ def _run_askey_ismail(order, q, params):
             rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k][m - k], alternating=True)
             yield f"n={n}, m={m}", lhs, rhs
             ml, mr = _mixed_sides(n, m, q, brs_pairs)
-            yield f"n={n}, m={m} (y=0 shadow, left)", ml.substitute({"y": zero}), lhs
-            yield f"n={n}, m={m} (y=0 shadow, right)", mr.substitute({"y": zero}), rhs
+            yield f"n={n}, m={m} (y=0 shadow, left)", ml.partial_coefficient({"y": 0}), lhs
+            yield f"n={n}, m={m} (y=0 shadow, right)", mr.partial_coefficient({"y": 0}), rhs
 
 
 # -- exact: q-Hermite connections ----------------------------------------------

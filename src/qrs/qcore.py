@@ -182,13 +182,11 @@ def _mul_into(acc: dict, small: dict, big: dict) -> dict:
         ((e1, c1),) = small.items()
         return {e1 + e2: c1 * c2 for e2, c2 in big.items()}
     items = list(big.items()) if len(small) > 1 else big.items()
+    get = acc.get
     for e1, c1 in small.items():
         for e2, c2 in items:
             e = e1 + e2
-            if e in acc:
-                acc[e] += c1 * c2
-            else:
-                acc[e] = c1 * c2
+            acc[e] = get(e, 0) + c1 * c2
     return acc
 
 

@@ -10,6 +10,7 @@ truncation error of its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .families import CauchyExpansion, brs_poly
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
@@ -132,7 +133,19 @@ def _divide_linear(f: MultiPoly, x: str, beta: MultiPoly) -> MultiPoly:
     return quot
 
 
-def e_op_apply(operand: TruncSeries, route: str = "basis") -> TruncSeries:
+class CauchyOperand(NamedTuple):
+    """A truncated series whose coefficients are Cauchy-basis expansions,
+    the operand of E(D_xy): coeffs maps index tuples to CauchyExpansion."""
+
+    vars: tuple
+    order: int
+    coeffs: dict
+
+    def coefficient(self, idx) -> CauchyExpansion:
+        return self.coeffs[tuple(idx)]
+
+
+def e_op_apply(operand: CauchyOperand, route: str = "basis") -> TruncSeries:
     """E(D_xy) = sum_k D_xy^k/(q;q)_k on a series of Cauchy expansions.
 
     Each coefficient maps P_k -> h_k(x,y|q). route='basis' substitutes the
@@ -162,13 +175,14 @@ def e_apply_expansion(f: CauchyExpansion, route: str = "basis") -> MultiPoly:
 
 
 def cauchy_operand(polys: dict, q: Fraction, order: int, cap: int | None = None,
-                   variables=("t",)) -> TruncSeries:
-    """Build a series of CauchyExpansion coefficients from MultiPoly ones."""
+                   variables=("t",)) -> CauchyOperand:
+    """Lift a series of MultiPoly (or rational) coefficients, given as a dict
+    from index tuples, to the Cauchy basis; indices above the order drop."""
     from .families import poly_to_cauchy
-    lifted = {idx: p if isinstance(p, MultiPoly) else MultiPoly.const(p)
-              for idx, p in polys.items()}
-    return TruncSeries(variables, order,
-                       {idx: poly_to_cauchy(p, q, cap) for idx, p in lifted.items()})
+    lifted = {tuple(idx): p if isinstance(p, MultiPoly) else MultiPoly.const(p)
+              for idx, p in polys.items() if sum(idx) <= order}
+    return CauchyOperand(tuple(variables), order,
+                         {idx: poly_to_cauchy(p, q, cap) for idx, p in lifted.items()})
 
 
 # -- the two-parameter operator product transformation -----------------------

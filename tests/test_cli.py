@@ -163,6 +163,10 @@ CAPTURED = [
       "--set", "q=0.65"], "verify_ortho_big_n7_m5.json", 0),
     (["verify", "--identity", "closed-H-mqq", "--q", "0.7", "--set", "a=-0.35",
       "--set", "t=0.45"], "verify_closed_H_mqq_q07.json", 0),
+    (["verify", "--identity", "mehler-brs", "--order", "10"],
+     "verify_mehler_brs_order10.json", 0),
+    (["verify", "--identity", "rogers-brs", "--order", "10"],
+     "verify_rogers_brs_order10.json", 0),
 ]
 
 
@@ -182,7 +186,9 @@ def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, cap
     # verify-all captures and the ortho-big one were re-taken again when H_n
     # moved from the circle sum to the three-term recurrence: only the
     # residuals of the seven gf cases and ortho-big, and the ortho-big
-    # --perturb witness that prints the integral, moved, by at most 1.2e-16
+    # --perturb witness that prints the integral, moved, by at most 1.2e-16.
+    # The two order-10 series captures were taken with the per-coefficient
+    # series arithmetic, before the series moved to packed degree layers.
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

@@ -2,17 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrs.fps import (PhiSpec, TruncSeries, cauchy_expand, cauchy_series,
-                     euler_expand, euler_inv_expand, euler_inv_series,
-                     euler_series, phi_series, phi_sum, poch_series,
-                     series_inv)
-from qrs.qcore import MultiPoly, qfac, qpoch
+import reference_series as ref
+from qrs.fps import (PhiSpec, TruncSeries, cauchy_series, euler_inv_series,
+                     euler_series, phi_series, phi_sum, series_inv)
+from qrs.qcore import _FIELD, MultiPoly, _unpack, qfac, qpoch
 from qrs.quadrature import qpoch_inf
+from reference_series import (cauchy_expand, euler_expand, euler_inv_expand,
+                              poch_series)
 
 RNG_SEED = 77103
 
@@ -240,15 +242,6 @@ def test_diff_witness_reports_first_lexicographic_difference():
     assert f.diff_witness(f) is None
 
 
-def test_series_json_round_trip():
-    rng = random.Random(RNG_SEED + 4)
-    x = MultiPoly.var("x")
-    f = TruncSeries(("t",), 4, {(k,): x ** k * Fraction(k + 1) for k in range(5)})
-    assert TruncSeries.from_json_dict(f.to_json_dict()) == f
-    g = rand_series(rng, ("s", "t"), 5)
-    assert TruncSeries.from_json_dict(g.to_json_dict()) == g
-
-
 # -- ring properties with polynomial coefficients ------------------------------
 
 SERIES = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -332,3 +325,166 @@ def test_phi_series_matches_the_direct_sum(order):
     ]
     for spec in specs:
         assert phi_series(spec) == phi_direct(spec, order)
+
+
+# -- the layered packed storage against the per-coefficient reference ---------
+#
+# Each test builds the same coefficient dicts into a qrs.fps.TruncSeries and
+# into the frozen reference of reference_series.py, runs one operation on
+# both, and requires the same order and the same coefficients, index by
+# index. Rationals reach denominators of 100-200, as the bases q do.
+
+LAYERS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+wide_q = st.integers(100, 200).flatmap(
+    lambda d: st.integers(1 - d, d - 1).filter(bool).map(lambda n: Fraction(n, d)))
+wide_scalars = st.one_of(wide_q, st.fractions(min_value=-3, max_value=3, max_denominator=200))
+wide_polys = st.sampled_from([("x",), ("y",), ("u", "x"), ("x", "y")]).flatmap(
+    lambda names: st.dictionaries(
+        st.tuples(*(st.integers(0, 3) for _ in names)), wide_scalars,
+        max_size=4).map(lambda terms: MultiPoly(names, terms)))
+# one draw of coefficients is all rational or mixes in polynomials
+coefficient_kinds = st.sampled_from([wide_scalars, st.one_of(wide_scalars, wide_polys)])
+
+
+@st.composite
+def operands(draw, count=2, unit=False, max_order=6):
+    """count (variables, order, coeffs) triples over one frame and one kind
+    of coefficient, at independent orders, with indices up to one past the
+    order so that construction has something to drop."""
+    variables = draw(frames)
+    elems = draw(coefficient_kinds)
+    out = []
+    for _ in range(count):
+        order = draw(st.integers(0, max_order))
+        idx = st.tuples(*(st.integers(0, order + 1) for _ in variables))
+        coeffs = draw(st.dictionaries(idx, elems, max_size=8))
+        if unit:
+            coeffs[(0,) * len(variables)] = draw(st.sampled_from(
+                [Fraction(1), Fraction(-150, 151), MultiPoly.const(Fraction(3, 5))]))
+        out.append((variables, order, coeffs))
+    return out
+
+
+def both(operand):
+    """The operand as a package series and as a reference series."""
+    return TruncSeries(*operand), ref.TruncSeries(*operand)
+
+
+def canonical(s: TruncSeries) -> bool:
+    """One layer per degree through the order, each holding only exponents
+    of its degree, reduced, with no zero numerator."""
+    shift = _FIELD * len(s.cvars)
+    return len(s._layers) == s.order + 1 and all(
+        den > 0 and 0 not in num.values() and gcd(den, *num.values()) == 1
+        and all(sum(_unpack(e >> shift, len(s.vars))) == d for e in num)
+        for d, (den, num) in enumerate(s._layers))
+
+
+def assert_same(got: TruncSeries, want: "ref.TruncSeries"):
+    assert got.vars == want.vars and got.order == want.order
+    assert dict(got.coeffs) == want.coeffs
+    assert canonical(got)
+
+
+@LAYERS
+@given(operands())
+def test_layered_mul_add_sub_match_the_reference(ops):
+    (a, ra), (b, rb) = both(ops[0]), both(ops[1])
+    assert_same(a * b, ra * rb)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(-a, -ra)
+    assert_same(a * a, ra * ra)
+
+
+@LAYERS
+@given(operands(), st.one_of(wide_scalars, wide_polys, st.just(Fraction(0))),
+       st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_layered_scale_shift_truncate_match_the_reference(ops, elem, idx):
+    a, ra = both(ops[0])
+    idx = idx[:len(a.vars)]
+    assert_same(a.scale(elem), ra.scale(elem))
+    assert_same(a * elem, ra * elem)
+    assert_same(a + elem, ra + elem)
+    assert_same(a.shift(idx), ra.shift(idx))
+    assert_same(a.shift(idx) * a, ra.shift(idx) * ra)
+    assert_same(a.truncate(ops[1][1]), ra.truncate(ops[1][1]))
+
+
+@LAYERS
+@given(operands())
+def test_sums_that_cancel_match_the_reference(ops):
+    (variables, order, coeffs), (_, _, extra) = ops
+    minus = {i: -c for i, c in coeffs.items()}
+    for i, c in extra.items():
+        minus[i] = minus[i] + c if i in minus else c
+    a, ra = both((variables, order, coeffs))
+    b, rb = both((variables, order, minus))
+    assert_same(a + b, ra + rb)
+    assert_same(b + a, rb + ra)
+    zero = a * b - b * a
+    assert zero.is_zero() and not zero.coeffs
+    assert_same(zero, ra * rb - rb * ra)
+    assert (a - a).is_zero() and a - a == TruncSeries.zero(variables, order)
+
+
+@LAYERS
+@given(operands(count=1, unit=True))
+def test_layered_series_inv_matches_the_reference(ops):
+    a, ra = both(ops[0])
+    assert_same(series_inv(a), ref.series_inv(ra))
+
+
+@LAYERS
+@given(operands(), st.data())
+def test_layered_diff_witness_matches_the_reference(ops, data):
+    (variables, order, coeffs), (_, _, other) = ops
+    # b differs from a at a few indices, or not at all
+    changed = dict(coeffs)
+    for i, c in data.draw(st.sampled_from([{}, other])).items():
+        changed[i] = changed[i] + c if i in changed else c
+    (a, ra), (b, rb) = both((variables, order, coeffs)), both((variables, order, changed))
+    got, want = a.diff_witness(b), ra.diff_witness(rb)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0] and got[1] == want[1]
+    assert (a == b) == (want is None)
+
+
+def _linear(data, variables, order, elems) -> tuple:
+    """A series of degree 1 with zero constant term, as a package series
+    and as a reference series."""
+    units = [tuple(int(i == k) for i in range(len(variables))) for k in range(len(variables))]
+    picked = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=2, unique=True))
+    return both((variables, order, {idx: data.draw(elems) for idx in picked}))
+
+
+def _param(data, variables, order, elems) -> tuple:
+    """A phi parameter, a rational or polynomial or a `_linear` series."""
+    if data.draw(st.booleans()):
+        return _linear(data, variables, order, elems)
+    value = data.draw(elems)
+    return value, value
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_layered_phi_series_matches_the_reference(data):
+    variables = data.draw(frames)
+    order = data.draw(st.integers(0, 4))
+    q = data.draw(wide_q)
+    elems = data.draw(coefficient_kinds)
+    uppers = [_param(data, variables, order, elems) for _ in range(data.draw(st.integers(0, 2)))]
+    # a lower parameter keeps 1 - l q^k a unit: |l| < 1, or no constant term
+    lowers = [_param(data, variables, order, wide_q) for _ in range(data.draw(st.integers(0, 1)))]
+    ratios = tuple((data.draw(elems), data.draw(elems))
+                   for _ in range(data.draw(st.integers(0, 1))))
+    arg, rarg = _linear(data, variables, order + data.draw(st.integers(0, 1)), elems)
+    got = phi_series(PhiSpec(upper=tuple(u for u, _ in uppers),
+                             lower=tuple(low for low, _ in lowers),
+                             ratio_upper=ratios, q=q, argument=arg))
+    want = ref.phi_series(PhiSpec(upper=tuple(r for _, r in uppers),
+                                  lower=tuple(r for _, r in lowers),
+                                  ratio_upper=ratios, q=q, argument=rarg))
+    assert_same(got, want)
