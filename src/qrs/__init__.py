@@ -2,23 +2,22 @@
 identities.
 
 The package has three layers: a small exact computer-algebra kernel
-(multivariate polynomials, Laurent polynomials, truncated power series,
-basic hypergeometric sums over exact rational coefficients), the polynomial
-families built on it (Cauchy, Rogers-Szego in one and two variables,
-q-Hermite with and without a shift parameter), and a registry of identity
-checks that compare both sides of each identity either coefficientwise
-(exact) or numerically (complex evaluation, adaptive quadrature).
+(multivariate polynomials, truncated power series, basic hypergeometric
+sums over exact rational coefficients), the polynomial families built on it
+(Cauchy, Rogers-Szego in one and two variables, q-Hermite with and without
+a shift parameter), and a registry of identity checks that compare both
+sides of each identity either coefficientwise (exact) or numerically
+(complex evaluation, adaptive quadrature).
 """
 
-from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
+from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
-                       poly_to_cauchy, qhermite_eval, qhermite_laurent,
-                       qhermite_poly, rs_poly)
-from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                  phi_series, phi_sum, series_inv)
+                       poly_to_cauchy, qhermite_eval, qhermite_poly, rs_poly)
+from .fps import (PhiSpec, TruncSeries, cauchy_series, euler_inv_series,
+                  euler_series, phi_series, phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
-from .qcore import LaurentPoly, MultiPoly, frac, qbinom, qfac, qpoch
-from .qops import dq_apply, dxy_poly, e_op_apply, t_op_apply, t_op_graded
+from .qcore import MultiPoly, frac, qbinom, qfac, qpoch
+from .qops import dq_apply, e_op_apply, t_op_apply, t_op_graded, zhang_wang_check
 from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
                          askey_wilson_closed, askey_wilson_quad,
                          closed_forms_suite, inf_product, integrate, jhi_eval,
@@ -28,15 +27,15 @@ from .reporting import IdentityReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "IdentityCase", "IdentityReport", "IntegralSpec", "LaurentPoly",
-    "MultiPoly", "PhiSpec", "QuadratureError", "TruncSeries",
-    "askey_wilson_check", "askey_wilson_closed", "askey_wilson_quad",
-    "big_qhermite_laurent", "big_qhermite_poly", "brs_poly", "cauchy_poly",
+    "IdentityCase", "IdentityReport", "IntegralSpec", "MultiPoly", "PhiSpec",
+    "QuadratureError", "TruncSeries", "askey_wilson_check",
+    "askey_wilson_closed", "askey_wilson_quad", "big_qhermite_poly",
+    "big_qhermite_polys", "brs_poly", "cauchy_poly", "cauchy_series",
     "change_base_big", "change_base_c", "closed_forms_suite", "dq_apply",
-    "dxy_poly", "e_op_apply", "euler_inv_series", "euler_series", "frac",
-    "get_case", "inf_product", "integrate", "jhi_eval", "ortho_check",
-    "phi_series", "phi_sum", "poly_to_cauchy", "qbinom", "qfac",
-    "qhermite_eval", "qhermite_laurent", "qhermite_poly", "qpoch",
-    "qpoch_inf", "qpoch_n", "registry", "rs_poly", "series_inv", "t_op_apply",
-    "t_op_graded", "verify", "verify_all",
+    "e_op_apply", "euler_inv_series", "euler_series", "frac", "get_case",
+    "inf_product", "integrate", "jhi_eval", "ortho_check", "phi_series",
+    "phi_sum", "poly_to_cauchy", "qbinom", "qfac", "qhermite_eval",
+    "qhermite_poly", "qpoch", "qpoch_inf", "qpoch_n", "registry", "rs_poly",
+    "series_inv", "t_op_apply", "t_op_graded", "verify", "verify_all",
+    "zhang_wang_check",
 ]

@@ -2,9 +2,10 @@
 h_n(x|q) and their bivariate extension h_n(x,y|q), continuous q-Hermite and
 big q-Hermite polynomials, and change-of-base expansions between them.
 
-Every constructor is exact over rationals; the families indexed by n at a
-base q are memoised in qcore's bounded tables (`memo_table`), so repeated
-identity checks share one copy of each polynomial.
+Every constructor is exact over rationals. The Cauchy and Rogers-Szego
+families indexed by n at a base q are memoised in qcore's bounded tables
+(`memo_table`), so repeated identity checks share one copy of each
+polynomial; the q-Hermite families are built as one list per call.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qcore import (LaurentPoly, MultiPoly, frac, lincomb, memo_table, qbinom,
-                    qpochs, tri)
+from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, tri
 
 
 def cauchy_poly(n: int, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
@@ -62,44 +62,37 @@ def _a_elem(a):
     return frac(a)
 
 
-def big_qhermite_laurent(n: int, a, q: Fraction, z: str = "z") -> LaurentPoly:
-    """Big q-Hermite H_n(x;a|q) on the unit circle, x = cos(theta), z = e^(i theta):
+def big_qhermite_polys(n: int, a, q: Fraction, x: str = "x") -> list:
+    """[H_0, ..., H_n] of the big q-Hermite family H_k(x;a|q), built by the
+    three-term recurrence (Koekoek, Lesky & Swarttouw 2010, section 14.18)
 
-        H_n = sum_k [n,k]_q (a z; q)_k z^(n-2k).
+        H_(k+1) = (2x - a q^k) H_k - (1 - q^k) H_(k-1),  H_0 = 1.
 
-    a may be a rational or a symbol; the result is symmetric under z -> 1/z.
-    Multiplied by z^n the sum is an ordinary polynomial in z,
-
-        z^n H_n = sum_k [n,k]_q (a z; q)_k z^(2n-2k),
-
-    which is built as one `lincomb` over the running products (az; q)_k; the
-    coefficient of z^d is the Laurent coefficient of z^(d-n).
+    a may be a rational or a symbol. The list is built afresh on each call
+    and not memoised: a caller that wants several degrees at one (a, q)
+    holds one list.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     a, q = _a_elem(a), frac(q)
-    table = memo_table(("big", z, type(a), a), q)
-    if n not in table:
-        zv = MultiPoly.var(z)
-        pochs = qpochs(zv * a, q, n)
-        shifted = lincomb((qbinom(n, k, q), pochs[k], zv ** (2 * n - 2 * k))
-                          for k in range(n + 1))
-        table[n] = LaurentPoly({d - n: c for d, c in shifted.as_univariate(z).items()}, z)
-    return table[n]
+    two_x = MultiPoly.var(x) * 2
+    polys, qk = [MultiPoly.const(1)], Fraction(1)
+    for k in range(n):
+        step = polys[k] * (two_x - a * qk)
+        polys.append(lincomb(((step,), (qk - 1, polys[k - 1]))) if k else step)
+        qk *= q
+    return polys
 
 
 def big_qhermite_poly(n: int, a, q: Fraction, x: str = "x") -> MultiPoly:
-    """Big q-Hermite H_n(x;a|q) as a polynomial in x (Chebyshev folding)."""
-    return big_qhermite_laurent(n, a, q).to_x_poly(x)
+    """Big q-Hermite H_n(x;a|q) as a polynomial in x, the last entry of
+    `big_qhermite_polys`."""
+    return big_qhermite_polys(n, a, q, x)[n]
 
 
 def qhermite_poly(n: int, q: Fraction, x: str = "x") -> MultiPoly:
     """Continuous q-Hermite H_n(x|q), the a = 0 case of the big family."""
     return big_qhermite_poly(n, Fraction(0), q, x)
-
-
-def qhermite_laurent(n: int, q: Fraction, z: str = "z") -> LaurentPoly:
-    return big_qhermite_laurent(n, Fraction(0), q, z)
 
 
 def qhermite_eval(n: int, a, q, theta: float) -> complex:
@@ -170,22 +163,6 @@ def brs_to_rs_coeffs(n: int, q: Fraction, y: str = "y") -> list:
         MultiPoly((y,), {(n - m,): Fraction((-1) ** (n - m)) * q ** tri(n - m) * qbinom(n, n - m, q)})
         for m in range(n + 1)
     ]
-
-
-def rs_combo_to_brs(coeffs: list, q: Fraction, y: str = "y") -> list:
-    """Rewrite sum_n a_n h_n(x|q) as sum_m b_m(y) h_m(x,y|q)."""
-    return _recombine(coeffs, [rs_to_brs_coeffs(n, q, y) for n in range(len(coeffs))])
-
-
-def brs_combo_to_rs(coeffs: list, q: Fraction, y: str = "y") -> list:
-    """Rewrite sum_n a_n h_n(x,y|q) as sum_m b_m(y) h_m(x|q)."""
-    return _recombine(coeffs, [brs_to_rs_coeffs(n, q, y) for n in range(len(coeffs))])
-
-
-def _recombine(coeffs: list, rows: list) -> list:
-    """b_m = sum_n rows[n][m] a_n, where rows[n] has entries m <= n."""
-    return [lincomb((rows[n][m], a_n) for n, a_n in enumerate(coeffs) if n >= m)
-            for m in range(len(coeffs))]
 
 
 def ybinom_brs(n: int, q: Fraction) -> MultiPoly:

@@ -46,10 +46,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import (big_qhermite_laurent, big_qhermite_poly, brs_poly,
-                       cauchy_poly, change_base_big, change_base_c,
-                       h_to_bivariate, qhermite_circle, qhermite_laurent,
-                       qhermite_poly, rs_poly, ybinom_brs)
+from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
+                       change_base_big, change_base_c, h_to_bivariate,
+                       qhermite_circle, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
@@ -481,7 +480,7 @@ def _run_lemma_23(order, q, params):
         ratios.append(ratios[-1] * (one - t1.scale(_X * q ** k)) * step)
     for n in range(nmax + 1):
         op = (kernel * yinvs[n]).scale(cauchy_poly(n, q))
-        lhs = e_op_apply(cauchy_operand(dict(op.coeffs), q, order), route="basis")
+        lhs = e_op_apply(cauchy_operand(dict(op.coeffs), q, order))
         ksum = TruncSeries.zero(("t",), order)
         for k in range(n + 1):
             coef = qbinom(n, k, q) * ypochs[k] * _X ** (n - k)
@@ -688,11 +687,11 @@ def _run_askey_ismail(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hxa_hx(order, q, params):
+    big, plain = big_qhermite_polys(order, "a", q), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        lhs = big_qhermite_laurent(n, "a", q).to_x_poly()
-        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), _A ** k,
-                       qhermite_laurent(n - k, q).to_x_poly()) for k in range(n + 1))
-        yield f"n={n}", lhs, rhs
+        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), _A ** k, plain[n - k])
+                      for k in range(n + 1))
+        yield f"n={n}", big[n], rhs
 
 
 @_case("hx-hxa",
@@ -703,11 +702,10 @@ def _run_hxa_hx(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hx_hxa(order, q, params):
+    big, plain = big_qhermite_polys(order, "a", q), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        lhs = qhermite_laurent(n, q).to_x_poly()
-        rhs = lincomb((qbinom(n, k, q), _A ** k, big_qhermite_laurent(n - k, "a", q).to_x_poly())
-                      for k in range(n + 1))
-        yield f"n={n}", lhs, rhs
+        rhs = lincomb((qbinom(n, k, q), _A ** k, big[n - k]) for k in range(n + 1))
+        yield f"n={n}", plain[n], rhs
 
 
 @_case("cb-hermite",
@@ -719,11 +717,10 @@ def _run_hx_hxa(order, q, params):
        defaults={"p": Fraction(1, 3), "q": Fraction(1, 2)})
 def _run_cb_hermite(order, q, params):
     p = _exact_q(params, "p")
+    at_p, at_q = big_qhermite_polys(order, 0, p), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        lhs = qhermite_poly(n, p)
-        rhs = lincomb((change_base_c(n, j, p, q), qhermite_poly(n - 2 * j, q))
-                      for j in range(n // 2 + 1))
-        yield f"n={n}", lhs, rhs
+        rhs = lincomb((change_base_c(n, j, p, q), at_q[n - 2 * j]) for j in range(n // 2 + 1))
+        yield f"n={n}", at_p[n], rhs
 
 
 @_case("cb-big",
@@ -736,10 +733,10 @@ def _run_cb_hermite(order, q, params):
 def _run_cb_big(order, q, params):
     p = _exact_q(params, "p")
     a = frac(params["a"])
+    at_p, at_q = big_qhermite_polys(order, a, p), big_qhermite_polys(order, a, q)
     for n in range(order + 1):
-        lhs = big_qhermite_poly(n, a, p)
-        rhs = lincomb((e, big_qhermite_poly(m, a, q)) for m, e in change_base_big(n, a, p, q) if e)
-        yield f"n={n}", lhs, rhs
+        rhs = lincomb((e, at_q[m]) for m, e in change_base_big(n, a, p, q) if e)
+        yield f"n={n}", at_p[n], rhs
 
 
 # -- numeric-complex checks ----------------------------------------------------

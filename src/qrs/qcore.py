@@ -1,6 +1,5 @@
 """Exact arithmetic kernel: rationals, multivariate polynomials, q-shifted
-factorials and Gaussian binomials, plus the Laurent-polynomial container of
-the circle representation (its arithmetic is done on MultiPoly).
+factorials and Gaussian binomials.
 
 Exact scalars are arbitrary-precision rationals (fractions.Fraction). A
 MultiPoly keeps its coefficients over the integers instead: one positive
@@ -20,8 +19,8 @@ the whole accumulator at every step.
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
 
-Sequences indexed by n at a base q, such as (q; q)_n and the families built
-on them, are memoised in tables n -> value held by one LRU of MEMO_KEYS
+Sequences indexed by n at a base q, such as (q; q)_n and the Cauchy and
+Rogers-Szego families built on them, are memoised in tables n -> value held by one LRU of MEMO_KEYS
 tables (`memo_table`). Recurrences fill a table lowest n first in a loop,
 so no degree is too deep for the recursion limit.
 """
@@ -582,73 +581,6 @@ _set_num = MultiPoly._num.__set__
 _set_terms = MultiPoly._terms.__set__
 _set_key = MultiPoly._key.__set__
 
-ZERO = MultiPoly((), {})
-
-
-class LaurentPoly:
-    """Laurent polynomial in one variable with MultiPoly coefficients.
-
-    The circle representation of the q-Hermite families: the variable z
-    stands for e^(i*theta), and symmetric Laurent polynomials fold into
-    ordinary polynomials in x = cos(theta) via z^k + z^-k = 2 T_k(x). It is
-    a container, not an arithmetic kernel: builders form z^N times the
-    Laurent polynomial as a MultiPoly in z and read the terms off that.
-    """
-
-    __slots__ = ("var", "terms")
-
-    def __init__(self, terms: dict, var: str = "z"):
-        clean = {}
-        for k, c in terms.items():
-            if _is_scalar(c):
-                c = MultiPoly.const(c)
-            if not c.is_zero():
-                clean[int(k)] = c
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __eq__(self, other):
-        if _is_scalar(other) or isinstance(other, MultiPoly):
-            other = LaurentPoly({0: other}, self.var)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.var == other.var and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.var, tuple(sorted((k, c.key()) for k, c in self.terms.items()))))
-
-    def is_symmetric(self) -> bool:
-        return all(self.terms.get(-k, ZERO) == c for k, c in self.terms.items())
-
-    def to_x_poly(self, xvar: str = "x") -> MultiPoly:
-        """Fold a z <-> 1/z symmetric Laurent polynomial to x = (z + 1/z)/2."""
-        if not self.is_symmetric():
-            raise ValueError("Laurent polynomial is not symmetric under z -> 1/z")
-        out = self.terms.get(0, ZERO)
-        for k in sorted(self.terms):
-            if k > 0:
-                out = out + self.terms[k] * chebyshev_t(k, xvar) * 2
-        return out
-
-    def eval(self, z, bindings: dict | None = None):
-        """Numeric value at a complex z, other symbols bound as needed."""
-        bindings = bindings or {}
-        total = 0j
-        for k, c in self.terms.items():
-            total += complex(poly_eval(c, bindings)) * z ** k
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{self.var}^{k}" for k, c in sorted(self.terms.items()))
-
-    def __repr__(self):
-        return f"LaurentPoly({self})"
-
 
 @lru_cache(maxsize=MEMO_KEYS)
 def _table(*key) -> dict:
@@ -666,19 +598,6 @@ def memo_table(tag, q) -> dict:
     if type(q) is Fraction:
         return _table(tag, Fraction, q.numerator, q.denominator)
     return _table(tag, type(q), q)
-
-
-def chebyshev_t(k: int, xvar: str = "x") -> MultiPoly:
-    """Chebyshev polynomial T_k, with T_k(cos t) = cos(k t)."""
-    table = memo_table("chebyshev", xvar)
-    if k not in table:
-        x = MultiPoly.var(xvar)
-        table.setdefault(0, MultiPoly.const(1, (xvar,)))
-        table.setdefault(1, x)
-        for j in range(2, k + 1):
-            if j not in table:
-                table[j] = x * table[j - 1] * 2 - table[j - 2]
-    return table[k]
 
 
 def qfacs(q, n: int) -> dict:
@@ -768,19 +687,3 @@ def qbinom(n: int, k: int, q):
                     column[m] = one if m == j else left[m - 1] + q ** j * column[m - 1]
             left = column
     return column[n]
-
-
-def poly_eval(p: MultiPoly, bindings: dict):
-    """Evaluate with every variable bound; exact iff all bindings are exact."""
-    missing = [v for v in p.vars if v not in bindings]
-    if missing:
-        raise ValueError(f"unbound variables in poly_eval: {missing}")
-    numeric = any(isinstance(bindings[v], (float, complex)) for v in p.vars)
-    total = 0j if numeric else Fraction(0)
-    for exp, c in p.terms.items():
-        term = complex(c) if numeric else c
-        for v, e in zip(p.vars, exp):
-            if e:
-                term *= bindings[v] ** e
-        total += term
-    return total

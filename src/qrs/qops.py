@@ -1,5 +1,5 @@
 """q-operator calculus: the q-derivative D_q, the exponential-type operator
-T(b D_q), the Cauchy-basis divided difference D_xy, and E(D_xy).
+T(b D_q), and E(D_xy) of the Cauchy-basis divided difference D_xy.
 
 Operators act on truncated series (D_q in the series variable a) or on
 Cauchy-basis expansions (D_xy). Both are degree lowering, so on truncated
@@ -96,43 +96,6 @@ def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
 # -- Cauchy-basis operators ---------------------------------------------------
 
 
-def dxy_apply(f: CauchyExpansion) -> CauchyExpansion:
-    """Divided difference on the Cauchy basis: P_n -> (1 - q^n) P_(n-1)."""
-    q = f.q
-    return CauchyExpansion(
-        [f.coefficient(k + 1) * (1 - q ** (k + 1)) for k in range(len(f) - 1)], q)
-
-
-def dxy_poly(f: MultiPoly, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly:
-    """The defining quotient (f(x, y/q) - f(qx, y)) / (x - y/q).
-
-    Only defined on the span of the Cauchy basis, where the division is
-    exact; anything else raises. Serves as the independent route for testing
-    dxy_apply.
-    """
-    q = frac(q)
-    numer = f.substitute({y: MultiPoly.var(y) * (Fraction(1) / q)}) \
-        - f.substitute({x: MultiPoly.var(x) * q})
-    return _divide_linear(numer, x, MultiPoly.var(y) * (Fraction(1) / q))
-
-
-def _divide_linear(f: MultiPoly, x: str, beta: MultiPoly) -> MultiPoly:
-    """Exact division of f by (x - beta) with beta free of x."""
-    by_deg = f.as_univariate(x)
-    d = max(by_deg, default=0)
-    xv = MultiPoly.var(x)
-    quot = MultiPoly.const(0)
-    carry = MultiPoly.const(0)
-    for i in range(d, 0, -1):
-        coef = by_deg.get(i, MultiPoly.const(0)) + carry
-        quot = quot + xv ** (i - 1) * coef
-        carry = coef * beta
-    rem = by_deg.get(0, MultiPoly.const(0)) + carry
-    if not rem.is_zero():
-        raise ValueError("division by (x - y/q) is not exact")
-    return quot
-
-
 class CauchyOperand(NamedTuple):
     """A truncated series whose coefficients are Cauchy-basis expansions,
     the operand of E(D_xy): coeffs maps index tuples to CauchyExpansion."""
@@ -145,33 +108,24 @@ class CauchyOperand(NamedTuple):
         return self.coeffs[tuple(idx)]
 
 
-def e_op_apply(operand: CauchyOperand, route: str = "basis") -> TruncSeries:
+def e_op_apply(operand: CauchyOperand) -> TruncSeries:
     """E(D_xy) = sum_k D_xy^k/(q;q)_k on a series of Cauchy expansions.
 
-    Each coefficient maps P_k -> h_k(x,y|q). route='basis' substitutes the
-    bivariate Rogers-Szego polynomials directly; route='operator' applies
-    the finite D_xy sum. The two agree, which the tests pin down.
+    D_xy sends P_n to (1 - q^n) P_(n-1), so E(D_xy) maps each basis
+    polynomial P_k to the bivariate Rogers-Szego polynomial h_k(x,y|q),
+    which is substituted directly.
     """
     out = {}
     for idx, c in operand.coeffs.items():
         if not isinstance(c, CauchyExpansion):
             raise TypeError("e_op_apply expects CauchyExpansion coefficients")
-        out[idx] = e_apply_expansion(c, route)
+        out[idx] = e_apply_expansion(c)
     return TruncSeries(operand.vars, operand.order, out)
 
 
-def e_apply_expansion(f: CauchyExpansion, route: str = "basis") -> MultiPoly:
-    q = f.q
-    if route == "basis":
-        return lincomb((c, brs_poly(k, q)) for k, c in enumerate(f.coeffs))
-    if route == "operator":
-        terms = []
-        g = f
-        while len(g):
-            terms.append((Fraction(1) / qfac(q, len(terms)), g.to_poly()))
-            g = dxy_apply(g)
-        return lincomb(terms)
-    raise ValueError(f"unknown route {route!r}")
+def e_apply_expansion(f: CauchyExpansion) -> MultiPoly:
+    """E(D_xy) on one Cauchy expansion: sum_k c_k P_k -> sum_k c_k h_k(x,y|q)."""
+    return lincomb((c, brs_poly(k, f.q)) for k, c in enumerate(f.coeffs))
 
 
 def cauchy_operand(polys: dict, q: Fraction, order: int, cap: int | None = None,

@@ -4,8 +4,9 @@ implementation that `qrs.qcore.MultiPoly` replaced.
 Terms are a dict from exponent tuples to nonzero Fractions and every
 operation works term by term in Fraction arithmetic. It is slow but
 obviously right, so the property tests in test_multipoly_kernel.py check
-the packed integer kernel against it. It is not part of the package and
-nothing outside the tests imports it; do not optimise it.
+the packed integer kernel against it. `poly_eval` evaluates a polynomial of
+either kind term by term from its `vars` and `terms`. None of this is part
+of the package and nothing outside the tests imports it; do not optimise it.
 """
 
 from __future__ import annotations
@@ -293,3 +294,18 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self})"
 
+
+def poly_eval(p, bindings: dict):
+    """Evaluate with every variable bound; exact iff all bindings are exact."""
+    missing = [v for v in p.vars if v not in bindings]
+    if missing:
+        raise ValueError(f"unbound variables in poly_eval: {missing}")
+    numeric = any(isinstance(bindings[v], (float, complex)) for v in p.vars)
+    total = 0j if numeric else Fraction(0)
+    for exp, c in p.terms.items():
+        term = complex(c) if numeric else c
+        for v, e in zip(p.vars, exp):
+            if e:
+                term *= bindings[v] ** e
+        total += term
+    return total

@@ -175,9 +175,10 @@ CAPTURED = [
 def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, capture, code):
     # `python -m qrs <argv>` as captured with the dict-of-Fraction MultiPoly
     # kernel (the first two), before the registry runners were split from
-    # their verdicts (the next two) and while the circle form was still
-    # multiplied out with Laurent arithmetic (the two expands) and while each
-    # quadrature integrand multiplied out both halves of every conjugate pair
+    # their verdicts (the next two), while the exact big q-Hermite
+    # polynomials were built in the circle form and folded to x through
+    # Chebyshev polynomials (the two expands, now built by the three-term
+    # recurrence) and while each quadrature integrand multiplied out both halves of every conjugate pair
     # (the integrals off their default parameters); a refactor must reproduce
     # every byte. The captures holding quadrature floats were re-taken with
     # the same argv when the circle integrals moved from GK15 to the

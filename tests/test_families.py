@@ -6,17 +6,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from reference_multipoly import poly_eval
 
 from qrs import qcore
-from qrs.families import (CauchyExpansion, big_qhermite_laurent,
-                          big_qhermite_poly, brs_combo_to_rs, brs_poly,
-                          brs_to_rs_coeffs, cauchy_poly, change_base_big,
-                          change_base_c, h_to_bivariate, poly_to_cauchy,
-                          qhermite_circle, qhermite_eval, qhermite_laurent,
-                          qhermite_poly, rs_combo_to_brs, rs_poly,
+from qrs.families import (CauchyExpansion, big_qhermite_poly,
+                          big_qhermite_polys, brs_poly, brs_to_rs_coeffs,
+                          cauchy_poly, change_base_big, change_base_c,
+                          h_to_bivariate, poly_to_cauchy, qhermite_circle,
+                          qhermite_eval, qhermite_poly, rs_poly,
                           rs_to_brs_coeffs)
-from qrs.qcore import (LaurentPoly, MultiPoly, lincomb, poly_eval, qbinom, qfac,
-                       qpoch)
+from qrs.qcore import MultiPoly, lincomb, qbinom, qfac, qpoch
 
 RNG_SEED = 550211
 
@@ -95,6 +94,12 @@ def test_brs_is_binomial_cauchy_sum():
         assert brs_poly(n, q) == expect
 
 
+def _recombine(coeffs: list, rows: list) -> list:
+    """b_m = sum_n rows[n][m] a_n, where rows[n] has entries m <= n."""
+    return [lincomb((rows[n][m], a_n) for n, a_n in enumerate(coeffs) if n >= m)
+            for m in range(len(coeffs))]
+
+
 def test_rs_brs_coefficient_conversions_invert():
     rng = random.Random(RNG_SEED + 3)
     for _ in range(12):
@@ -102,8 +107,9 @@ def test_rs_brs_coefficient_conversions_invert():
         n = rng.randint(0, 6)
         combo = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(n + 1)]
-        there = rs_combo_to_brs(combo, q)
-        back = brs_combo_to_rs(there, q)
+        # sum_k a_k h_k(x|q) rewritten over h_m(x,y|q), and back
+        there = _recombine(combo, [rs_to_brs_coeffs(k, q) for k in range(n + 1)])
+        back = _recombine(there, [brs_to_rs_coeffs(k, q) for k in range(n + 1)])
         assert all(c.is_constant() for c in back)
         assert [c.constant_value() for c in back] == combo
         # and the conversions really express the same polynomial
@@ -148,62 +154,67 @@ def test_qhermite_three_term_recurrence():
             assert lhs == rhs, f"n={n} q={q}"
 
 
-def test_big_qhermite_three_term_recurrence():
-    # H_{n+1}(x;a|q) = (2x - a q^n) H_n(x;a|q) - (1 - q^n) H_{n-1}(x;a|q)
-    rng = random.Random(RNG_SEED + 5)
-    for _ in range(8):
-        q = rand_q(rng)
-        for a, top in ((Fraction(rng.randint(-3, 3), 4), 6), (A, 8)):
-            for n in range(1, top + 1):
-                lhs = big_qhermite_poly(n + 1, a, q)
-                rhs = (2 * X - a * q ** n) * big_qhermite_poly(n, a, q) \
-                    - (1 - q ** n) * big_qhermite_poly(n - 1, a, q)
-                assert lhs == rhs, f"n={n} q={q} a={a}"
-
-
 def test_big_qhermite_frozen_low_degrees():
     q = Fraction(2, 5)
-    lp1 = big_qhermite_laurent(1, "a", q).to_x_poly()
-    assert lp1 == 2 * X - A
-    lp2 = big_qhermite_laurent(2, "a", q).to_x_poly()
+    assert big_qhermite_poly(1, "a", q) == 2 * X - A
     expect = 4 * X * X - 2 * (1 + q) * A * X + q * A * A + (q - 1)
-    assert lp2 == expect
+    assert big_qhermite_poly(2, "a", q) == expect
 
 
-def test_big_qhermite_running_poch_matches_qpoch_for_every_k():
-    # the circle form takes (az;q)_k from one running product; rebuilt with
-    # qpoch for every k its terms print, key and serialise the same
+def test_big_qhermite_matches_its_circle_definition():
+    # at x = (z + 1/z)/2 the definition reads
+    # z^n H_n(x;a|q) = sum_k [n,k]_q (a z; q)_k z^(2n-2k)
     z = MultiPoly.var("z")
-    for q in (Fraction(1, 2), Fraction(2, 5), Fraction(-3, 7)):
+    for q in (Fraction(1, 2), Fraction(-3, 7), Fraction(151, 197)):
         for a in ("a", 0, Fraction(1, 4), Fraction(-2, 3)):
             az = z * (A if a == "a" else a)
-            for n in range(11):
-                shifted = lincomb((qbinom(n, k, q), qpoch(az, q, k), z ** (2 * n - 2 * k))
-                                  for k in range(n + 1))
-                want = LaurentPoly({d - n: c for d, c in shifted.as_univariate("z").items()})
-                got = big_qhermite_laurent(n, a, q)
-                assert str(got) == str(want)
-                assert sorted(got.terms) == sorted(want.terms)
-                for d, c in got.terms.items():
-                    assert c.key() == want.terms[d].key()
-                    assert c.to_json_dict() == want.terms[d].to_json_dict()
+            for n, poly in enumerate(big_qhermite_polys(10, a, q)):
+                circle = lincomb((c, ((z * z + 1) * Fraction(1, 2)) ** j, z ** (n - j))
+                                 for j, c in poly.as_univariate("x").items())
+                want = lincomb((qbinom(n, k, q), qpoch(az, q, k), z ** (2 * n - 2 * k))
+                               for k in range(n + 1))
+                assert circle == want, (n, a, q)
+
+
+def test_big_qhermite_polys_match_the_defining_sums_at_cos_theta():
+    # the exact polynomials at x = cos theta, evaluated in rationals, against
+    # the 90-digit defining sums; theta near 0 and near pi included
+    for q in (Fraction(1, 2), Fraction(-3, 7), Fraction(151, 197)):
+        for a in (0, Fraction(1, 4), Fraction(-2, 3)):
+            polys = big_qhermite_polys(16, a, q)
+            for theta in (0.03, 1.1, 2.4, math.pi - 0.02):
+                exact = _defining_sums(range(17), float(a), float(q), theta, 90)
+                x = Fraction(math.cos(theta))
+                for n, poly in enumerate(polys):
+                    got = complex(poly_eval(poly, {"x": x}))
+                    assert _hermite_error(got, exact, n) <= 1e-12, (n, a, q, theta)
 
 
 def test_big_qhermite_a_zero_is_plain_family():
     q = Fraction(1, 3)
-    for n in range(8):
-        assert big_qhermite_poly(n, Fraction(0), q) == qhermite_poly(n, q)
-        assert big_qhermite_laurent(n, Fraction(0), q) == qhermite_laurent(n, q)
+    assert big_qhermite_polys(7, Fraction(0), q) == [qhermite_poly(n, q) for n in range(8)]
+    for n, poly in enumerate(big_qhermite_polys(7, "a", q)):
+        assert poly.substitute({"a": 0}) == qhermite_poly(n, q)
+
+
+def test_big_qhermite_polys_at_degree_120():
+    q = Fraction(1, 2)
+    polys = big_qhermite_polys(120, Fraction(1, 3), q)
+    top = polys[120]
+    assert len(polys) == 121 and top.total_degree() == 120
+    assert top.terms[(120,)] == 2 ** 120
+    # H_n(-x; a|q) = (-1)^n H_n(x; -a|q)
+    assert top.substitute({"x": -X}) == big_qhermite_poly(120, Fraction(-1, 3), q)
 
 
 def test_qhermite_eval_matches_exact_laurent():
+    # the exact value: the rational x-polynomial H_n(x; a|q) at x = cos theta
     rng = random.Random(RNG_SEED + 6)
     q = Fraction(2, 5)
     for n in range(11):
         a = Fraction(rng.randint(-2, 2), 5)
         theta = rng.uniform(0.05, math.pi - 0.05)
-        z = complex(math.cos(theta), math.sin(theta))
-        exact = big_qhermite_laurent(n, a, q).eval(z)
+        exact = poly_eval(big_qhermite_poly(n, a, q), {"x": math.cos(theta)})
         fast = qhermite_eval(n, complex(a), float(q), theta)
         assert abs(exact - fast) < 1e-10, f"n={n}"
 

@@ -1,6 +1,6 @@
 """Every name a module under src/qrs imports is used in that module, every
-module-level private name is referenced somewhere in the package, and every
-cache is bounded."""
+module-level private name is referenced somewhere in the package, every
+public one is exported or referenced, and every cache is bounded."""
 
 import ast
 import pathlib
@@ -56,18 +56,24 @@ def _referenced(node) -> set:
     return names
 
 
+def _top_level(sources: dict):
+    """Every top-level statement as (module, node), the names each one
+    refers to, and how many statements refer to each name."""
+    statements = [(module, node) for module, source in sources.items()
+                  for node in ast.parse(source).body]
+    refs = [_referenced(node) for _, node in statements]
+    return statements, refs, Counter(name for names in refs for name in names)
+
+
 def unreferenced_privates(sources: dict) -> list:
     """(module, line, name) of each module-level private function, class or
     constant that no other top-level statement of any module refers to. A
     function decorated by a call to a decorator of its own module (a
     registry such as idverify._case) counts as used."""
-    statements = [(module, node) for module, source in sources.items()
-                  for node in ast.parse(source).body]
+    statements, refs, count = _top_level(sources)
     local = {}
     for module, node in statements:
         local.setdefault(module, set()).update(_defined(node))
-    refs = [_referenced(node) for _, node in statements]
-    count = Counter(name for names in refs for name in names)
     found = []
     for (module, node), own in zip(statements, refs):
         registered = any(isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -92,6 +98,33 @@ def test_the_check_sees_an_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def dead_publics(sources: dict, exported) -> list:
+    """(module, line, name) of each module-level public function, class or
+    constant that is not in `exported` and that no other top-level
+    statement of any module refers to."""
+    statements, refs, count = _top_level(sources)
+    return sorted((module, node.lineno, name)
+                  for (module, node), own in zip(statements, refs)
+                  for name in _defined(node)
+                  if not name.startswith("_") and name not in exported
+                  and count[name] == (name in own))
+
+
+def test_the_check_sees_a_dead_public_name():
+    sources = {
+        "a": "A = 1\nB = 2\ndef f():\n    return f()\ndef g():\n    pass\n"
+             "class C:\n    pass\ndef h():\n    return A\n",
+        "b": "from a import g\n",
+    }
+    assert dead_publics(sources, {"h"}) == [("a", 2, "B"), ("a", 3, "f"), ("a", 7, "C")]
+
+
+def test_every_public_name_is_exported_or_referenced():
+    import qrs
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dead_publics(sources, set(qrs.__all__)) == []
 
 
 def unbounded_caches(source: str) -> list:

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from reference_operators import dxy_apply, dxy_poly, e_apply_by_operator
 
 from qrs.families import CauchyExpansion, brs_poly, cauchy_poly, poly_to_cauchy
 from qrs.fps import TruncSeries, euler_inv_series, euler_series
 from qrs.qcore import MultiPoly, qbinom, qfac
-from qrs.qops import (cauchy_operand, dq_apply, dxy_apply, dxy_poly,
-                      e_apply_expansion, e_op_apply, t_op_apply, t_op_graded,
-                      zhang_wang_check)
+from qrs.qops import (cauchy_operand, dq_apply, e_apply_expansion, e_op_apply,
+                      t_op_apply, t_op_graded, zhang_wang_check)
 
 RNG_SEED = 90125
 
@@ -153,8 +153,8 @@ def test_e_op_routes_agree_and_map_basis_to_brs():
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(rng.randint(1, 6))]
         f = CauchyExpansion(coeffs, q)
-        via_basis = e_apply_expansion(f, "basis")
-        via_operator = e_apply_expansion(f, "operator")
+        via_basis = e_apply_expansion(f)
+        via_operator = e_apply_by_operator(f)
         assert via_basis == via_operator
         expect = MultiPoly.const(0, ("x", "y"))
         for k, c in enumerate(coeffs):
@@ -167,11 +167,10 @@ def test_e_op_apply_respects_series_structure():
     order = 3
     polys = {(k,): cauchy_poly(k, q) for k in range(order + 1)}
     operand = cauchy_operand(polys, q, order)
-    image = e_op_apply(operand, route="basis")
+    image = e_op_apply(operand)
     for k in range(order + 1):
         assert image.coefficient((k,)) == brs_poly(k, q)
-    image_op = e_op_apply(operand, route="operator")
-    assert image == image_op
+        assert image.coefficient((k,)) == e_apply_by_operator(operand.coefficient((k,)))
 
 
 def test_cauchy_operand_lifts_scalars_and_respects_cap():
