@@ -7,7 +7,7 @@ sums over exact rational coefficients), the polynomial families built on it
 (Cauchy, Rogers-Szego in one and two variables, q-Hermite with and without
 a shift parameter), and a registry of identity checks that compare both
 sides of each identity either coefficientwise (exact) or numerically
-(complex evaluation, adaptive quadrature).
+(complex evaluation, trapezoidal quadrature of the circle integrals).
 """
 
 from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
@@ -17,7 +17,7 @@ from .fps import (PhiSpec, TruncSeries, cauchy_series, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import MultiPoly, frac, qbinom, qfac, qpoch
-from .qops import dq_apply, e_op_apply, t_op_apply, t_op_graded, zhang_wang_check
+from .qops import dq_apply, e_op_apply, t_op_graded, zhang_wang_check
 from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
                          askey_wilson_closed, askey_wilson_quad,
                          closed_forms_suite, inf_product, integrate, jhi_eval,
@@ -36,6 +36,6 @@ __all__ = [
     "inf_product", "integrate", "jhi_eval", "ortho_check", "phi_series",
     "phi_sum", "poly_to_cauchy", "qbinom", "qfac", "qhermite_eval",
     "qhermite_poly", "qpoch", "qpoch_inf", "qpoch_n", "registry", "rs_poly",
-    "series_inv", "t_op_apply", "t_op_graded", "verify", "verify_all",
+    "series_inv", "t_op_graded", "verify", "verify_all",
     "zhang_wang_check",
 ]

@@ -53,8 +53,8 @@ from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
 from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
-from .quadrature import (IntegralSpec, askey_wilson_closed, askey_wilson_quad,
-                         integrate, jhi_eval, ortho_integrand, qpoch_inf, qpoch_n)
+from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
+                         ortho_quad, qpoch_inf, qpoch_n)
 from .reporting import IdentityReport, clip_witness
 
 NUMERIC_TOL = 1e-10
@@ -246,6 +246,20 @@ def _powers(ladder: list, x, top: int, exponent=None) -> None:
     the ladder rather than raising x afresh in every term."""
     for j in range(len(ladder), top + 1):
         ladder.append(x ** (exponent(j) if exponent else j))
+
+
+def _int_param(params, name: str) -> int:
+    """The named parameter as an int. Only a nonnegative integral value (an
+    int, or a float or Fraction equal to one) is accepted: anything else
+    raises rather than being truncated or giving an empty sweep."""
+    value = params[name]
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or n < 0:
+        raise ValueError(f"parameter {name} must be a nonnegative integer, got {value}")
+    return n
 
 
 def _unit_params(params, names) -> list:
@@ -465,7 +479,7 @@ def _run_zhang_wang(order, q, params):
        "0 < |q| < 1; nmax >= 0",
        defaults={"q": Fraction(1, 2), "nmax": 6})
 def _run_lemma_23(order, q, params):
-    nmax = int(params["nmax"])
+    nmax = _int_param(params, "nmax")
     t1 = TruncSeries.variable(("t",), order, "t")
     kernel = euler_series(t1.scale(_Y), q) * euler_inv_series(t1.scale(_X), q)
     pre = euler_series(t1.scale(_Y), q) * euler_inv_series(t1, q) \
@@ -683,7 +697,7 @@ def _run_askey_ismail(order, q, params):
        "the shift-parameter q-Hermite expands over plain q-Hermite "
        "polynomials with alternating q-power a-binomial weights",
        "exact-poly", 8,
-       "a symbolic; q bound rational; z Laurent variable; n swept",
+       "a symbolic; q bound rational; x symbolic; n swept",
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hxa_hx(order, q, params):
@@ -698,7 +712,7 @@ def _run_hxa_hx(order, q, params):
        "plain q-Hermite expands over shift-parameter q-Hermite polynomials "
        "with a-binomial weights",
        "exact-poly", 8,
-       "a symbolic; q bound rational; z Laurent variable; n swept",
+       "a symbolic; q bound rational; x symbolic; n swept",
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_hx_hxa(order, q, params):
@@ -971,11 +985,9 @@ def _run_askey_wilson(params, tol):
        "n, m <= 8; |a| < 1; |q| < 1",
        defaults={"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": QUAD_TOL})
 def _run_ortho_big(params, tol):
-    n, m = int(params["n"]), int(params["m"])
+    n, m = _int_param(params, "n"), _int_param(params, "m")
     a, q = _unit_params(params, "aq")
-    lhs, _ = integrate(IntegralSpec(ortho_integrand(n, m, a, q), tol=tol,
-                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi),
-                                    periodic=True))
+    lhs = ortho_quad(n, m, a, q, tol=tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
     return lhs, rhs, f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}"
 

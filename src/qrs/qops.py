@@ -43,29 +43,6 @@ def dq_apply(f: TruncSeries, q: Fraction, var: str | None = None) -> TruncSeries
     return TruncSeries(f.vars, f.order - 1, out)
 
 
-def t_op_apply(b, f: TruncSeries, q: Fraction, terms: int | None = None) -> TruncSeries:
-    """T(b D_q) f = sum_n (b D_q)^n f / (q;q)_n on a univariate series.
-
-    b is a ring element. The coefficient of a^m keeps contributions from
-    operator terms n <= f.order - m, which is every nonzero one when f is an
-    exact polynomial padded to at least twice its degree; for genuine
-    truncations it is the graded reading (b counted as degree 1).
-    """
-    q = frac(q)
-    n_max = f.order if terms is None else min(terms, f.order)
-    acc = dict(f.coeffs)
-    g = f
-    bpow = b
-    for n in range(1, n_max + 1):
-        g = dq_apply(g, q)
-        w = Fraction(1) / qfac(q, n)
-        for idx, c in g.coeffs.items():
-            add = c * w * bpow
-            acc[idx] = acc[idx] + add if idx in acc else add
-        bpow = bpow * b
-    return TruncSeries(f.vars, f.order, acc)
-
-
 def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
     """T(b D_q) f with b tracked as a second series variable.
 

@@ -1,21 +1,16 @@
 """Numeric infinite products and deterministic quadrature for the
 weight-function integrals attached to the q-Hermite families.
 
-`integrate` has two rules. The circle integrals (Askey-Wilson, big
-q-Hermite orthogonality, the mixed-base J/H/I integrals) have integrands
-in theta that are even, 2 pi-periodic and analytic in a strip, so their
-IntegralSpec is marked periodic and they take the endpoint trapezoidal rule
-on [0, pi], which then converges geometrically (Trefethen and Weideman,
-SIAM Review 56, 2014). N doubles from 8, each sum T_2N reuses the N + 1
-points of T_N, the sums are math.fsum, and the rule stops when
-|T_2N - T_N| <= tol. When that difference is down to the rounding floor
-of the sums but still above tol, no larger N can help, and it raises
-QuadratureError instead of running on towards the evaluation budget.
-
-Every other integrand takes a Gauss-Kronrod 7/15 embedded pair with
-interval halving: the worst panel (largest error estimate) is split until
-the error budget or the evaluation budget is met, and the final sum runs
-over panels sorted by left endpoint so results are reproducible run to run.
+Every integral here (Askey-Wilson, big q-Hermite orthogonality, the
+mixed-base J/H/I integrals) is a circle integral over theta in [0, pi] whose
+integrand is even, of period 2 pi and analytic in a strip. `integrate` has
+one rule for them, the endpoint trapezoidal rule on [0, pi], which then
+converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
+N doubles from 8, each sum T_2N reuses the N + 1 points of T_N, the sums
+are math.fsum, and the rule stops when |T_2N - T_N| <= tol. When that
+difference is down to the rounding floor of the sums but still above tol,
+no larger N can help, and it raises QuadratureError instead of running on
+towards the evaluation budget EVAL_BUDGET.
 
 Every circle weight here is a product of conjugate pairs
 (c e^{i t}, c e^{-i t}; base)_oo. With c and base real, the factors of the
@@ -30,7 +25,6 @@ value. The base^k ladder of each base is built once per integral.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -43,35 +37,6 @@ _PROD_EPS = 1e-17
 # _FLOOR_ULPS * eps * h * sum |f_k| (trapezoid weights included).
 _TRAP_START = 8
 _FLOOR_ULPS = 16
-
-# 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
 
 def _truncation(maxbase: float) -> int:
     """Factors kept per (c; base)_oo when the largest |base| is maxbase:
@@ -123,122 +88,48 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class IntegralSpec:
-    """An integral of a smooth real integrand over [lo, hi].
-
-    periodic marks an integrand for the trapezoidal rule: smooth and
-    (hi - lo)-periodic, or even about lo and hi, as every circle integrand
-    in theta on [0, pi] is. Any other integrand takes adaptive GK15.
+    """The circle integral prefactor * (integral of integrand over [0, pi]),
+    wanted to within tol before the prefactor. The integrand is a function
+    of theta, smooth, even and of period 2 pi, as every circle integrand is.
     """
 
     integrand: object
-    lo: float = 0.0
-    hi: float = math.pi
     prefactor: float = 1.0
     tol: float = 1e-10
-    budget: int = EVAL_BUDGET
-    periodic: bool = False
 
 
-def _gk15(f, a: float, b: float):
-    """Gauss-Kronrod 7/15 on [a, b]: (kronrod, |kronrod - gauss|)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = f(mid)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        dx = half * _XGK[i]
-        fsum = f(mid - dx) + f(mid + dx)
-        kron += _WGK[i] * fsum
-        if i % 2 == 1:
-            gauss += _WG[i // 2] * fsum
-    kron *= half
-    gauss *= half
-    return kron, abs(kron - gauss)
+def integrate(spec: IntegralSpec):
+    """(prefactor * T_2N, |T_2N - T_N|) for the nested endpoint trapezoid
+    sums T_N of spec.integrand on [0, pi], N = 8, 16, 32, ..., at the first N
+    with |T_2N - T_N| <= spec.tol.
 
-
-def _adaptive_gk15(f, lo: float, hi: float, tol: float, budget: int):
-    """Adaptive GK15 on [lo, hi]: (value, error estimate). Panels are split
-    worst-first; the value sums panels ordered by left endpoint."""
-    evals = 0
-    counter = 0
-    val, err = _gk15(f, lo, hi)
-    evals += 15
-    heap = [(-err, counter, lo, hi, val, err)]
-    total_err = err
-    while total_err > tol:
-        if evals + 30 > budget:
-            raise QuadratureError(
-                f"evaluation budget {budget} exhausted: error {total_err:.3e} > tol {tol:.3e} "
-                f"with {len(heap)} panels")
-        nerr, _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
-        evals += 30
-        total_err += e1 + e2 - e
-        counter += 1
-        heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, m, b, v2, e2))
-    panels = sorted((a, v) for _, _, a, _, v, _ in heap)
-    return math.fsum(v for _, v in panels), total_err
-
-
-def _trapezoid(f, lo: float, hi: float, tol: float, budget: int):
-    """Nested endpoint trapezoid sums T_N on [lo, hi], N = 8, 16, 32, ...:
-    (T_2N, |T_2N - T_N|) for the first N with |T_2N - T_N| <= tol."""
+    Raises QuadratureError if the tolerance cannot be met inside
+    EVAL_BUDGET evaluations, or above the rounding floor of the sums.
+    """
+    f, tol = spec.integrand, spec.tol
     n = _TRAP_START
-    h = (hi - lo) / n
+    h = math.pi / n
     # trapezoid-weighted values f_k: the two ends halved, every point kept
-    vals = [0.5 * f(lo), 0.5 * f(hi)] + [f(lo + k * h) for k in range(1, n)]
+    vals = [0.5 * f(0.0), 0.5 * f(math.pi)] + [f(k * h) for k in range(1, n)]
     prev, diff = h * math.fsum(vals), math.inf
     while True:
-        if len(vals) + n > budget:
+        if len(vals) + n > EVAL_BUDGET:
             raise QuadratureError(
-                f"evaluation budget {budget} exhausted: error {diff:.3e} > tol {tol:.3e} "
+                f"evaluation budget {EVAL_BUDGET} exhausted: error {diff:.3e} > tol {tol:.3e} "
                 f"with {n} trapezoid panels")
         h *= 0.5
-        vals += [f(lo + k * h) for k in range(1, 2 * n, 2)]
+        vals += [f(k * h) for k in range(1, 2 * n, 2)]
         n *= 2
         cur = h * math.fsum(vals)
         diff = abs(cur - prev)
         if diff <= tol:
-            return cur, diff
+            return spec.prefactor * cur, diff
         floor = _FLOOR_ULPS * math.ulp(1.0) * h * math.fsum(map(abs, vals))
         if diff <= floor:
             raise QuadratureError(
                 f"rounding floor reached: |T_{n} - T_{n // 2}| = {diff:.3e} is within "
                 f"the rounding floor {floor:.3e} of the sums but above tol {tol:.3e}")
         prev = cur
-
-
-def integrate(spec, lo: float | None = None, hi: float | None = None,
-              tol: float | None = None, budget: int | None = None):
-    """Integral of a callable or an IntegralSpec: (value, error estimate).
-
-    A periodic IntegralSpec takes the trapezoidal rule, anything else
-    adaptive GK15. Raises QuadratureError if the tolerance cannot be met
-    inside the evaluation budget, or, on the trapezoidal rule, above the
-    rounding floor of the sums.
-    """
-    rule = _adaptive_gk15
-    if isinstance(spec, IntegralSpec):
-        f, lo, hi = spec.integrand, spec.lo, spec.hi
-        tol = spec.tol if tol is None else tol
-        budget = spec.budget if budget is None else budget
-        pref = spec.prefactor
-        if spec.periodic:
-            rule = _trapezoid
-    else:
-        f = spec
-        lo = 0.0 if lo is None else lo
-        hi = math.pi if hi is None else hi
-        tol = 1e-10 if tol is None else tol
-        budget = EVAL_BUDGET if budget is None else budget
-        pref = 1.0
-    total, err = rule(f, lo, hi, tol, budget)
-    return pref * total, err
 
 
 # -- Askey-Wilson integral ----------------------------------------------------
@@ -288,8 +179,7 @@ def askey_wilson_quad(a: float, b: float, c: float, d: float, q: float,
                       tol: float = 1e-10) -> float:
     """Left side: (q;q)_oo/(2 pi) times the weight integral over [0, pi]."""
     val, _ = integrate(IntegralSpec(aw_integrand(a, b, c, d, q), tol=tol,
-                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi),
-                                    periodic=True))
+                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi)))
     return val
 
 
@@ -324,6 +214,14 @@ def ortho_integrand(n: int, m: int, a: float, q: float):
         hn = hermite(n)
         return (w / den * hn * (hn if m == n else hermite(m))).real
     return f
+
+
+def ortho_quad(n: int, m: int, a: float, q: float, tol: float = 1e-10) -> float:
+    """Left side of the orthogonality relation: (q;q)_oo/(2 pi) times the
+    weighted moment integral of H_n H_m over [0, pi]."""
+    val, _ = integrate(IntegralSpec(ortho_integrand(n, m, a, q), tol=tol,
+                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi)))
+    return val
 
 
 def ortho_check(n: int, m: int, a: float, q: float, tol: float = 1e-8) -> IdentityReport:
@@ -374,7 +272,7 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
              tol: float = 1e-10) -> float:
     """The mixed-base weight integral of jhi_integrand."""
     pref, f = jhi_integrand(kind, p, q, a, t)
-    val, _ = integrate(IntegralSpec(f, tol=tol, prefactor=pref, periodic=True))
+    val, _ = integrate(IntegralSpec(f, tol=tol, prefactor=pref))
     return val
 
 

@@ -1,12 +1,15 @@
-"""Reference route for E(D_xy): the divided difference D_xy and the finite
-operator sum, which `qrs.qops.e_op_apply` replaces by substituting the
-bivariate Rogers-Szego polynomials for the Cauchy basis.
+"""Reference routes for the q-operators: E(D_xy) by the divided difference
+D_xy and the finite operator sum, which `qrs.qops.e_op_apply` replaces by
+substituting the bivariate Rogers-Szego polynomials for the Cauchy basis,
+and T(b D_q) with a scalar b, which `qrs.qops.t_op_graded` replaces by
+tracking b as a second series variable.
 
 `dxy_poly` is the defining quotient on polynomials, `dxy_apply` its action
 on Cauchy-basis coefficients, and `e_apply_by_operator` sums
-D_xy^k/(q;q)_k term by term. They are slow but follow the definitions, so
-test_qops.py checks the package's E(D_xy) against them. They are not part
-of the package and nothing outside the tests imports them.
+D_xy^k/(q;q)_k term by term; `t_op_apply` sums (b D_q)^n/(q;q)_n term by
+term. They are slow but follow the definitions, so test_qops.py checks the
+package's operators against them. They are not part of the package and
+nothing outside the tests imports them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qrs.families import CauchyExpansion
+from qrs.fps import TruncSeries
 from qrs.qcore import MultiPoly, frac, lincomb, qfac
+from qrs.qops import dq_apply
 
 
 def dxy_apply(f: CauchyExpansion) -> CauchyExpansion:
@@ -63,3 +68,26 @@ def e_apply_by_operator(f: CauchyExpansion) -> MultiPoly:
         terms.append((Fraction(1) / qfac(q, len(terms)), g.to_poly()))
         g = dxy_apply(g)
     return lincomb(terms)
+
+
+def t_op_apply(b, f: TruncSeries, q: Fraction, terms: int | None = None) -> TruncSeries:
+    """T(b D_q) f = sum_n (b D_q)^n f / (q;q)_n on a univariate series.
+
+    b is a ring element. The coefficient of a^m keeps contributions from
+    operator terms n <= f.order - m, which is every nonzero one when f is an
+    exact polynomial padded to at least twice its degree; for genuine
+    truncations it is the graded reading (b counted as degree 1).
+    """
+    q = frac(q)
+    n_max = f.order if terms is None else min(terms, f.order)
+    acc = dict(f.coeffs)
+    g = f
+    bpow = b
+    for n in range(1, n_max + 1):
+        g = dq_apply(g, q)
+        w = Fraction(1) / qfac(q, n)
+        for idx, c in g.coeffs.items():
+            add = c * w * bpow
+            acc[idx] = acc[idx] + add if idx in acc else add
+        bpow = bpow * b
+    return TruncSeries(f.vars, f.order, acc)

@@ -1,22 +1,108 @@
-"""Frozen reference for the quadrature integrand tests: the integrands as
-`qrs.quadrature` computed them before each conjugate pair was taken from a
-single infinite product and the base^k ladders were built once per
-integral, with H_n by the three-term recurrence (it was the circle sum
-sum_k [n,k] (a z; q)_k z^(n-2k) until H_n moved to the recurrence).
+"""Frozen references for the quadrature tests.
 
-Every integrand evaluation here multiplies out both halves of every pair,
-rebuilds each ladder and runs the H_n recurrence from the start, with the
-same float expressions, so test_quadrature.py can require float equality
-between the two. It is self-contained (its own (c; base)_oo and H_n
-evaluator), not part of the package, and nothing outside the tests imports
-it; do not optimise it.
+Adaptive Gauss-Kronrod 7/15 (`_adaptive_gk15`), the rule `qrs.quadrature`
+ran on every integrand not marked periodic until the trapezoidal rule on
+[0, pi] became its only rule. Its tables and code are copied unchanged, so
+test_quadrature.py checks the trapezoidal sums against an independent rule
+and keeps its peaked-integrand and budget tests.
+
+The integrands as `qrs.quadrature` computed them before each conjugate
+pair was taken from a single infinite product and the base^k ladders were
+built once per integral, with H_n by the three-term recurrence (it was the
+circle sum sum_k [n,k] (a z; q)_k z^(n-2k) until H_n moved to the
+recurrence). Every integrand evaluation here multiplies out both halves of
+every pair, rebuilds each ladder and runs the H_n recurrence from the
+start, with the same float expressions, so test_quadrature.py can require
+float equality between the two.
+
+The module has its own (c; base)_oo and H_n evaluator and takes only
+QuadratureError from the package, which the GK15 budget check raises. It is
+not part of the package and nothing outside the tests imports it; do not
+optimise it.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
+from qrs.quadrature import QuadratureError
+
 _PROD_EPS = 1e-17
+
+# 15-point Kronrod abscissae/weights with the embedded 7-point Gauss rule.
+_XGK = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
+
+def _gk15(f, a: float, b: float):
+    """Gauss-Kronrod 7/15 on [a, b]: (kronrod, |kronrod - gauss|)."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(mid)
+    kron = _WGK[7] * fc
+    gauss = _WG[3] * fc
+    for i in range(7):
+        dx = half * _XGK[i]
+        fsum = f(mid - dx) + f(mid + dx)
+        kron += _WGK[i] * fsum
+        if i % 2 == 1:
+            gauss += _WG[i // 2] * fsum
+    kron *= half
+    gauss *= half
+    return kron, abs(kron - gauss)
+
+
+def _adaptive_gk15(f, lo: float, hi: float, tol: float, budget: int):
+    """Adaptive GK15 on [lo, hi]: (value, error estimate). Panels are split
+    worst-first; the value sums panels ordered by left endpoint."""
+    evals = 0
+    counter = 0
+    val, err = _gk15(f, lo, hi)
+    evals += 15
+    heap = [(-err, counter, lo, hi, val, err)]
+    total_err = err
+    while total_err > tol:
+        if evals + 30 > budget:
+            raise QuadratureError(
+                f"evaluation budget {budget} exhausted: error {total_err:.3e} > tol {tol:.3e} "
+                f"with {len(heap)} panels")
+        nerr, _, a, b, v, e = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        v1, e1 = _gk15(f, a, m)
+        v2, e2 = _gk15(f, m, b)
+        evals += 30
+        total_err += e1 + e2 - e
+        counter += 1
+        heapq.heappush(heap, (-e1, counter, a, m, v1, e1))
+        counter += 1
+        heapq.heappush(heap, (-e2, counter, m, b, v2, e2))
+    panels = sorted((a, v) for _, _, a, _, v, _ in heap)
+    return math.fsum(v for _, v in panels), total_err
 
 
 def qpoch_inf(c, base) -> complex:

@@ -117,6 +117,11 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--identity", "mehler-rs",
                        "--set", "justaname")
     assert code == 2
+    # integer parameters that are not integers, instead of truncated ones
+    code, _, err = run(capsys, "verify", "--identity", "lemma-2.3", "--set", "nmax=5/2")
+    assert code == 2 and "parameter nmax must be a nonnegative integer" in err
+    code, _, err = run(capsys, "verify", "--identity", "ortho-big", "--set", "n=3.9")
+    assert code == 2 and "parameter n must be a nonnegative integer" in err
 
 
 def test_bad_subcommand_exits_two():
@@ -190,6 +195,8 @@ def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, cap
     # --perturb witness that prints the integral, moved, by at most 1.2e-16.
     # The two order-10 series captures were taken with the per-coefficient
     # series arithmetic, before the series moved to packed degree layers.
+    # list.json was re-taken when the symbols text of hxa-hx and hx-hxa
+    # changed from "z Laurent variable" to "x symbolic"; nothing else moved.
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

@@ -138,6 +138,27 @@ def test_unknown_id_and_bad_params_raise():
         verify("mehler-rs", params={"q": Fraction(3, 2)})
 
 
+@pytest.mark.parametrize("case_id, name, params", [
+    ("ortho-big", "n", {"n": 2.5, "m": 3}),
+    ("ortho-big", "n", {"n": 3.9, "m": 3}),
+    ("ortho-big", "m", {"n": 3, "m": 3.9}),
+    ("lemma-2.3", "nmax", {"nmax": Fraction(5, 2)}),
+    ("lemma-2.3", "nmax", {"nmax": -1}),
+])
+def test_integer_parameters_reject_fractional_and_negative_values(case_id, name, params):
+    # int() would truncate these, and the check would run at another degree;
+    # nmax = -1 would sweep nothing and report exact-pass
+    with pytest.raises(ValueError, match=f"parameter {name} must be a nonnegative integer"):
+        verify(case_id, params=params)
+
+
+def test_integer_parameters_accept_integral_values():
+    assert verify("ortho-big", params={"n": 3, "m": 3}).passed()
+    assert verify("ortho-big", params={"n": 2, "m": 3.0}).passed()
+    # the CLI parses --set nmax=6 as Fraction(6)
+    assert verify("lemma-2.3", params={"nmax": Fraction(6)}).status == "exact-pass"
+
+
 # -- cross-identity consistency -----------------------------------------------
 
 

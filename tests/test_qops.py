@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_operators import dxy_apply, dxy_poly, e_apply_by_operator
+from reference_operators import dxy_apply, dxy_poly, e_apply_by_operator, t_op_apply
 
 from qrs.families import CauchyExpansion, brs_poly, cauchy_poly, poly_to_cauchy
 from qrs.fps import TruncSeries, euler_inv_series, euler_series
 from qrs.qcore import MultiPoly, qbinom, qfac
 from qrs.qops import (cauchy_operand, dq_apply, e_apply_expansion, e_op_apply,
-                      t_op_apply, t_op_graded, zhang_wang_check)
+                      t_op_graded, zhang_wang_check)
 
 RNG_SEED = 90125
 

@@ -1,4 +1,6 @@
-"""Unit tests for infinite products and adaptive quadrature."""
+"""Unit tests for infinite products and the trapezoidal rule on [0, pi]
+that integrates every circle integral, checked against scipy and against
+the frozen adaptive GK15 of reference_quadrature.py."""
 
 import cmath
 import dataclasses
@@ -9,13 +11,15 @@ import sys
 import pytest
 
 import reference_quadrature as ref
+from qrs import quadrature
 from qrs.cli import main
 from qrs.idverify import verify
-from qrs.quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
-                            askey_wilson_closed, askey_wilson_quad,
-                            aw_integrand, closed_forms_suite, inf_product,
-                            integrate, jhi_eval, jhi_integrand, ortho_check,
-                            ortho_integrand, qpoch_inf, qpoch_n)
+from qrs.quadrature import (EVAL_BUDGET, IntegralSpec, QuadratureError,
+                            askey_wilson_check, askey_wilson_closed,
+                            askey_wilson_quad, aw_integrand, closed_forms_suite,
+                            inf_product, integrate, jhi_eval, jhi_integrand,
+                            ortho_check, ortho_integrand, ortho_quad, qpoch_inf,
+                            qpoch_n)
 
 RNG_SEED = 131071
 
@@ -66,30 +70,32 @@ def test_qpoch_n_matches_finite_product():
 
 
 def test_integrate_known_integrals():
-    val, err = integrate(lambda t: 1.0, 0.0, math.pi, 1e-12)
+    val, err = integrate(IntegralSpec(lambda t: 1.0, tol=1e-12))
     assert abs(val - math.pi) < 1e-12
-    val, _ = integrate(lambda t: math.cos(t) ** 2, 0.0, math.pi, 1e-12)
+    val, _ = integrate(IntegralSpec(lambda t: math.cos(t) ** 2, tol=1e-12))
     assert abs(val - math.pi / 2) < 1e-12
-    # a sharply peaked integrand exercises adaptive splitting
-    val, _ = integrate(lambda t: 1.0 / (1e-4 + t * t), -1.0, 1.0, 1e-10)
+    # a sharply peaked integrand exercises the reference GK15's splitting
+    val, _ = ref._adaptive_gk15(lambda t: 1.0 / (1e-4 + t * t), -1.0, 1.0, 1e-10,
+                                EVAL_BUDGET)
     expect = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)
     assert abs(val - expect) < 1e-6 * expect
 
 
 def test_integrate_accepts_spec_and_enforces_budget():
-    spec = IntegralSpec(integrand=lambda t: math.sin(t), lo=0.0, hi=math.pi,
-                        tol=1e-12)
+    # the integral of e^(cos t) over [0, pi] is pi I_0(1); prefactor 1/pi
+    spec = IntegralSpec(integrand=lambda t: math.exp(math.cos(t)),
+                        prefactor=1 / math.pi, tol=1e-12)
     val, err = integrate(spec)
-    assert abs(val - 2.0) < 1e-12
+    assert abs(val - 1.2660658777520082) < 1e-12 and err <= 1e-12
     with pytest.raises(QuadratureError):
-        integrate(lambda t: 1.0 / (1e-9 + t * t), -1.0, 1.0, 1e-14, budget=60)
+        ref._adaptive_gk15(lambda t: 1.0 / (1e-9 + t * t), -1.0, 1.0, 1e-14, 60)
 
 
 def test_integrand_cross_check_against_scipy():
     # scipy is a test-only oracle for the weight integrand
     from scipy.integrate import quad as scipy_quad
     f = aw_integrand(0.3, 0.25, 0.2, 0.1, 0.5)
-    ours, _ = integrate(f, 0.0, math.pi, 1e-11)
+    ours, _ = integrate(IntegralSpec(f, tol=1e-11))
     ref, ref_err = scipy_quad(f, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
     assert abs(ours - ref) < 1e-9
 
@@ -125,9 +131,10 @@ def test_orthogonality_matrix_witnesses():
     assert rep.passed() and rep.residual <= 1e-8
     rep = ortho_check(3, 3, a, q)
     assert rep.passed()
-    val, _ = integrate(ortho_integrand(3, 3, a, q), 0.0, math.pi, 1e-12)
+    val, _ = integrate(IntegralSpec(ortho_integrand(3, 3, a, q), tol=1e-12))
     moment = qpoch_inf(q, q).real / (2 * math.pi) * val
     assert moment == pytest.approx(0.6 * 0.84 * 0.936, abs=1e-8)
+    assert ortho_quad(3, 3, a, q, tol=1e-12) == moment
 
 
 def test_jhi_same_base_reduction_is_one():
@@ -272,8 +279,8 @@ def test_periodic_rule_agrees_with_gk15_and_scipy(label, f):
     scale = math.sqrt(math.pi * square)
     oracle, _ = scipy_quad(f, 0.0, math.pi, epsabs=1e-13 * scale, epsrel=0.0, limit=200)
     tol = 1e-13 * scale
-    trap, err = integrate(IntegralSpec(f, tol=tol, periodic=True))
-    gk15, _ = integrate(f, 0.0, math.pi, tol)
+    trap, err = integrate(IntegralSpec(f, tol=tol))
+    gk15, _ = ref._adaptive_gk15(f, 0.0, math.pi, tol, EVAL_BUDGET)
     assert err <= tol
     assert abs(trap - gk15) <= 1e-12 * scale
     assert abs(trap - oracle) <= 1e-12 * scale
@@ -281,7 +288,7 @@ def test_periodic_rule_agrees_with_gk15_and_scipy(label, f):
 
 def _counted(f, log):
     def g(theta):
-        log[-1][1] += 1
+        log[-1] += 1
         return f(theta)
     return g
 
@@ -289,17 +296,12 @@ def _counted(f, log):
 @pytest.fixture
 def integrate_log(monkeypatch):
     """Every call of quadrature.integrate, wherever a qrs module binds it, as
-    [periodic, evaluations]."""
+    its number of evaluations."""
     log = []
 
-    def recording(spec, *args, **kwargs):
-        periodic = isinstance(spec, IntegralSpec) and spec.periodic
-        log.append([periodic, 0])
-        if isinstance(spec, IntegralSpec):
-            spec = dataclasses.replace(spec, integrand=_counted(spec.integrand, log))
-        else:
-            spec = _counted(spec, log)
-        return integrate(spec, *args, **kwargs)
+    def recording(spec):
+        log.append(0)
+        return integrate(dataclasses.replace(spec, integrand=_counted(spec.integrand, log)))
 
     for name, module in list(sys.modules.items()):
         if (name == "qrs" or name.startswith("qrs.")) and vars(module).get("integrate") is integrate:
@@ -314,15 +316,13 @@ def test_circle_integrals_go_through_integrate_as_periodic(integrate_log):
     assert verify("ortho-big").passed()
     assert all(r.passed() for r in closed_forms_suite(0.3, 0.1, 0.2))
     assert len(integrate_log) == 1 + 3 + 1 + 4
-    assert all(periodic for periodic, _ in integrate_log)
 
 
 def test_default_askey_wilson_integral_takes_at_most_65_evaluations(integrate_log):
     # nested sums at N = 8, 16, 32, 64 cost 9, 17, 33, 65 points in all;
     # adaptive GK15 took 135 on this integral
     got = askey_wilson_quad(0.3, 0.25, 0.2, 0.1, 0.5)
-    assert integrate_log == [[True, integrate_log[0][1]]]
-    assert integrate_log[0][1] <= 65
+    assert len(integrate_log) == 1 and integrate_log[0] <= 65
     assert abs(got - askey_wilson_closed(0.3, 0.25, 0.2, 0.1, 0.5)) < 1e-12
 
 
@@ -333,17 +333,18 @@ def test_periodic_rule_reuses_every_point_and_is_exact_on_trig_polynomials():
         seen.append(theta)
         return 2.0 + math.cos(2 * theta) + 0.5 * math.cos(7 * theta)
 
-    val, err = integrate(IntegralSpec(f, tol=1e-14, periodic=True))
+    val, err = integrate(IntegralSpec(f, tol=1e-14))
     assert abs(val - 2 * math.pi) < 1e-14 and err <= 1e-14
     # T_8 and T_16 already agree: 17 distinct points, none evaluated twice
     assert len(seen) == len(set(seen)) == 17
     assert seen[:2] == [0.0, math.pi]
 
 
-def test_periodic_rule_enforces_the_budget():
+def test_periodic_rule_enforces_the_budget(monkeypatch):
     f = aw_integrand(0.45, -0.3, 0.2, 0.05, 0.68)
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 40)
     with pytest.raises(QuadratureError, match="budget 40 exhausted"):
-        integrate(IntegralSpec(f, tol=1e-14, budget=40, periodic=True))
+        integrate(IntegralSpec(f, tol=1e-14))
 
 
 def test_periodic_rule_stops_at_the_rounding_floor():
@@ -358,7 +359,7 @@ def test_periodic_rule_stops_at_the_rounding_floor():
         return f(theta)
 
     with pytest.raises(QuadratureError, match=r"rounding floor .* above tol 1\.000e-10"):
-        integrate(IntegralSpec(counted, tol=1e-10, periodic=True))
+        integrate(IntegralSpec(counted, tol=1e-10))
     assert len(seen) == 129
 
 
