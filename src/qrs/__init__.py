@@ -12,12 +12,12 @@ sides of each identity either coefficientwise (exact) or numerically
 
 from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
-                       poly_to_cauchy, qhermite_eval, qhermite_poly, rs_poly)
+                       qhermite_eval, qhermite_poly, rs_poly)
 from .fps import (PhiSpec, TruncSeries, cauchy_series, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import MultiPoly, frac, qbinom, qfac, qpoch
-from .qops import dq_apply, e_op_apply, t_op_graded, zhang_wang_check
+from .qops import e_op_apply, t_op_graded, zhang_wang_check
 from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
                          askey_wilson_closed, askey_wilson_quad,
                          closed_forms_suite, inf_product, integrate, jhi_eval,
@@ -31,11 +31,10 @@ __all__ = [
     "QuadratureError", "TruncSeries", "askey_wilson_check",
     "askey_wilson_closed", "askey_wilson_quad", "big_qhermite_poly",
     "big_qhermite_polys", "brs_poly", "cauchy_poly", "cauchy_series",
-    "change_base_big", "change_base_c", "closed_forms_suite", "dq_apply",
-    "e_op_apply", "euler_inv_series", "euler_series", "frac", "get_case",
-    "inf_product", "integrate", "jhi_eval", "ortho_check", "phi_series",
-    "phi_sum", "poly_to_cauchy", "qbinom", "qfac", "qhermite_eval",
-    "qhermite_poly", "qpoch", "qpoch_inf", "qpoch_n", "registry", "rs_poly",
-    "series_inv", "t_op_graded", "verify", "verify_all",
-    "zhang_wang_check",
+    "change_base_big", "change_base_c", "closed_forms_suite", "e_op_apply",
+    "euler_inv_series", "euler_series", "frac", "get_case", "inf_product",
+    "integrate", "jhi_eval", "ortho_check", "phi_series", "phi_sum",
+    "qbinom", "qfac", "qhermite_eval", "qhermite_poly", "qpoch", "qpoch_inf",
+    "qpoch_n", "registry", "rs_poly", "series_inv", "t_op_graded", "verify",
+    "verify_all", "zhang_wang_check",
 ]

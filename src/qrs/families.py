@@ -6,6 +6,8 @@ Every constructor is exact over rationals. The Cauchy and Rogers-Szego
 families indexed by n at a base q are memoised in qcore's bounded tables
 (`memo_table`), so repeated identity checks share one copy of each
 polynomial; the q-Hermite families are built as one list per call.
+A polynomial in the span of the P_n is read in that basis only where it
+is used, by `qops.e_op_apply`.
 """
 
 from __future__ import annotations
@@ -231,99 +233,3 @@ def change_base_big(n: int, a: Fraction, p: Fraction, q: Fraction) -> list:
             for m in range(nu + 1):
                 out[nu - m] += w2 * qbinom(nu, m, q) * a ** m
     return list(enumerate(out))
-
-
-# -- Cauchy basis ------------------------------------------------------------
-
-
-class CauchyExpansion:
-    """Finite combination sum_k c_k P_k(x,y) in the Cauchy basis at base q.
-
-    Coefficients are ring elements free of x and y (rationals or polys in
-    spectator symbols). Supports addition and scalar multiplication, which
-    is all the operator calculus needs; products leave the basis span.
-    """
-
-    __slots__ = ("coeffs", "q")
-
-    def __init__(self, coeffs, q: Fraction):
-        coeffs = list(coeffs)
-        while coeffs and _is_zero_c(coeffs[-1]):
-            coeffs.pop()
-        for c in coeffs:
-            if isinstance(c, MultiPoly) and ("x" in c.vars or "y" in c.vars) \
-                    and (c.degree_in("x") or c.degree_in("y")):
-                raise ValueError("Cauchy coefficients must not involve x or y")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "q", frac(q))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CauchyExpansion is immutable")
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def coefficient(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        if not isinstance(other, CauchyExpansion):
-            return NotImplemented
-        if other.q != self.q:
-            raise ValueError("Cauchy base mismatch")
-        size = max(len(self), len(other))
-        return CauchyExpansion(
-            [self.coefficient(k) + other.coefficient(k) for k in range(size)], self.q)
-
-    def __neg__(self):
-        return CauchyExpansion([-c for c in self.coeffs], self.q)
-
-    def __sub__(self, other):
-        if not isinstance(other, CauchyExpansion):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, elem) -> "CauchyExpansion":
-        return CauchyExpansion([c * elem for c in self.coeffs], self.q)
-
-    def __mul__(self, elem):
-        if isinstance(elem, CauchyExpansion):
-            raise TypeError("products of Cauchy expansions leave the basis span")
-        return self.scale(elem)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, CauchyExpansion):
-            return NotImplemented
-        return self.q == other.q and len(self) == len(other) and all(
-            _is_zero_c(self.coefficient(k) - other.coefficient(k)) for k in range(len(self)))
-
-    def to_poly(self, x: str = "x", y: str = "y") -> MultiPoly:
-        return lincomb((c, cauchy_poly(k, self.q, x, y)) for k, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"CauchyExpansion({list(self.coeffs)}, q={self.q})"
-
-
-def _is_zero_c(c) -> bool:
-    return c.is_zero() if isinstance(c, MultiPoly) else c == 0
-
-
-def poly_to_cauchy(f: MultiPoly, q: Fraction, cap: int | None = None,
-                   x: str = "x", y: str = "y") -> CauchyExpansion:
-    """Expand a polynomial in the Cauchy basis, failing if it is not in the
-    span of {P_k(x,y)} over x,y-free coefficients.
-
-    P_k is the unique basis element containing the monomial x^k y^0, so the
-    coefficients can be read off directly; the residual must vanish.
-    """
-    q = frac(q)
-    deg = f.degree_in(x)
-    if cap is not None and deg > cap:
-        raise ValueError(f"degree {deg} exceeds the Cauchy cap {cap}")
-    coeffs = [f.partial_coefficient({x: k, y: 0}) for k in range(deg + 1)]
-    exp = CauchyExpansion(coeffs, q)
-    if exp.to_poly(x, y) != f:
-        raise ValueError("polynomial is not in the Cauchy basis span")
-    return exp

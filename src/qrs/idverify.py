@@ -52,7 +52,7 @@ from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
-from .qops import cauchy_operand, e_op_apply, t_op_graded, t_op_product_sides
+from .qops import e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
                          ortho_quad, qpoch_inf, qpoch_n)
 from .reporting import IdentityReport, clip_witness
@@ -118,9 +118,7 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
         if key not in case.defaults:
             raise ValueError(f"{case_id} does not take a parameter {key!r}")
         merged[key] = value
-    run_order = case.default_order if order is None else int(order)
-    if run_order < 0:
-        raise ValueError("order must be nonnegative")
+    run_order = case.default_order if order is None else _nonneg_int(order, "order")
     rng = _rng_for(case_id, seed)
     exact = case.mode in ("exact-series", "exact-poly")
     if case.mode == "numeric-complex":
@@ -133,13 +131,13 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     if exact:
         tol, sides = None, list(case.runner(run_order, _exact_q(merged), merged))
     elif case.mode == "numeric-complex":
-        q, tol = float(merged["q"]), float(merged["tol"])
+        q, tol = float(merged["q"]), _tol_param(merged)
         sides = []
         for i in range(NUMERIC_DRAWS):
             label, values = case.runner(rng, q, tol / 10)
             sides.append((f"draw {i}: {label}", values))
     else:
-        tol = float(merged["tol"])
+        tol = _tol_param(merged)
         sides = case.runner(merged, min(tol * 1e-2, 1e-10))
     report.status, report.residual, report.witness = \
         _VERDICTS[case.mode](sides, tol, perturb)
@@ -248,18 +246,26 @@ def _powers(ladder: list, x, top: int, exponent=None) -> None:
         ladder.append(x ** (exponent(j) if exponent else j))
 
 
-def _int_param(params, name: str) -> int:
-    """The named parameter as an int. Only a nonnegative integral value (an
-    int, or a float or Fraction equal to one) is accepted: anything else
-    raises rather than being truncated or giving an empty sweep."""
-    value = params[name]
+def _nonneg_int(value, name: str) -> int:
+    """value as an int. Only a nonnegative integral value (an int, or a
+    float or Fraction equal to one, but not a bool) is accepted: anything
+    else raises rather than being truncated or giving an empty sweep."""
     try:
-        n = int(value)
+        n = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != value or n < 0:
-        raise ValueError(f"parameter {name} must be a nonnegative integer, got {value}")
+        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
     return n
+
+
+def _tol_param(params) -> float:
+    """The tol parameter as a float. It must be finite and positive: no
+    comparison meets a tol <= 0 or NaN, so the case would read as failed."""
+    tol = float(params["tol"])
+    if not 0 < tol < math.inf:
+        raise ValueError(f"parameter tol must be finite and positive, got {params['tol']}")
+    return tol
 
 
 def _unit_params(params, names) -> list:
@@ -479,7 +485,7 @@ def _run_zhang_wang(order, q, params):
        "0 < |q| < 1; nmax >= 0",
        defaults={"q": Fraction(1, 2), "nmax": 6})
 def _run_lemma_23(order, q, params):
-    nmax = _int_param(params, "nmax")
+    nmax = _nonneg_int(params["nmax"], "parameter nmax")
     t1 = TruncSeries.variable(("t",), order, "t")
     kernel = euler_series(t1.scale(_Y), q) * euler_inv_series(t1.scale(_X), q)
     pre = euler_series(t1.scale(_Y), q) * euler_inv_series(t1, q) \
@@ -494,7 +500,7 @@ def _run_lemma_23(order, q, params):
         ratios.append(ratios[-1] * (one - t1.scale(_X * q ** k)) * step)
     for n in range(nmax + 1):
         op = (kernel * yinvs[n]).scale(cauchy_poly(n, q))
-        lhs = e_op_apply(cauchy_operand(dict(op.coeffs), q, order))
+        lhs = e_op_apply(op, q)
         ksum = TruncSeries.zero(("t",), order)
         for k in range(n + 1):
             coef = qbinom(n, k, q) * ypochs[k] * _X ** (n - k)
@@ -985,7 +991,7 @@ def _run_askey_wilson(params, tol):
        "n, m <= 8; |a| < 1; |q| < 1",
        defaults={"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": QUAD_TOL})
 def _run_ortho_big(params, tol):
-    n, m = _int_param(params, "n"), _int_param(params, "m")
+    n, m = (_nonneg_int(params[k], f"parameter {k}") for k in "nm")
     a, q = _unit_params(params, "aq")
     lhs = ortho_quad(n, m, a, q, tol=tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0

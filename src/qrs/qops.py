@@ -1,119 +1,67 @@
-"""q-operator calculus: the q-derivative D_q, the exponential-type operator
-T(b D_q), and E(D_xy) of the Cauchy-basis divided difference D_xy.
+"""q-operator calculus: the exponential-type operators T(b D_q), built on
+the q-derivative D_q, and E(D_xy), built on the Cauchy-basis divided
+difference D_xy.
 
-Operators act on truncated series (D_q in the series variable a) or on
-Cauchy-basis expansions (D_xy). Both are degree lowering, so on truncated
-or finite operands every operator sum below is finite and introduces no
-truncation error of its own.
+Each operator is one coefficient-wise basis substitution on a truncated
+series. T(b D_q) sends a^k to sum_n [k,n] a^(k-n) b^n, and E(D_xy) sends the
+Cauchy polynomial P_k(x,y) to h_k(x,y|q). Both operators lower degree, so
+their operator sums are finite on every coefficient and introduce no
+truncation error of their own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from .families import CauchyExpansion, brs_poly
+from .families import brs_poly, cauchy_poly
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series)
-from .qcore import MultiPoly, frac, lincomb, qfac
+from .qcore import MultiPoly, frac, lincomb, qbinom
 from .reporting import IdentityReport
-
-
-def dq_apply(f: TruncSeries, q: Fraction, var: str | None = None) -> TruncSeries:
-    """q-derivative in the series variable: a^n -> (1 - q^n) a^(n-1).
-
-    Equals (f(a) - f(aq))/a. One order of knowledge is consumed: the output
-    order drops by one, because the input's missing tail would have fed the
-    top coefficient.
-    """
-    q = frac(q)
-    if len(f.vars) != 1 and var is None:
-        raise ValueError("dq_apply needs the variable name for bivariate series")
-    pos = 0 if var is None else f.vars.index(var)
-    if f.order == 0:
-        raise ValueError("cannot lower the order of an order-0 series")
-    out = {}
-    for idx, c in f.coeffs.items():
-        n = idx[pos]
-        if n == 0:
-            continue
-        new = list(idx)
-        new[pos] = n - 1
-        out[tuple(new)] = c * (1 - q ** n)
-    return TruncSeries(f.vars, f.order - 1, out)
 
 
 def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
     """T(b D_q) f with b tracked as a second series variable.
 
-    The image's (a^m, b^n) coefficient is exact whenever m + n <= f.order,
-    so the result is a bivariate series truncated at total degree f.order.
-    This is the exactifiable form of the operator on infinite operands.
+    T(b D_q) = sum_n (b D_q)^n/(q;q)_n sends a^k to sum_n [k,n] a^(k-n) b^n,
+    so the image's (a^m, b^n) coefficient is f_(m+n) [m+n,n]. It is exact
+    whenever m + n <= f.order, so the result is a bivariate series truncated
+    at total degree f.order, with its variables in sorted order. This is
+    the exactifiable form of the operator on infinite operands.
     """
     q = frac(q)
-    avar = f.vars[0]
     if len(f.vars) != 1:
         raise ValueError("t_op_graded expects a univariate series")
-    variables = tuple(sorted((avar, bvar)))
-    apos = variables.index(avar)
+    variables = tuple(sorted((f.vars[0], bvar)))
+    b_first = variables[0] == bvar
     out = {}
-    g = f
-    for n in range(f.order + 1):
-        if n > 0:
-            g = dq_apply(g, q)
-        w = Fraction(1) / qfac(q, n)
-        for (m,), c in g.coeffs.items():
-            idx = [0, 0]
-            idx[apos] = m
-            idx[1 - apos] = n
-            out[tuple(idx)] = c * w
+    for (k,), c in f.coeffs.items():
+        for n in range(k + 1):
+            out[(n, k - n) if b_first else (k - n, n)] = c * qbinom(k, n, q)
     return TruncSeries(variables, f.order, out)
 
 
-# -- Cauchy-basis operators ---------------------------------------------------
+def e_op_apply(f: TruncSeries, q: Fraction) -> TruncSeries:
+    """E(D_xy) = sum_k D_xy^k/(q;q)_k, coefficient by coefficient.
 
-
-class CauchyOperand(NamedTuple):
-    """A truncated series whose coefficients are Cauchy-basis expansions,
-    the operand of E(D_xy): coeffs maps index tuples to CauchyExpansion."""
-
-    vars: tuple
-    order: int
-    coeffs: dict
-
-    def coefficient(self, idx) -> CauchyExpansion:
-        return self.coeffs[tuple(idx)]
-
-
-def e_op_apply(operand: CauchyOperand) -> TruncSeries:
-    """E(D_xy) = sum_k D_xy^k/(q;q)_k on a series of Cauchy expansions.
-
-    D_xy sends P_n to (1 - q^n) P_(n-1), so E(D_xy) maps each basis
-    polynomial P_k to the bivariate Rogers-Szego polynomial h_k(x,y|q),
-    which is substituted directly.
+    D_xy sends P_n to (1 - q^n) P_(n-1), so E(D_xy) maps each Cauchy
+    polynomial P_k(x,y) to the bivariate Rogers-Szego polynomial h_k(x,y|q).
+    P_k is the one basis element with the monomial x^k y^0, so a
+    coefficient's parts p_k are its x^k y^0 coefficients. A coefficient that
+    sum_k p_k P_k does not rebuild is outside the span, where D_xy is not
+    defined, and raises ValueError.
     """
+    q = frac(q)
     out = {}
-    for idx, c in operand.coeffs.items():
-        if not isinstance(c, CauchyExpansion):
-            raise TypeError("e_op_apply expects CauchyExpansion coefficients")
-        out[idx] = e_apply_expansion(c)
-    return TruncSeries(operand.vars, operand.order, out)
-
-
-def e_apply_expansion(f: CauchyExpansion) -> MultiPoly:
-    """E(D_xy) on one Cauchy expansion: sum_k c_k P_k -> sum_k c_k h_k(x,y|q)."""
-    return lincomb((c, brs_poly(k, f.q)) for k, c in enumerate(f.coeffs))
-
-
-def cauchy_operand(polys: dict, q: Fraction, order: int, cap: int | None = None,
-                   variables=("t",)) -> CauchyOperand:
-    """Lift a series of MultiPoly (or rational) coefficients, given as a dict
-    from index tuples, to the Cauchy basis; indices above the order drop."""
-    from .families import poly_to_cauchy
-    lifted = {tuple(idx): p if isinstance(p, MultiPoly) else MultiPoly.const(p)
-              for idx, p in polys.items() if sum(idx) <= order}
-    return CauchyOperand(tuple(variables), order,
-                         {idx: poly_to_cauchy(p, q, cap) for idx, p in lifted.items()})
+    for idx, c in f.coeffs.items():
+        if not isinstance(c, MultiPoly):
+            c = MultiPoly.const(c)
+        parts = [c.partial_coefficient({"x": k, "y": 0})
+                 for k in range(c.degree_in("x") + 1)]
+        if lincomb((p, cauchy_poly(k, q)) for k, p in enumerate(parts)) != c:
+            raise ValueError(f"coefficient {idx} is not in the Cauchy basis span")
+        out[idx] = lincomb((p, brs_poly(k, q)) for k, p in enumerate(parts))
+    return TruncSeries(f.vars, f.order, out)
 
 
 # -- the two-parameter operator product transformation -----------------------

@@ -103,10 +103,13 @@ def integrate(spec: IntegralSpec):
     sums T_N of spec.integrand on [0, pi], N = 8, 16, 32, ..., at the first N
     with |T_2N - T_N| <= spec.tol.
 
-    Raises QuadratureError if the tolerance cannot be met inside
-    EVAL_BUDGET evaluations, or above the rounding floor of the sums.
+    Raises ValueError unless tol is finite and positive, and
+    QuadratureError if the tolerance cannot be met inside EVAL_BUDGET
+    evaluations, or above the rounding floor of the sums.
     """
     f, tol = spec.integrand, spec.tol
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n = _TRAP_START
     h = math.pi / n
     # trapezoid-weighted values f_k: the two ends halved, every point kept

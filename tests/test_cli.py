@@ -122,6 +122,15 @@ def test_verify_usage_errors(capsys):
     assert code == 2 and "parameter nmax must be a nonnegative integer" in err
     code, _, err = run(capsys, "verify", "--identity", "ortho-big", "--set", "n=3.9")
     assert code == 2 and "parameter n must be a nonnegative integer" in err
+    # a tol no residual can meet is a usage error, not a failed identity
+    for case_id, tol in (("gf-big", "-1"), ("gf-big", "0"), ("gf-big", "nan"),
+                         ("askey-wilson", "-1"), ("ortho-big", "inf")):
+        code, _, err = run(capsys, "verify", "--identity", case_id, f"--tol={tol}")
+        assert code == 2 and "tol must be finite and positive" in err, (case_id, tol)
+    for args in (("--kind", "aw", "--tol=-1"), ("--kind", "aw", "--tol=nan"),
+                 ("--kind", "J", "--p", "0.3", "--q", "0.5", "--tol=0")):
+        code, _, err = run(capsys, "integrate", *args)
+        assert code == 2 and "tol must be finite and positive" in err, args
 
 
 def test_bad_subcommand_exits_two():

@@ -9,10 +9,9 @@ import pytest
 from reference_multipoly import poly_eval
 
 from qrs import qcore
-from qrs.families import (CauchyExpansion, big_qhermite_poly,
-                          big_qhermite_polys, brs_poly, brs_to_rs_coeffs,
-                          cauchy_poly, change_base_big, change_base_c,
-                          h_to_bivariate, poly_to_cauchy, qhermite_circle,
+from qrs.families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
+                          brs_to_rs_coeffs, cauchy_poly, change_base_big,
+                          change_base_c, h_to_bivariate, qhermite_circle,
                           qhermite_eval, qhermite_poly, rs_poly,
                           rs_to_brs_coeffs)
 from qrs.qcore import MultiPoly, lincomb, qbinom, qfac, qpoch
@@ -335,41 +334,18 @@ def test_change_base_big_a_zero_reduces_to_plain_coefficients():
 
 
 def test_poly_to_cauchy_round_trip():
+    # P_k is the one Cauchy polynomial with the monomial x^k y^0, so the
+    # x^k y^0 coefficients of f = sum_k c_k P_k give back the c_k, and they
+    # rebuild f; qops.e_op_apply reads its operand in this basis this way
     rng = random.Random(RNG_SEED + 7)
     for _ in range(12):
         q = rand_q(rng)
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(rng.randint(1, 6))]
-        f = MultiPoly.const(0, ("x", "y"))
-        for k, c in enumerate(coeffs):
-            f = f + cauchy_poly(k, q) * c
-        exp = poly_to_cauchy(f, q)
-        assert exp.to_poly() == f
-        got = [exp.coefficient(k) for k in range(len(coeffs))]
-        trimmed = list(coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        assert got[:len(trimmed)] == trimmed
-
-
-def test_poly_to_cauchy_rejects_off_span_input():
-    q = Fraction(1, 2)
-    with pytest.raises(ValueError):
-        poly_to_cauchy(Y, q)
-
-
-def test_cauchy_expansion_is_linear_not_a_ring():
-    q = Fraction(1, 2)
-    f = CauchyExpansion([Fraction(1), Fraction(2)], q)
-    g = CauchyExpansion([Fraction(0), Fraction(1), Fraction(3)], q)
-    s = f + g
-    assert [s.coefficient(k) for k in range(3)] == [1, 3, 3]
-    assert (f - f).to_poly().is_zero()
-    doubled = f.scale(Fraction(2))
-    assert doubled.coefficient(1) == 4
-    assert 2 * f == doubled
-    with pytest.raises(TypeError):
-        f * g
+        f = lincomb((c, cauchy_poly(k, q)) for k, c in enumerate(coeffs))
+        got = [f.partial_coefficient({"x": k, "y": 0}) for k in range(len(coeffs))]
+        assert got == coeffs
+        assert lincomb((c, cauchy_poly(k, q)) for k, c in enumerate(got)) == f
 
 
 def _per_n_ladder(q: float, n: int) -> tuple:

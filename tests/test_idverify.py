@@ -159,6 +159,30 @@ def test_integer_parameters_accept_integral_values():
     assert verify("lemma-2.3", params={"nmax": Fraction(6)}).status == "exact-pass"
 
 
+@pytest.mark.parametrize("order", [2.9, True, -1, "2"])
+def test_order_rejects_non_integral_values(order):
+    # int() would run 2.9 as order 2 and True as order 1, and report that
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        verify("mehler-rs", order=order)
+    with pytest.raises(ValueError, match="order must be a nonnegative integer"):
+        verify_all(order=order, ids=["gf-big"])
+
+
+def test_order_accepts_integral_values():
+    for order in (2, 2.0, Fraction(2)):
+        rep = verify("mehler-rs", order=order)
+        assert rep.status == "exact-pass" and rep.order == 2
+        assert type(rep.order) is int
+
+
+@pytest.mark.parametrize("case_id", ["gf-big", "askey-wilson", "ortho-big"])
+@pytest.mark.parametrize("tol", [-1, 0, -0.0, float("nan"), float("inf")])
+def test_tol_must_be_finite_and_positive(case_id, tol):
+    # a tol no residual can meet would read as a failed identity
+    with pytest.raises(ValueError, match="parameter tol must be finite and positive"):
+        verify(case_id, params={"tol": tol})
+
+
 # -- cross-identity consistency -----------------------------------------------
 
 

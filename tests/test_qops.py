@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from reference_operators import dxy_apply, dxy_poly, e_apply_by_operator, t_op_apply
+from reference_operators import (dq_apply, dxy_apply, dxy_poly, e_apply_by_operator,
+                                 t_op_apply, to_poly)
 
-from qrs.families import CauchyExpansion, brs_poly, cauchy_poly, poly_to_cauchy
-from qrs.fps import TruncSeries, euler_inv_series, euler_series
-from qrs.qcore import MultiPoly, qbinom, qfac
-from qrs.qops import (cauchy_operand, dq_apply, e_apply_expansion, e_op_apply,
-                      t_op_graded, zhang_wang_check)
+from qrs.families import brs_poly, cauchy_poly
+from qrs.fps import TruncSeries, euler_inv_series
+from qrs.qcore import MultiPoly, lincomb, qbinom
+from qrs.qops import e_op_apply, t_op_graded, zhang_wang_check
 
 RNG_SEED = 90125
 
@@ -119,6 +119,28 @@ def test_t_op_graded_collapses_to_scalar_application():
             assert direct.coefficient((m,)) == total, f"m={m} q={q}"
 
 
+def test_t_op_graded_with_b_sorting_first_matches_t_op_apply():
+    # over ("z",) the image's variables are ("b", "z"), so b^n z^m is the
+    # index (n, m): the reverse of the ("a", "b") layout
+    rng = random.Random(RNG_SEED + 8)
+    for _ in range(10):
+        q = rand_q(rng)
+        b = Fraction(rng.randint(1, 4), 5)
+        order = rng.randint(2, 8)
+        fa = rand_series(rng, order)
+        fz = TruncSeries(("z",), order, dict(fa.coeffs))
+        graded = t_op_graded(fz, q, bvar="b")
+        assert graded.vars == ("b", "z")
+        swapped = t_op_graded(fa, q)
+        direct = t_op_apply(b, fz, q)
+        for m in range(order + 1):
+            for n in range(order - m + 1):
+                assert graded.coefficient((n, m)) == swapped.coefficient((m, n))
+            total = sum((graded.coefficient((n, m)) * b ** n
+                         for n in range(order - m + 1)), Fraction(0))
+            assert direct.coefficient((m,)) == total, f"m={m} q={q}"
+
+
 def test_dxy_poly_lowers_cauchy_basis():
     # the divided difference sends P_n to (1 - q^n) P_(n-1)
     rng = random.Random(RNG_SEED + 3)
@@ -137,8 +159,7 @@ def test_dxy_apply_matches_polynomial_route():
         q = rand_q(rng)
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(rng.randint(1, 6))]
-        f = CauchyExpansion(coeffs, q)
-        assert dxy_apply(f).to_poly() == dxy_poly(f.to_poly(), q)
+        assert to_poly(dxy_apply(coeffs, q), q) == dxy_poly(to_poly(coeffs, q), q)
 
 
 def test_dxy_poly_rejects_off_span_input():
@@ -147,40 +168,57 @@ def test_dxy_poly_rejects_off_span_input():
 
 
 def test_e_op_routes_agree_and_map_basis_to_brs():
+    # each coefficient sum_k c_k P_k of a random series goes to sum_k c_k h_k,
+    # as the operator sum gives; the h_k are independent, so this also checks
+    # that e_op_apply reads every c_k off correctly
     rng = random.Random(RNG_SEED + 5)
     for _ in range(10):
         q = rand_q(rng)
-        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                  for _ in range(rng.randint(1, 6))]
-        f = CauchyExpansion(coeffs, q)
-        via_basis = e_apply_expansion(f)
-        via_operator = e_apply_by_operator(f)
-        assert via_basis == via_operator
-        expect = MultiPoly.const(0, ("x", "y"))
-        for k, c in enumerate(coeffs):
-            expect = expect + brs_poly(k, q) * c
-        assert via_basis == expect
+        order = rng.randint(0, 3)
+        lists = {(i,): [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 6))] for i in range(order + 1)}
+        image = e_op_apply(
+            TruncSeries(("t",), order, {i: to_poly(c, q) for i, c in lists.items()}), q)
+        for idx, coeffs in lists.items():
+            via_operator = e_apply_by_operator(coeffs, q)
+            assert image.coefficient(idx) == via_operator
+            expect = lincomb((c, brs_poly(k, q)) for k, c in enumerate(coeffs))
+            assert via_operator == expect
 
 
 def test_e_op_apply_respects_series_structure():
     q = Fraction(1, 2)
     order = 3
     polys = {(k,): cauchy_poly(k, q) for k in range(order + 1)}
-    operand = cauchy_operand(polys, q, order)
-    image = e_op_apply(operand)
+    image = e_op_apply(TruncSeries(("t",), order, polys), q)
+    assert image.vars == ("t",) and image.order == order
     for k in range(order + 1):
         assert image.coefficient((k,)) == brs_poly(k, q)
-        assert image.coefficient((k,)) == e_apply_by_operator(operand.coefficient((k,)))
+        assert image.coefficient((k,)) == e_apply_by_operator([0] * k + [1], q)
 
 
-def test_cauchy_operand_lifts_scalars_and_respects_cap():
+def test_e_op_apply_lifts_rational_coefficients():
+    # P_0 = h_0 = 1, so a rational coefficient is its own image; with no
+    # polynomial coefficient in the series, coeffs hands out Fractions
     q = Fraction(1, 3)
-    polys = {(0,): Fraction(3), (1,): cauchy_poly(2, q)}
-    operand = cauchy_operand(polys, q, 4)
-    assert operand.coefficient((0,)).to_poly() == MultiPoly.const(3, ("x", "y"))
-    assert operand.coefficient((1,)).to_poly() == cauchy_poly(2, q)
-    capped = cauchy_operand(polys, q, 4, cap=5)
-    assert capped.coefficient((1,)).to_poly() == cauchy_poly(2, q)
+    f = TruncSeries(("t",), 3, {(0,): Fraction(3), (2,): Fraction(-1, 2)})
+    assert isinstance(f.coeffs[(0,)], Fraction)
+    image = e_op_apply(f, q)
+    assert image == f
+    assert image.coefficient((0,)) == 3
+    # and sum_k c_k P_k t^k goes to sum_k c_k h_k t^k
+    cs = [Fraction(3), Fraction(-2, 5), Fraction(7), Fraction(1, 4)]
+    f = TruncSeries(("t",), 3, {(k,): cauchy_poly(k, q) * c for k, c in enumerate(cs)})
+    g = TruncSeries(("t",), 3, {(k,): brs_poly(k, q) * c for k, c in enumerate(cs)})
+    assert e_op_apply(f, q) == g
+
+
+def test_e_op_apply_rejects_off_span_coefficients():
+    q = Fraction(1, 2)
+    for bad in (Y, X * Y, cauchy_poly(2, q) + Y * Y * X):
+        f = TruncSeries(("t",), 2, {(0,): cauchy_poly(1, q), (1,): bad})
+        with pytest.raises(ValueError, match="not in the Cauchy basis span"):
+            e_op_apply(f, q)
 
 
 def test_zhang_wang_check_reports():

@@ -91,6 +91,14 @@ def test_integrate_accepts_spec_and_enforces_budget():
         ref._adaptive_gk15(lambda t: 1.0 / (1e-9 + t * t), -1.0, 1.0, 1e-14, 60)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_integrate_rejects_a_tol_it_cannot_meet(tol):
+    # no |T_2N - T_N| is <= a tol of 0 or less, or NaN; one of inf would
+    # accept the first sums whatever they are
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        integrate(IntegralSpec(lambda t: 1.0, tol=tol))
+
+
 def test_integrand_cross_check_against_scipy():
     # scipy is a test-only oracle for the weight integrand
     from scipy.integrate import quad as scipy_quad
