@@ -17,6 +17,12 @@ tuple: coefficient}, built on first use.
 Bivariate series are truncated by total degree. Operations on series of
 different orders propagate the minimum order, which is the honest amount of
 information available.
+
+A dense series meets a product of Euler series one factor at a time, as in
+`dense * euler_series(z1, q) * euler_inv_series(z2, q)`: for z = c t with c
+a monomial, an Euler series has one term per degree layer, so each product
+costs about one pair per term of the dense series per layer. The product of
+the Euler series, multiplied out first, would be dense itself.
 """
 
 from __future__ import annotations
@@ -523,7 +529,8 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
         argpow = argpow * arg
         if argpow.is_zero():
             break
-        out = out + (num * den_inv * argpow).scale(ratio * (Fraction(1) / qfac(q, j)))
+        # arg^j first: the dense products cover only the degrees it leaves
+        out = out + (argpow * num * den_inv).scale(ratio * (Fraction(1) / qfac(q, j)))
     return out
 
 

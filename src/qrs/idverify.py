@@ -21,7 +21,10 @@ verdict of the case's mode, which does the comparison and applies the
 What a runner gets and returns, per mode:
 
 exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
-               triples: truncated series, or polynomials.
+               triples: truncated series, or polynomials. A sweep over
+               (n, m) whose sides are symmetric in n and m builds each
+               unordered pair once and reports it under both labels,
+               "n=..., m=..." in row-major order (_symmetric_sweep).
 numeric-complex  runner(rng, q, tol) returns one draw (label, values): the
                draw's parameters and the values that must agree. verify()
                runs NUMERIC_DRAWS draws and prefixes each label "draw i: ".
@@ -369,15 +372,16 @@ def _run_mehler_brs(order, q, params):
     t1 = TruncSeries.variable(("t",), order, "t")
     lhs = TruncSeries(("t",), order, {
         (n,): brs_poly(n, q) * brs_poly(n, q, "u", "v") * inv[n] for n in range(order + 1)})
-    pre = euler_series(t1.scale(_Y), q) * euler_series(t1.scale(_V * _X), q) \
-        * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
-        * euler_inv_series(t1.scale(_U * _X), q)
     spec = PhiSpec(
         upper=(_Y, t1.scale(_X)),
         ratio_upper=((_V, _U),),
         lower=(t1.scale(_Y), t1.scale(_V * _X)),
         q=q, argument=t1)
-    yield "", lhs, pre * phi_series(spec)
+    # the dense 3phi2 first: it meets one Euler factor at a time
+    yield "", lhs, phi_series(spec) \
+        * euler_series(t1.scale(_Y), q) * euler_series(t1.scale(_V * _X), q) \
+        * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
+        * euler_inv_series(t1.scale(_U * _X), q)
 
 
 @_case("mehler-reduction",
@@ -389,13 +393,13 @@ def _run_mehler_brs(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_mehler_reduction(order, q, params):
     t1 = TruncSeries.variable(("t",), order, "t")
-    pre = euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
-        * euler_inv_series(t1.scale(_Y * _X), q)
     spec = PhiSpec(
         upper=(t1.scale(_X),),
         ratio_upper=((Fraction(0), _Y),),
         q=q, argument=t1)
-    yield "", pre * phi_series(spec), _mehler_product(q, order)
+    lhs = phi_series(spec) * euler_inv_series(t1, q) \
+        * euler_inv_series(t1.scale(_X), q) * euler_inv_series(t1.scale(_Y * _X), q)
+    yield "", lhs, _mehler_product(q, order)
 
 
 @_case("rogers-brs",
@@ -410,11 +414,11 @@ def _run_rogers_brs(order, q, params):
     s1 = TruncSeries.variable(("s", "t"), order, "s")
     t1 = TruncSeries.variable(("s", "t"), order, "t")
     lhs = _st_series(order, lambda i, j: brs_poly(i + j, q) * (inv[i] * inv[j]))
-    pre = euler_series(s1.scale(_Y), q) * euler_inv_series(s1, q) \
-        * euler_inv_series(s1.scale(_X), q) * euler_inv_series(t1.scale(_X), q)
     spec = PhiSpec(upper=(_Y, s1.scale(_X)), lower=(s1.scale(_Y),),
                    q=q, argument=t1)
-    yield "", lhs, pre * phi_series(spec)
+    yield "", lhs, phi_series(spec) * euler_series(s1.scale(_Y), q) \
+        * euler_inv_series(s1, q) * euler_inv_series(s1.scale(_X), q) \
+        * euler_inv_series(t1.scale(_X), q)
 
 
 @_case("rogers2-brs",
@@ -453,11 +457,11 @@ def _run_lemma_22(order, q, params):
     lhs = t_op_graded(operand, q, bvar="b")
     av = TruncSeries.variable(("a", "b"), order, "a")
     bv = TruncSeries.variable(("a", "b"), order, "b")
-    pre = euler_series(bv.scale(v), q) * euler_inv_series(av.scale(s), q) \
-        * euler_inv_series(bv.scale(s), q) * euler_inv_series(bv.scale(t), q)
     spec = PhiSpec(upper=(v / t, bv.scale(s)), lower=(bv.scale(v),),
                    q=q, argument=av.scale(t))
-    yield "", lhs, pre * phi_series(spec)
+    yield "", lhs, phi_series(spec) * euler_series(bv.scale(v), q) \
+        * euler_inv_series(av.scale(s), q) * euler_inv_series(bv.scale(s), q) \
+        * euler_inv_series(bv.scale(t), q)
 
 
 @_case("zhang-wang",
@@ -487,9 +491,9 @@ def _run_zhang_wang(order, q, params):
 def _run_lemma_23(order, q, params):
     nmax = _nonneg_int(params["nmax"], "parameter nmax")
     t1 = TruncSeries.variable(("t",), order, "t")
-    kernel = euler_series(t1.scale(_Y), q) * euler_inv_series(t1.scale(_X), q)
-    pre = euler_series(t1.scale(_Y), q) * euler_inv_series(t1, q) \
-        * euler_inv_series(t1.scale(_X), q)
+    ey, e1, ex = (euler_series(t1.scale(_Y), q), euler_inv_series(t1, q),
+                  euler_inv_series(t1.scale(_X), q))
+    kernel = ey * ex
     # (y;q)_k, 1/(yt;q)_k and (xt;q)_k/(yt;q)_k for k <= nmax, as running products
     ypochs = qpochs(_Y, q, nmax)
     one = TruncSeries.one(("t",), order)
@@ -505,7 +509,7 @@ def _run_lemma_23(order, q, params):
         for k in range(n + 1):
             coef = qbinom(n, k, q) * ypochs[k] * _X ** (n - k)
             ksum = ksum + ratios[k].scale(coef)
-        yield f"n={n}", lhs, pre * ksum
+        yield f"n={n}", lhs, ksum * ey * e1 * ex
 
 
 # -- exact polynomial sweeps ---------------------------------------------------
@@ -520,10 +524,29 @@ def _run_lemma_23(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_rs(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
+    return _symmetric_sweep(order, lambda n, m: (rs_pairs[n][m], _lin_sum(
+        n, m, q, lambda k: rs_poly(n + m - 2 * k, q))))
+
+
+def _symmetric_sweep(order: int, sides, suffixes=("",)):
+    """The triples (f"n={n}, m={m}{suffix}", lhs, rhs) for n, m <= order in
+    row-major order, for a case whose sides are symmetric in (n, m).
+
+    sides(n, m) returns (lhs, rhs) pairs flattened, one pair per suffix. It
+    runs once per unordered pair, at n <= m, and (m, n) reports the sides
+    built for (n, m), which are the same polynomials.
+    """
+    built = {}
     for n in range(order + 1):
         for m in range(order + 1):
-            yield f"n={n}, m={m}", rs_pairs[n][m], _lin_sum(
-                n, m, q, lambda k: rs_poly(n + m - 2 * k, q))
+            if m < n:
+                polys = built.pop((m, n))
+            else:
+                polys = sides(n, m)
+                if n < m:
+                    built[n, m] = polys
+            for i, suffix in enumerate(suffixes):
+                yield f"n={n}, m={m}{suffix}", polys[2 * i], polys[2 * i + 1]
 
 
 def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
@@ -549,17 +572,17 @@ def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
 def _run_linear_brs_double(order, q, params):
     span = range(order + 1)
     ypoch = qpochs(_Y, q, order)
-    yp = [[ypoch[k] * cauchy_poly(l, q) for l in span] for k in span]
     yh = [[ypoch[k] * brs_poly(j, q) for j in range(order + 1 - k)] for k in span]
-    # d[k][m] = sum_l [m,l] q^(kl) P_l h_(m-l), the right side's inner sum
+    # d[k][m] = sum_l [m,l] q^(kl) P_l h_(m-l), the right side's inner sum, and
+    # e[m][j - m] = sum_l [m,l] P_l h_(j-l) for m <= j <= m + order, the left's
     d = [[lincomb((qbinom(m, l, q) * q ** (k * l), cauchy_poly(l, q), brs_poly(m - l, q))
                   for l in range(m + 1)) for m in span] for k in span]
+    e = [[lincomb((qbinom(m, l, q), cauchy_poly(l, q), brs_poly(j - l, q))
+                  for l in range(m + 1)) for j in range(m, m + order + 1)] for m in span]
     for n in span:
         for m in span:
-            # the left side grouped by s = k + l, which fixes h_(n+m-s)
-            lhs = lincomb((lincomb((qbinom(n, k, q) * qbinom(m, s - k, q), yp[k][s - k])
-                                   for k in range(max(0, s - m), min(n, s) + 1)),
-                           brs_poly(n + m - s, q)) for s in range(n + m + 1))
+            # the left side's sum over l taken first, which fixes e[m][n+m-k]
+            lhs = lincomb((qbinom(n, k, q), ypoch[k], e[m][n - k]) for k in range(n + 1))
             rhs = lincomb((qbinom(n, k, q), yh[k][n - k], d[k][m]) for k in range(n + 1))
             yield f"n={n}, m={m}", lhs, rhs
 
@@ -573,12 +596,10 @@ def _run_linear_brs_double(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_brs_simple(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
-    for n in range(order + 1):
-        for m in range(order + 1):
-            rhs = _lin_sum(n, m, q, lambda l: _lin_sum(
-                n - l, m - l, q, lambda k: brs_poly(n + m - 2 * l - k, q),
-                alternating=True, var=_Y))
-            yield f"n={n}, m={m}", brs_pairs[n][m], rhs
+    return _symmetric_sweep(order, lambda n, m: (brs_pairs[n][m], _lin_sum(
+        n, m, q, lambda l: _lin_sum(
+            n - l, m - l, q, lambda k: brs_poly(n + m - 2 * l - k, q),
+            alternating=True, var=_Y))))
 
 
 @_case("hlm-relation",
@@ -590,14 +611,16 @@ def _run_linear_brs_simple(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_hlm(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
-    for n in range(order + 1):
-        for m in range(order + 1):
-            terms = []
-            for k in range(min(n, m) + 1):
-                w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k), (-1) ** k, q ** tri(k))
-                terms.append((*w, _X ** k, brs_pairs[n - k][m - k]))
-                terms.append((*w, -1, _Y ** k, brs_poly(n + m - k, q)))
-            yield f"n={n}, m={m}", lincomb(terms), MultiPoly.const(0)
+
+    def sides(n, m):
+        terms = []
+        for k in range(min(n, m) + 1):
+            w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k), (-1) ** k, q ** tri(k))
+            terms.append((*w, _X ** k, brs_pairs[n - k][m - k]))
+            terms.append((*w, -1, _Y ** k, brs_poly(n + m - k, q)))
+        return lincomb(terms), MultiPoly.const(0)
+
+    return _symmetric_sweep(order, sides)
 
 
 @_case("linear-mixed",
@@ -609,10 +632,8 @@ def _run_hlm(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_mixed(order, q, params):
     yb = [ybinom_brs(n, q) for n in range(order + 1)]
-    for n in range(order + 1):
-        for m in range(order + 1):
-            lhs = _lin_sum(n, m, q, lambda k: rs_poly(n + m - 2 * k, q))
-            yield f"n={n}, m={m}", lhs, yb[n] * yb[m]
+    return _symmetric_sweep(order, lambda n, m: (
+        _lin_sum(n, m, q, lambda k: rs_poly(n + m - 2 * k, q)), yb[n] * yb[m]))
 
 
 @_case("awilson-special",
@@ -650,15 +671,20 @@ def _pair_products(family, q: Fraction, top: int) -> list:
     return table
 
 
-def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list):
+def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list, y=_Y):
     """Both sides of the mixed alternating identity linking h(x|q) and
-    h(x,y|q) products; brs_pairs is _pair_products(brs_poly, q, >= max(n, m))."""
+    h(x,y|q) products; brs_pairs is _pair_products(brs_poly, q, >= max(n, m)).
+
+    With y = 0 and brs_pairs built from the y-free parts of h_j(x,y|q),
+    they are the y^0 parts of the two sides: the y^0 part of a product is
+    the product of the y^0 parts.
+    """
     a = [qbinom(n, j, q) * q ** tri(j) for j in range(n + 1)]
     b = [qbinom(m, k, q) * q ** tri(k) for k in range(m + 1)]
     # the (j, k) double sum grouped by s = j + k, which fixes (-y)^s h_(n+m-s)
     lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
                                              for j in range(max(0, s - m), min(n, s) + 1)),
-                   _Y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
+                   y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
     return lhs, _lin_sum(n, m, q, lambda k: brs_pairs[n - k][m - k], alternating=True)
 
 
@@ -671,9 +697,7 @@ def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list):
        defaults={"q": Fraction(1, 2)})
 def _run_mixed_identity(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
-    for n in range(order + 1):
-        for m in range(order + 1):
-            yield (f"n={n}, m={m}", *_mixed_sides(n, m, q, brs_pairs))
+    return _symmetric_sweep(order, lambda n, m: _mixed_sides(n, m, q, brs_pairs))
 
 
 @_case("askey-ismail",
@@ -685,15 +709,18 @@ def _run_mixed_identity(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_askey_ismail(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
-    brs_pairs = _pair_products(brs_poly, q, order)
-    for n in range(order + 1):
-        for m in range(order + 1):
-            lhs = rs_poly(n + m, q)
-            rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k][m - k], alternating=True)
-            yield f"n={n}, m={m}", lhs, rhs
-            ml, mr = _mixed_sides(n, m, q, brs_pairs)
-            yield f"n={n}, m={m} (y=0 shadow, left)", ml.partial_coefficient({"y": 0}), lhs
-            yield f"n={n}, m={m} (y=0 shadow, right)", mr.partial_coefficient({"y": 0}), rhs
+    # the y^0 parts of h_j(x,y|q), multiplied pairwise
+    h0 = [brs_poly(j, q).partial_coefficient({"y": 0}) for j in range(order + 1)]
+    shadow_pairs = _pair_products(lambda j, q: h0[j], q, order)
+
+    def sides(n, m):
+        lhs = rs_poly(n + m, q)
+        rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k][m - k], alternating=True)
+        ml, mr = _mixed_sides(n, m, q, shadow_pairs, y=0)
+        return lhs, rhs, ml, lhs, mr, rhs
+
+    return _symmetric_sweep(order, sides, suffixes=(
+        "", " (y=0 shadow, left)", " (y=0 shadow, right)"))
 
 
 # -- exact: q-Hermite connections ----------------------------------------------

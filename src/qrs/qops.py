@@ -16,7 +16,8 @@ from fractions import Fraction
 from .families import brs_poly, cauchy_poly
 from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series)
-from .qcore import MultiPoly, frac, lincomb, qbinom
+from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
+                    frac, lincomb, qbinom)
 from .reporting import IdentityReport
 
 
@@ -56,12 +57,30 @@ def e_op_apply(f: TruncSeries, q: Fraction) -> TruncSeries:
     for idx, c in f.coeffs.items():
         if not isinstance(c, MultiPoly):
             c = MultiPoly.const(c)
-        parts = [c.partial_coefficient({"x": k, "y": 0})
-                 for k in range(c.degree_in("x") + 1)]
+        parts = _cauchy_parts(c)
         if lincomb((p, cauchy_poly(k, q)) for k, p in enumerate(parts)) != c:
             raise ValueError(f"coefficient {idx} is not in the Cauchy basis span")
         out[idx] = lincomb((p, brs_poly(k, q)) for k, p in enumerate(parts))
     return TruncSeries(f.vars, f.order, out)
+
+
+def _cauchy_parts(c: MultiPoly) -> list:
+    """[p_0, ..., p_d] for d the degree of c in x: p_k is the x^k y^0
+    coefficient of c, a polynomial in its other variables. One pass over the
+    terms of c sorts its y^0 terms by their x exponent."""
+    variables = c.vars
+    fields = {v: _FIELD * (len(variables) - 1 - i) for i, v in enumerate(variables)}
+    xshift = fields.get("x")
+    ymask = _FIELD_MASK << fields["y"] if "y" in fields else 0
+    buckets = {}
+    for e, v in c._num.items():
+        if not e & ymask:
+            k = 0 if xshift is None else e >> xshift & _FIELD_MASK
+            buckets.setdefault(k, {})[e] = v
+    keep = tuple(v for v in variables if v not in ("x", "y"))
+    moves = _moves(variables, keep)
+    return [_normal(keep, c._den, _repack(buckets.get(k, {}), moves))
+            for k in range(c.degree_in("x") + 1)]
 
 
 # -- the two-parameter operator product transformation -----------------------
@@ -90,11 +109,6 @@ def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
     av = TruncSeries.variable(ab, order, "a")
     bv = TruncSeries.variable(ab, order, "b")
     abm = TruncSeries.monomial(ab, order, (1, 1))
-    closed = euler_series(av.scale(v), q) * euler_series(bv.scale(v), q) \
-        * euler_series(abm.scale(s * t * w / v), q)
-    for c in (s, t, w):
-        closed = closed * euler_inv_series(av.scale(c), q) \
-            * euler_inv_series(bv.scale(c), q)
     spec = PhiSpec(
         upper=(v / s, v / t),
         ratio_upper=((v, w),),
@@ -102,7 +116,11 @@ def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
         q=q,
         argument=abm.scale(s * t / v),
     )
-    rhs = closed * phi_series(spec)
+    # the dense 3phi2 meets the closed product one Euler factor at a time
+    rhs = phi_series(spec) * euler_series(av.scale(v), q) \
+        * euler_series(bv.scale(v), q) * euler_series(abm.scale(s * t * w / v), q)
+    for c in (s, t, w):
+        rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)
     return lhs, rhs
 
 

@@ -1,9 +1,11 @@
 """Unit tests for the identity registry and verification driver."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from qrs import fps, idverify, qcore
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
 from qrs.qops import zhang_wang_check
@@ -258,3 +260,84 @@ def test_check_helpers_report_exactly_what_verify_reports(helper, case_id, order
     rep = helper()
     assert rep.passed(), rep.witness
     assert rep.to_json_dict() == verify(case_id, order=order, params=params).to_json_dict()
+
+
+# -- symmetric (n, m) sweeps ---------------------------------------------------
+
+SYMMETRIC = ["linear-rs", "linear-brs-simple", "hlm-relation", "linear-mixed",
+             "mixed-identity", "askey-ismail"]
+SHADOWS = ("", " (y=0 shadow, left)", " (y=0 shadow, right)")
+
+
+def _sides_of(case_id, q, monkeypatch):
+    """The sides(n, m) a case hands to idverify._symmetric_sweep, or None if
+    its runner does not call it."""
+    caught = {}
+    monkeypatch.setattr(idverify, "_symmetric_sweep",
+                        lambda order, sides, suffixes=("",): caught.update(sides=sides))
+    case = get_case(case_id)
+    case.runner(4, q, {**case.defaults, "q": q})
+    monkeypatch.undo()
+    return caught.get("sides")
+
+
+def test_symmetric_sweeps_are_the_listed_cases(monkeypatch):
+    swept = [c.id for c in registry() if c.mode == "exact-poly"
+             and _sides_of(c.id, Fraction(1, 2), monkeypatch) is not None]
+    assert swept == SYMMETRIC
+
+
+@pytest.mark.parametrize("case_id", SYMMETRIC)
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 7)])
+def test_symmetric_sides_agree_when_n_and_m_swap(case_id, q, monkeypatch):
+    # the sweep reports (m, n) with the sides built at (n, m); both are built
+    # here, each on its own
+    sides = _sides_of(case_id, q, monkeypatch)
+    for m in range(5):
+        for n in range(m):
+            assert sides(n, m) == sides(m, n), (n, m)
+
+
+@pytest.mark.parametrize("case_id", SYMMETRIC)
+def test_symmetric_sweeps_report_every_ordered_pair(case_id):
+    case = get_case(case_id)
+    suffixes = SHADOWS if case_id == "askey-ismail" else ("",)
+    labels = [label for label, _, _ in case.runner(4, Fraction(1, 2), case.defaults)]
+    assert labels == [f"n={n}, m={m}{suffix}"
+                      for n in range(5) for m in range(5) for suffix in suffixes]
+
+
+# -- work -----------------------------------------------------------------------
+
+
+def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
+    # a timing-free guard on the exact cases: every product of two term dicts
+    # goes through qcore._mul_into, which fps imports by name. Before the
+    # Euler prefactors met their dense series one factor at a time, the
+    # symmetric sweeps built each unordered pair once and linear-brs-double
+    # summed its left side over l first, verify_all() took 339,964 pairs:
+    # mehler-brs 96,911, linear-brs-double 75,082, lemma-2.3 62,723 and
+    # hlm-relation 40,145.
+    counts = Counter()
+    current = [None]
+    mul_into, verify_one = qcore._mul_into, idverify.verify
+
+    def counted(acc, small, big):
+        counts[current[0]] += len(small) * len(big)
+        return mul_into(acc, small, big)
+
+    def verify_counted(case_id, **kwargs):
+        current[0] = case_id
+        return verify_one(case_id, **kwargs)
+
+    monkeypatch.setattr(qcore, "_mul_into", counted)
+    monkeypatch.setattr(fps, "_mul_into", counted)
+    monkeypatch.setattr(idverify, "verify", verify_counted)
+    # memo tables that earlier tests filled would hide the cost of the families
+    qcore._table.cache_clear()
+    assert all(rep.passed() for rep in verify_all())
+    assert sum(counts.values()) <= 205_179
+    assert counts["mehler-brs"] <= 48_457
+    assert counts["lemma-2.3"] <= 27_053
+    assert counts["linear-brs-double"] <= 56_658
+    assert counts["hlm-relation"] <= 30_059
