@@ -28,7 +28,9 @@ exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
 numeric-complex  runner(rng, q, tol) returns one draw (label, values): the
                draw's parameters and the values that must agree. verify()
                runs NUMERIC_DRAWS draws and prefixes each label "draw i: ".
-               The runner sums its series to tol = (the case's tol) / 10.
+               The runner sums its series to tol = (the case's tol) / 10;
+               where a term's coefficient is itself a finite sum, a forward
+               recurrence gives it at O(1) per term.
 quadrature     runner(params, tol) returns (integral, closed value), compared
                relative to |closed value|; or (integral, closed value,
                witness template), compared absolutely, for a closed value
@@ -54,7 +56,7 @@ from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
                        qhermite_circle, rs_poly, ybinom_brs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
-from .qcore import MultiPoly, frac, lincomb, qbinom, qfac, qfacs, qpochs, tri
+from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, qfac, qpochs, tri
 from .qops import e_op_apply, t_op_graded, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
                          ortho_quad, qpoch_inf, qpoch_n)
@@ -239,14 +241,6 @@ def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
             n += 1
 
     return _sum_terms(terms(), abs(t), tol)
-
-
-def _powers(ladder: list, x, top: int, exponent=None) -> None:
-    """Extend ladder in place through index top, entry j being
-    x ** exponent(j) (x ** j by default): a draw's sums take each power from
-    the ladder rather than raising x afresh in every term."""
-    for j in range(len(ladder), top + 1):
-        ladder.append(x ** (exponent(j) if exponent else j))
 
 
 def _nonneg_int(value, name: str) -> int:
@@ -524,7 +518,7 @@ def _run_lemma_23(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_rs(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
-    return _symmetric_sweep(order, lambda n, m: (rs_pairs[n][m], _lin_sum(
+    return _symmetric_sweep(order, lambda n, m: (rs_pairs[n, m], _lin_sum(
         n, m, q, lambda k: rs_poly(n + m - 2 * k, q))))
 
 
@@ -596,7 +590,7 @@ def _run_linear_brs_double(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_linear_brs_simple(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
-    return _symmetric_sweep(order, lambda n, m: (brs_pairs[n][m], _lin_sum(
+    return _symmetric_sweep(order, lambda n, m: (brs_pairs[n, m], _lin_sum(
         n, m, q, lambda l: _lin_sum(
             n - l, m - l, q, lambda k: brs_poly(n + m - 2 * l - k, q),
             alternating=True, var=_Y))))
@@ -616,7 +610,7 @@ def _run_hlm(order, q, params):
         terms = []
         for k in range(min(n, m) + 1):
             w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k), (-1) ** k, q ** tri(k))
-            terms.append((*w, _X ** k, brs_pairs[n - k][m - k]))
+            terms.append((*w, _X ** k, brs_pairs[n - k, m - k]))
             terms.append((*w, -1, _Y ** k, brs_poly(n + m - k, q)))
         return lincomb(terms), MultiPoly.const(0)
 
@@ -661,23 +655,26 @@ def _run_its_inverse(order, q, params):
         yield f"n={n}", lhs, rhs
 
 
-def _pair_products(family, q: Fraction, top: int) -> list:
-    """table[i][j] = family(i, q) * family(j, q) for i, j <= top, each
-    product built once; the sweeps meet every pair many times."""
-    table = [[None] * (top + 1) for _ in range(top + 1)]
+def _pair_products(family, q: Fraction, top: int) -> dict:
+    """The memo table (i, j) -> family(i, q) * family(j, q), filled for
+    i, j <= top. Each product is built once per q, and every sweep over the
+    family at that q shares it."""
+    table = memo_table(("pairs", family.__name__), q)
     for i in range(top + 1):
         for j in range(i, top + 1):
-            table[i][j] = table[j][i] = family(i, q) * family(j, q)
+            if (i, j) not in table:
+                table[i, j] = table[j, i] = family(i, q) * family(j, q)
     return table
 
 
-def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list, y=_Y):
+def _mixed_sides(n: int, m: int, q: Fraction, pairs: dict, y=_Y):
     """Both sides of the mixed alternating identity linking h(x|q) and
-    h(x,y|q) products; brs_pairs is _pair_products(brs_poly, q, >= max(n, m)).
+    h(x,y|q) products; pairs is _pair_products(brs_poly, q, >= max(n, m)).
 
-    With y = 0 and brs_pairs built from the y-free parts of h_j(x,y|q),
-    they are the y^0 parts of the two sides: the y^0 part of a product is
-    the product of the y^0 parts.
+    With y = 0 and pairs = _pair_products(rs_poly, q, >= max(n, m)) they
+    are the y^0 parts of the two sides: the y^0 part of a product is the
+    product of the y^0 parts, and that of h_j(x,y|q) is h_j(x|q), as
+    P_k(x,0) = x^k.
     """
     a = [qbinom(n, j, q) * q ** tri(j) for j in range(n + 1)]
     b = [qbinom(m, k, q) * q ** tri(k) for k in range(m + 1)]
@@ -685,7 +682,7 @@ def _mixed_sides(n: int, m: int, q: Fraction, brs_pairs: list, y=_Y):
     lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
                                              for j in range(max(0, s - m), min(n, s) + 1)),
                    y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
-    return lhs, _lin_sum(n, m, q, lambda k: brs_pairs[n - k][m - k], alternating=True)
+    return lhs, _lin_sum(n, m, q, lambda k: pairs[n - k, m - k], alternating=True)
 
 
 @_case("mixed-identity",
@@ -709,14 +706,11 @@ def _run_mixed_identity(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_askey_ismail(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
-    # the y^0 parts of h_j(x,y|q), multiplied pairwise
-    h0 = [brs_poly(j, q).partial_coefficient({"y": 0}) for j in range(order + 1)]
-    shadow_pairs = _pair_products(lambda j, q: h0[j], q, order)
 
     def sides(n, m):
         lhs = rs_poly(n + m, q)
-        rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k][m - k], alternating=True)
-        ml, mr = _mixed_sides(n, m, q, shadow_pairs, y=0)
+        rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k, m - k], alternating=True)
+        ml, mr = _mixed_sides(n, m, q, rs_pairs, y=0)
         return lhs, rhs, ml, lhs, mr, rhs
 
     return _symmetric_sweep(order, sides, suffixes=(
@@ -788,6 +782,48 @@ def _run_cb_big(order, q, params):
 
 # -- numeric-complex checks ----------------------------------------------------
 
+# The coefficient sequences of the left sides that are finite sums, each
+# run forward by a three-term recurrence at O(1) per term. They compute in
+# the number type of their arguments: complex in the runners, Fraction in
+# the tests that hold them to the sums.
+
+
+def _rogers_weights(s, t, q):
+    """g_N = sum_n t^n s^(N-n) / ((q;q)_n (q;q)_(N-n)) = h_N(t,s|q)/(q;q)_N,
+    N = 0, 1, ..., by g_N (1 - q^N) = (t + s) g_(N-1) - ts g_(N-2)."""
+    plus, times = t + s, t * s
+    before, g, qn = 0, 1, 1
+    while True:
+        yield g
+        qn *= q
+        before, g = g, (plus * g - times * before) / (1 - qn)
+
+
+def _gen_big_1_coefs(a, t, q):
+    """c_n = sum_k q^C(n-2k,2) a^(n-2k) t^(n-k) / ((q^2;q^2)_k (q;q)_(n-2k))
+    = [u^n] (-atu;q)_oo / (tu^2;q^2)_oo, n = 0, 1, ..., by that quotient's
+    q-difference equation: c_n (1 - q^n) = at q^(n-1) c_(n-1) + t c_(n-2)."""
+    at = a * t
+    before, c, qn = 0, 1, 1   # qn = q^(n-1) for the next n
+    while True:
+        yield c
+        before, c = c, (at * qn * c + t * before) / (1 - qn * q)
+        qn *= q
+
+
+def _gen_big_2_coefs(a, t, q):
+    """t^n c_n = sum_k (-1)^k q^(k^2) a^k t^(n+k) / ((q^2;q^2)_k (q;q)_(n-k)),
+    n = 0, 1, ..., where c_n = [u^n] F(u), F(u) = (bu;q^2)_oo / (u;q)_oo and
+    b = aqt. F(u)(1 - u)(1 - qu) = F(q^2 u)(1 - bu) gives
+    c_n (1 - q^(2n)) = (1 + q - b q^(2n-2)) c_(n-1) - q c_(n-2)."""
+    b, q2 = a * q * t, q * q
+    before, c, q2n, tn = 0, 1, 1, 1   # q2n = q^(2n-2) for the next n
+    while True:
+        yield tn * c
+        before, c = c, ((1 + q - b * q2n) * c - q * before) / (1 - q2n * q2)
+        q2n *= q2
+        tn *= t
+
 
 @_case("phi32-transform",
        "three-term transformation of a 3phi2 at argument de/(abc) into one "
@@ -857,16 +893,7 @@ def _run_rogers_big(rng, q, tol):
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
     hermite = qhermite_circle(a, q, theta)
-    tp, sp = [], []
-
-    def term(big):
-        qq = qfacs(q, big)
-        _powers(tp, t, big)
-        _powers(sp, s, big)
-        return hermite(big) * sum(
-            tp[n] * sp[big - n] / (qq[n] * qq[big - n]) for n in range(big + 1))
-
-    lhs = _sum_terms((term(big) for big in range(10 ** 9)),
+    lhs = _sum_terms((hermite(n) * g for n, g in enumerate(_rogers_weights(s, t, q))),
                      max(abs(s), abs(t)), tol)
     rhs = qpoch_inf(a * s, q) \
         / (qpoch_inf(s * z, q) * qpoch_inf(s / z, q) * qpoch_inf(t / z, q)) \
@@ -923,19 +950,8 @@ def _run_gen_big_1(rng, q, tol):
     a = _draw_complex(rng, 0.05, 0.5)
     t = _draw_complex(rng, 0.05, 0.4)
     z2 = cmath.exp(2j * theta)
-
-    qt, ap, tp = [], [], []
-
-    def coef(n):
-        qq, qq2 = qfacs(q, n), qfacs(q2, n)
-        _powers(qt, q, n, tri)
-        _powers(ap, a, n)
-        _powers(tp, t, n)
-        return sum(qt[n - 2 * k] * ap[n - 2 * k] * tp[n - k]
-                   / (qq2[k] * qq[n - 2 * k]) for k in range(n // 2 + 1))
-
     hermite = qhermite_circle(a, q, theta)
-    lhs = _sum_terms((coef(n) * hermite(n) for n in range(10 ** 9)),
+    lhs = _sum_terms((c * hermite(n) for n, c in enumerate(_gen_big_1_coefs(a, t, q))),
                      math.sqrt(abs(t)), tol)
     rhs = qpoch_inf(a * a * t, q2) * qpoch_inf(-t, q) \
         / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
@@ -956,20 +972,8 @@ def _run_gen_big_2(rng, q, tol):
     a = _draw_complex(rng, 0.05, 0.5)
     t = _draw_complex(rng, 0.05, 0.4)
     z = cmath.exp(1j * theta)
-
-    sg, qs, ap, tp = [], [], [], []
-
-    def coef(n):
-        qq, qq2 = qfacs(q, n), qfacs(q2, n)
-        _powers(sg, -1, n)
-        _powers(qs, q, n, lambda k: k * k)
-        _powers(ap, a, n)
-        _powers(tp, t, 2 * n)
-        return sum(sg[k] * qs[k] * ap[k] * tp[n + k]
-                   / (qq2[k] * qq[n - k]) for k in range(n + 1))
-
     hermite = qhermite_circle(a, q2, theta)
-    lhs = _sum_terms((coef(n) * hermite(n) for n in range(10 ** 9)),
+    lhs = _sum_terms((c * hermite(n) for n, c in enumerate(_gen_big_2_coefs(a, t, q))),
                      abs(t), tol)
     rhs = qpoch_inf(a * t, q) * qpoch_inf(q * t * t, q2) \
         / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))

@@ -19,10 +19,11 @@ the whole accumulator at every step.
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
 
-Sequences indexed by n at a base q, such as (q; q)_n and the Cauchy and
-Rogers-Szego families built on them, are memoised in tables n -> value held by one LRU of MEMO_KEYS
-tables (`memo_table`). Recurrences fill a table lowest n first in a loop,
-so no degree is too deep for the recursion limit.
+Sequences at a base q, such as (q; q)_n, the Gaussian binomials, the
+Cauchy and Rogers-Szego families built on them and those families' pair
+products, are memoised in tables index -> value held by one LRU of
+MEMO_KEYS tables (`memo_table`). Recurrences fill a table lowest n first
+in a loop, so no degree is too deep for the recursion limit.
 """
 
 from __future__ import annotations
@@ -600,16 +601,10 @@ def memo_table(tag, q) -> dict:
     return _table(tag, type(q), q)
 
 
-def qfacs(q, n: int) -> dict:
-    """The memo table k -> (q; q)_k, filled through k = n.
-
-    q is a Fraction or a float and the values share its type, so the exact
-    factorials and the float ladder of the numeric cases are one recurrence
-    in two tables. Callers only index the table.
-    """
-    # the numeric sums look the float ladder up once per term, so its key
-    # is built here rather than in memo_table
-    table = _table("qfac", float, q) if type(q) is float else memo_table("qfac", q)
+def qfacs(q: Fraction, n: int) -> dict:
+    """The memo table k -> (q; q)_k for rational q, filled through k = n.
+    Callers only index the table."""
+    table = memo_table("qfac", q)
     if n not in table:
         table.setdefault(0, q ** 0)
         for k in range(1, n + 1):

@@ -348,9 +348,9 @@ def test_poly_to_cauchy_round_trip():
         assert lincomb((c, cauchy_poly(k, q)) for k, c in enumerate(got)) == f
 
 
-def _per_n_ladder(q: float, n: int) -> tuple:
+def _per_n_ladder(q: Fraction, n: int) -> tuple:
     # the ladder as one (q, n)-keyed entry built it, prefix and all
-    out = [1.0]
+    out = [Fraction(1)]
     for k in range(1, n + 1):
         out.append(out[-1] * (1 - q ** k))
     return tuple(out)
@@ -360,15 +360,22 @@ def test_qfac_ladder_cache_is_bounded_and_bit_equal_to_the_per_n_ladder():
     tables = qcore._table
     bound = tables.cache_info().maxsize
     assert bound == qcore.MEMO_KEYS
-    qs = [0.05 + 0.9 * i / (bound + 10) for i in range(bound + 10)]
+    qs = [Fraction(i + 1, 2 * i + 5) * (-1) ** i for i in range(bound + 10)]
+    first = {}
     for q in qs:
         for n in (5, 0, 12, 3):
             qcore.qfacs(q, n)
             assert tables.cache_info().currsize <= bound
         for n in range(13):
             ladder = qcore.qfacs(q, n)
-            assert tuple(ladder[k] for k in range(n + 1)) == _per_n_ladder(q, n)
+            first[q] = tuple(ladder[k] for k in range(n + 1))
+            assert first[q] == _per_n_ladder(q, n)
+            assert {type(v) for v in first[q]} == {Fraction}
     assert tables.cache_info().currsize == bound
+    # the first q's tables were evicted; a rebuild gives equal values
+    for q in qs[:3]:
+        ladder = qcore.qfacs(q, 12)
+        assert tuple(ladder[k] for k in range(13)) == first[q]
 
 
 def test_memo_tables_stay_bounded_and_rebuild_equal_values():

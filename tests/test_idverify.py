@@ -1,11 +1,15 @@
 """Unit tests for the identity registry and verification driver."""
 
+import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+import reference_numeric
 
 from qrs import fps, idverify, qcore
+from qrs.families import brs_poly
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
 from qrs.qops import zhang_wang_check
@@ -307,6 +311,65 @@ def test_symmetric_sweeps_report_every_ordered_pair(case_id):
                       for n in range(5) for m in range(5) for suffix in suffixes]
 
 
+# -- numeric coefficient recurrences --------------------------------------------
+
+
+def _rogers_sum(s, t, q, big):
+    return sum(t ** n * s ** (big - n) / (qfac(q, n) * qfac(q, big - n))
+               for n in range(big + 1))
+
+
+def _gen_big_1_sum(a, t, q, n):
+    return sum(q ** tri(n - 2 * k) * a ** (n - 2 * k) * t ** (n - k)
+               / (qfac(q * q, k) * qfac(q, n - 2 * k)) for k in range(n // 2 + 1))
+
+
+def _gen_big_2_sum(a, t, q, n):
+    return sum((-1) ** k * q ** (k * k) * a ** k * t ** (n + k)
+               / (qfac(q * q, k) * qfac(q, n - k)) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(97, 100), Fraction(-3, 7)])
+@pytest.mark.parametrize("a, s, t", [
+    (Fraction(2, 3), Fraction(-1, 5), Fraction(3, 7)),
+    (Fraction(-5, 4), Fraction(7, 3), Fraction(-2, 9)),
+])
+def test_coefficient_recurrences_equal_their_defining_sums(q, a, s, t):
+    # exact over Q, term by term: the forward recurrences and the finite
+    # double sums they replace are the same sequences
+    top = 30
+    assert list(islice(idverify._rogers_weights(s, t, q), top + 1)) == [
+        _rogers_sum(s, t, q, n) for n in range(top + 1)]
+    assert list(islice(idverify._gen_big_1_coefs(a, t, q), top + 1)) == [
+        _gen_big_1_sum(a, t, q, n) for n in range(top + 1)]
+    assert list(islice(idverify._gen_big_2_coefs(a, t, q), top + 1)) == [
+        _gen_big_2_sum(a, t, q, n) for n in range(top + 1)]
+
+
+RECURRENCE_CASES = {"rogers-big": reference_numeric.rogers_big_lhs,
+                    "gen-big-1": reference_numeric.gen_big_1_lhs,
+                    "gen-big-2": reference_numeric.gen_big_2_lhs}
+
+
+@pytest.mark.parametrize("case_id", sorted(RECURRENCE_CASES))
+def test_recurrence_left_sides_match_the_frozen_sums(case_id):
+    # the same draws through the runner and through the O(N^2) sums it
+    # replaced, at the case's default q and the tol verify() hands it
+    case = get_case(case_id)
+    q, tol = case.defaults["q"], case.defaults["tol"] / 10
+    for seed in range(60):
+        new = case.runner(random.Random(seed), q, tol)[1][0]
+        old = RECURRENCE_CASES[case_id](random.Random(seed), q, tol)
+        assert abs(new - old) <= 1e-12 * abs(old), (seed, new, old)
+
+
+@pytest.mark.parametrize("case_id", sorted(RECURRENCE_CASES))
+def test_recurrence_cases_pass_at_twenty_seeds(case_id):
+    for seed in range(20):
+        rep = verify(case_id, seed=seed)
+        assert rep.status == "pass", (seed, rep.witness)
+
+
 # -- work -----------------------------------------------------------------------
 
 
@@ -341,3 +404,7 @@ def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
     assert counts["lemma-2.3"] <= 27_053
     assert counts["linear-brs-double"] <= 56_658
     assert counts["hlm-relation"] <= 30_059
+    # each pair product is built once per q: a second table costs nothing
+    before = sum(counts.values())
+    idverify._pair_products(brs_poly, Fraction(1, 2), 8)
+    assert sum(counts.values()) == before

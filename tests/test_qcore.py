@@ -184,17 +184,23 @@ def test_poly_eval_numeric_and_exact_paths():
 
 
 def test_exact_and_float_factorials_keep_their_own_types():
-    # 0.5 == Fraction(1, 2) and both hash alike, yet each gets its own table
+    # 0.5 == Fraction(1, 2) and both hash alike, yet the float key has its
+    # own memo table, which the exact factorials never fill; qfac refuses a
+    # float q rather than building a float ladder
     half = Fraction(1, 2)
     for exact_first in (True, False):
         qcore._table.cache_clear()
         if exact_first:
-            exact, ladder = qfac(half, 6), qfacs(0.5, 6)
+            table, floats = qfacs(half, 6), qcore.memo_table("qfac", 0.5)
         else:
-            ladder, exact = qfacs(0.5, 6), qfac(half, 6)
+            floats, table = qcore.memo_table("qfac", 0.5), qfacs(half, 6)
+        exact = qfac(half, 6)
         assert type(exact) is Fraction and exact == Fraction(3 * 7 * 15 * 31 * 63, 2 ** 21)
-        assert [type(ladder[k]) for k in range(7)] == [float] * 7
-        assert abs(ladder[6] - float(exact)) < 1e-15
+        assert [type(table[k]) for k in range(7)] == [Fraction] * 7
+        assert table[6] == exact
+        assert floats is not table and floats == {}
+    with pytest.raises(TypeError):
+        qfac(0.5, 6)
 
 
 def test_qpochs_is_the_running_product():
