@@ -12,29 +12,26 @@ sides of each identity either coefficientwise (exact) or numerically
 
 from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
-                       qhermite_eval, qhermite_poly, rs_poly)
-from .fps import (PhiSpec, TruncSeries, cauchy_series, euler_inv_series,
-                  euler_series, phi_series, phi_sum, series_inv)
+                       qhermite_poly, rs_poly)
+from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
+                  phi_series, phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
-from .qcore import MultiPoly, frac, qbinom, qfac, qpoch
-from .qops import e_op_apply, t_op_graded, zhang_wang_check
-from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_check,
-                         askey_wilson_closed, askey_wilson_quad,
-                         closed_forms_suite, inf_product, integrate, jhi_eval,
-                         ortho_check, qpoch_inf, qpoch_n)
+from .qcore import MultiPoly, frac, qbinom, qfac
+from .qops import e_op_apply, t_op_graded
+from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_closed,
+                         askey_wilson_quad, inf_product, integrate, jhi_eval,
+                         qpoch_inf, qpoch_n)
 from .reporting import IdentityReport
 
 __version__ = "0.1.0"
 
 __all__ = [
     "IdentityCase", "IdentityReport", "IntegralSpec", "MultiPoly", "PhiSpec",
-    "QuadratureError", "TruncSeries", "askey_wilson_check",
-    "askey_wilson_closed", "askey_wilson_quad", "big_qhermite_poly",
-    "big_qhermite_polys", "brs_poly", "cauchy_poly", "cauchy_series",
-    "change_base_big", "change_base_c", "closed_forms_suite", "e_op_apply",
-    "euler_inv_series", "euler_series", "frac", "get_case", "inf_product",
-    "integrate", "jhi_eval", "ortho_check", "phi_series", "phi_sum",
-    "qbinom", "qfac", "qhermite_eval", "qhermite_poly", "qpoch", "qpoch_inf",
-    "qpoch_n", "registry", "rs_poly", "series_inv", "t_op_graded", "verify",
-    "verify_all", "zhang_wang_check",
+    "QuadratureError", "TruncSeries", "askey_wilson_closed",
+    "askey_wilson_quad", "big_qhermite_poly", "big_qhermite_polys",
+    "brs_poly", "cauchy_poly", "change_base_big", "change_base_c",
+    "e_op_apply", "euler_inv_series", "euler_series", "frac", "get_case",
+    "inf_product", "integrate", "jhi_eval", "phi_series", "phi_sum",
+    "qbinom", "qfac", "qhermite_poly", "qpoch_inf", "qpoch_n", "registry",
+    "rs_poly", "series_inv", "t_op_graded", "verify", "verify_all",
 ]

@@ -97,16 +97,6 @@ def qhermite_poly(n: int, q: Fraction, x: str = "x") -> MultiPoly:
     return big_qhermite_poly(n, Fraction(0), q, x)
 
 
-def qhermite_eval(n: int, a, q, theta: float) -> complex:
-    """Numeric H_n(cos theta; a|q) by the three-term recurrence.
-
-    Float arithmetic, O(n) per call; meant for quadrature and numeric series
-    work where exact values are overkill. A caller that wants H_n for many n
-    at one (a, q, theta) holds one `qhermite_circle` instead.
-    """
-    return qhermite_circle(a, q, theta)(n)
-
-
 def qhermite_circle(a, q, theta: float):
     """The map n -> H_n(cos theta; a|q) at one (a, q, theta), by the
     three-term recurrence (Koekoek, Lesky & Swarttouw 2010, section 14.18)
@@ -174,16 +164,11 @@ def ybinom_brs(n: int, q: Fraction) -> MultiPoly:
     return lincomb((c, brs_poly(m, q)) for m, c in enumerate(rs_to_brs_coeffs(n, q)))
 
 
-def h_to_bivariate(n: int, q: Fraction):
-    """Both expansion identities relating h_n(x|q) and h_n(x,y|q).
-
-    Returns ((lhs1, rhs1), (lhs2, rhs2)) as MultiPoly pairs:
-      lhs1 = h_n(x|q)      rhs1 = ybinom_brs(n, q)
-      lhs2 = h_n(x,y|q)    rhs2 = sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q)
-    """
+def ybinom_rs(n: int, q: Fraction) -> MultiPoly:
+    """The alternating y-binomial transform
+    sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q), which equals h_n(x,y|q)."""
     q = frac(q)
-    rhs2 = lincomb((c, rs_poly(m, q)) for m, c in enumerate(brs_to_rs_coeffs(n, q)))
-    return (rs_poly(n, q), ybinom_brs(n, q)), (brs_poly(n, q), rhs2)
+    return lincomb((c, rs_poly(m, q)) for m, c in enumerate(brs_to_rs_coeffs(n, q)))
 
 
 # -- change of base ---------------------------------------------------------

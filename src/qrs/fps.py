@@ -34,7 +34,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 
 from .qcore import (_FIELD, MultiPoly, _check_guard, _moves, _mul_into, _normal,
-                    _pack, _repack, _union, _unpack, frac, qfac, qpochs, tri)
+                    _pack, _repack, _union, _unpack, frac, qfac, tri)
 
 _SCALARS = (int, Fraction)
 
@@ -299,16 +299,6 @@ class TruncSeries:
             _scaled(layer, elem.numerator, elem.denominator) if layer[1] else _EMPTY
             for layer in self._layers))
 
-    def shift(self, idx) -> "TruncSeries":
-        """Multiply by the monomial with exponent tuple idx."""
-        idx = tuple(idx)
-        k = sum(idx)
-        s = _pack(idx) << _FIELD * len(self.cvars)
-        layers = [_EMPTY] * min(k, self.order + 1)
-        for den, num in self._layers[:max(0, self.order + 1 - k)]:
-            layers.append((den, {e + s: c for e, c in num.items()}) if num else _EMPTY)
-        return _make(self.vars, self.order, self.cvars, tuple(layers))
-
     # -- comparison ---------------------------------------------------------
 
     def diff_witness(self, other: "TruncSeries"):
@@ -464,17 +454,6 @@ def euler_inv_series(z: TruncSeries, q: Fraction) -> TruncSeries:
     """1/(z; q)_oo as a truncated series: sum_k z^k / (q;q)_k."""
     q = frac(q)
     return _power_sum(z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series")
-
-
-def cauchy_series(a, z: TruncSeries, q: Fraction) -> TruncSeries:
-    """sum_k (a;q)_k z^k / (q;q)_k, whose closed form is (az;q)_oo/(z;q)_oo.
-
-    a is a ring element (rational or MultiPoly).
-    """
-    q = frac(q)
-    pochs = qpochs(a, q, z.order)
-    return _power_sum(z, lambda k: pochs[k] * (Fraction(1) / qfac(q, k)),
-                      "cauchy_series")
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
-                       change_base_big, change_base_c, h_to_bivariate,
-                       qhermite_circle, rs_poly, ybinom_brs)
+                       change_base_big, change_base_c, qhermite_circle,
+                       rs_poly, ybinom_brs, ybinom_rs)
 from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
                   euler_series, phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, qfac, qpochs, tri
-from .qops import e_op_apply, t_op_graded, t_op_product_sides
+from .qops import e_op_apply, t_op_euler_kernel, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
                          ortho_quad, qpoch_inf, qpoch_n)
 from .reporting import IdentityReport, clip_witness
@@ -445,10 +445,7 @@ def _run_lemma_22(order, q, params):
     s, t, v = frac(params["s"]), frac(params["t"]), frac(params["v"])
     if t == 0:
         raise ValueError("t must be nonzero")
-    a1 = TruncSeries.variable(("a",), order, "a")
-    operand = euler_series(a1.scale(v), q) * euler_inv_series(a1.scale(s), q) \
-        * euler_inv_series(a1.scale(t), q)
-    lhs = t_op_graded(operand, q, bvar="b")
+    lhs = t_op_euler_kernel(s, t, v, Fraction(0), q, order)
     av = TruncSeries.variable(("a", "b"), order, "a")
     bv = TruncSeries.variable(("a", "b"), order, "b")
     spec = PhiSpec(upper=(v / t, bv.scale(s)), lower=(bv.scale(v),),
@@ -522,25 +519,24 @@ def _run_linear_rs(order, q, params):
         n, m, q, lambda k: rs_poly(n + m - 2 * k, q))))
 
 
-def _symmetric_sweep(order: int, sides, suffixes=("",)):
-    """The triples (f"n={n}, m={m}{suffix}", lhs, rhs) for n, m <= order in
+def _symmetric_sweep(order: int, sides):
+    """The triples (f"n={n}, m={m}", lhs, rhs) for n, m <= order in
     row-major order, for a case whose sides are symmetric in (n, m).
 
-    sides(n, m) returns (lhs, rhs) pairs flattened, one pair per suffix. It
-    runs once per unordered pair, at n <= m, and (m, n) reports the sides
-    built for (n, m), which are the same polynomials.
+    sides(n, m) returns (lhs, rhs). It runs once per unordered pair, at
+    n <= m, and (m, n) reports the sides built for (n, m), which are the
+    same polynomials.
     """
     built = {}
     for n in range(order + 1):
         for m in range(order + 1):
             if m < n:
-                polys = built.pop((m, n))
+                lhs, rhs = built.pop((m, n))
             else:
-                polys = sides(n, m)
+                lhs, rhs = sides(n, m)
                 if n < m:
-                    built[n, m] = polys
-            for i, suffix in enumerate(suffixes):
-                yield f"n={n}, m={m}{suffix}", polys[2 * i], polys[2 * i + 1]
+                    built[n, m] = lhs, rhs
+            yield f"n={n}, m={m}", lhs, rhs
 
 
 def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
@@ -638,8 +634,7 @@ def _run_linear_mixed(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_awilson_special(order, q, params):
     for n in range(order + 1):
-        (lhs, rhs), _ = h_to_bivariate(n, q)
-        yield f"n={n}", lhs, rhs
+        yield f"n={n}", rs_poly(n, q), ybinom_brs(n, q)
 
 
 @_case("its-inverse",
@@ -651,8 +646,7 @@ def _run_awilson_special(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_its_inverse(order, q, params):
     for n in range(order + 1):
-        _, (lhs, rhs) = h_to_bivariate(n, q)
-        yield f"n={n}", lhs, rhs
+        yield f"n={n}", brs_poly(n, q), ybinom_rs(n, q)
 
 
 def _pair_products(family, q: Fraction, top: int) -> dict:
@@ -667,21 +661,15 @@ def _pair_products(family, q: Fraction, top: int) -> dict:
     return table
 
 
-def _mixed_sides(n: int, m: int, q: Fraction, pairs: dict, y=_Y):
+def _mixed_sides(n: int, m: int, q: Fraction, pairs: dict):
     """Both sides of the mixed alternating identity linking h(x|q) and
-    h(x,y|q) products; pairs is _pair_products(brs_poly, q, >= max(n, m)).
-
-    With y = 0 and pairs = _pair_products(rs_poly, q, >= max(n, m)) they
-    are the y^0 parts of the two sides: the y^0 part of a product is the
-    product of the y^0 parts, and that of h_j(x,y|q) is h_j(x|q), as
-    P_k(x,0) = x^k.
-    """
+    h(x,y|q) products; pairs is _pair_products(brs_poly, q, >= max(n, m))."""
     a = [qbinom(n, j, q) * q ** tri(j) for j in range(n + 1)]
     b = [qbinom(m, k, q) * q ** tri(k) for k in range(m + 1)]
     # the (j, k) double sum grouped by s = j + k, which fixes (-y)^s h_(n+m-s)
     lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
                                              for j in range(max(0, s - m), min(n, s) + 1)),
-                   y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
+                   _Y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
     return lhs, _lin_sum(n, m, q, lambda k: pairs[n - k, m - k], alternating=True)
 
 
@@ -706,15 +694,8 @@ def _run_mixed_identity(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_askey_ismail(order, q, params):
     rs_pairs = _pair_products(rs_poly, q, order)
-
-    def sides(n, m):
-        lhs = rs_poly(n + m, q)
-        rhs = _lin_sum(n, m, q, lambda k: rs_pairs[n - k, m - k], alternating=True)
-        ml, mr = _mixed_sides(n, m, q, rs_pairs, y=0)
-        return lhs, rhs, ml, lhs, mr, rhs
-
-    return _symmetric_sweep(order, sides, suffixes=(
-        "", " (y=0 shadow, left)", " (y=0 shadow, right)"))
+    return _symmetric_sweep(order, lambda n, m: (rs_poly(n + m, q), _lin_sum(
+        n, m, q, lambda k: rs_pairs[n - k, m - k], alternating=True)))
 
 
 # -- exact: q-Hermite connections ----------------------------------------------

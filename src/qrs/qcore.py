@@ -335,11 +335,6 @@ class MultiPoly:
     def var(cls, name: str) -> "MultiPoly":
         return _build((name,), 1, {1: 1})
 
-    @classmethod
-    def monomial(cls, exps: dict, coef=1) -> "MultiPoly":
-        names = tuple(sorted(exps))
-        return cls(names, {tuple(exps[n] for n in names): Fraction(coef)})
-
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
             return other
@@ -444,10 +439,6 @@ class MultiPoly:
             raise ValueError(f"not a constant polynomial: {self}")
         return Fraction(self._num.get(0, 0), self._den)
 
-    def total_degree(self) -> int:
-        n = len(self.vars)
-        return max((sum(_unpack(e, n)) for e in self._num), default=0)
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
@@ -467,71 +458,6 @@ class MultiPoly:
             _set_key(self, key)
             return key
 
-    def as_univariate(self, var: str) -> dict:
-        """View as a polynomial in `var`: degree -> MultiPoly in the rest."""
-        if var not in self.vars:
-            return {0: self}
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        shift = _FIELD * (len(self.vars) - 1 - i)
-        low = (1 << shift) - 1
-        out = {}
-        for e, c in self._num.items():
-            bucket = out.setdefault(e >> shift & _FIELD_MASK, {})
-            bucket[e >> (shift + _FIELD) << shift | e & low] = c
-        return {d: _normal(rest, self._den, t) for d, t in sorted(out.items())}
-
-    def partial_coefficient(self, fixed: dict) -> "MultiPoly":
-        """Coefficient of prod var^e over `fixed`, a polynomial in the rest."""
-        mask = want = 0
-        for v, e in fixed.items():
-            if v in self.vars:
-                if not 0 <= e < EXP_LIMIT:
-                    return MultiPoly((), {})
-                shift = _FIELD * (len(self.vars) - 1 - self.vars.index(v))
-                mask |= _FIELD_MASK << shift
-                want |= e << shift
-            elif e != 0:
-                return MultiPoly((), {})
-        keep = tuple(v for v in self.vars if v not in fixed)
-        hits = {e: c for e, c in self._num.items() if e & mask == want}
-        return _normal(keep, self._den, _repack(hits, _moves(self.vars, keep)))
-
-    def substitute(self, bindings: dict) -> "MultiPoly":
-        """Replace variables by rationals or polynomials; others stay.
-
-        Terms are grouped by their exponents in the replaced variables, so
-        each group is one `lincomb` term, the group times a power of each
-        value, and each power is built once.
-        """
-        n = len(self.vars)
-        shifts = {v: _FIELD * (n - 1 - i) for i, v in enumerate(self.vars)}
-        bound = [v for v in self.vars if v in bindings]
-        if not bound:
-            return self
-        free = [v for v in self.vars if v not in bindings]
-        bound_mask = sum(_FIELD_MASK << shifts[v] for v in bound)
-        groups = {}
-        for e, c in self._num.items():
-            groups.setdefault(e & bound_mask, {})[e] = c
-        powers = {}
-        terms = []
-        inv_den = Fraction(1, self._den)
-        for key, num in groups.items():
-            used = reduce(or_, num)
-            # the free variables this group uses; the others are dropped
-            keep = tuple(v for v in free if used >> shifts[v] & _FIELD_MASK)
-            term = [inv_den, _build(keep, 1, _repack(num, _moves(self.vars, keep)))]
-            for v in bound:
-                k = key >> shifts[v] & _FIELD_MASK
-                if k:
-                    if (v, k) not in powers:
-                        val = bindings[v]
-                        powers[v, k] = (val if isinstance(val, MultiPoly) else Fraction(val)) ** k
-                    term.append(powers[v, k])
-            terms.append(term)
-        return lincomb(terms)
-
     # -- serialization / display --------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -542,11 +468,6 @@ class MultiPoly:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiPoly":
-        return cls(tuple(d["vars"]),
-                   {tuple(t["exp"]): Fraction(t["coef"]) for t in d["terms"]})
 
     def __str__(self):
         if not self._num:
@@ -631,27 +552,6 @@ def qpochs(a, q: Fraction, n: int) -> list:
     for k in range(n):
         out.append(out[-1] * (out[0] - a * q ** k))
     return out
-
-
-def qpoch(a, q: Fraction, n: int):
-    """q-shifted factorial (a; q)_n.
-
-    a may be a rational or a MultiPoly. Negative n uses the standard
-    convention (a; q)_{-n} = 1/(a q^{-n}; q)_n, which requires the shifted
-    product to be a nonzero scalar.
-    """
-    q = frac(q)
-    if n >= 0:
-        return qpochs(a, q, n)[n]
-    shifted = a * q ** n
-    denom = qpoch(shifted, q, -n)
-    if isinstance(denom, MultiPoly):
-        if not denom.is_constant():
-            raise ValueError("(a;q)_n with n < 0 needs a scalar denominator")
-        denom = denom.constant_value()
-    if denom == 0:
-        raise ZeroDivisionError("(a;q)_n with n < 0 hit a vanishing factor")
-    return Fraction(1) / denom
 
 
 def qbinom(n: int, k: int, q):

@@ -18,7 +18,6 @@ from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
                   phi_series)
 from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
                     frac, lincomb, qbinom)
-from .reporting import IdentityReport
 
 
 def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
@@ -83,27 +82,33 @@ def _cauchy_parts(c: MultiPoly) -> list:
             for k in range(c.degree_in("x") + 1)]
 
 
-# -- the two-parameter operator product transformation -----------------------
+# -- the operator product transformations -------------------------------------
+
+
+def t_op_euler_kernel(s, t, v, w, q: Fraction, order: int) -> TruncSeries:
+    """T(bD_q){(av;q)_oo / ((as,at,aw;q)_oo)}, the operator side of both
+    operator product transformations, as an exact bivariate series in (a, b)
+    truncated at total degree `order`: the graded T action on the a-series
+    operand. w = 0 gives the two-denominator-factor kernel."""
+    a1 = TruncSeries.variable(("a",), order, "a")
+    operand = euler_series(a1.scale(v), q)
+    for c in (s, t, w):
+        operand = operand * euler_inv_series(a1.scale(c), q)
+    return t_op_graded(operand, q, bvar="b")
 
 
 def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
     """Both sides of T(bD_q){(av;q)_oo / ((as,at,aw;q)_oo)} as exact
     bivariate series in (a, b), truncated at total degree `order`.
 
-    w = 0 gives the two-denominator-factor special case. Every coefficient
-    is rational: the operator side is the graded T action on the a-series
-    operand; the closed side is Euler products times a 3phi2 whose v/w
-    parameter is handled as a homogenized ratio, so w = 0 stays polynomial.
+    The operator side is `t_op_euler_kernel`. The closed side is Euler
+    products times a 3phi2 whose v/w parameter is handled as a homogenized
+    ratio, so w = 0 stays polynomial.
     """
     s, t, v, w, q = frac(s), frac(t), frac(v), frac(w), frac(q)
     if not v:
         raise ValueError("v must be nonzero (it divides the 3phi2 argument)")
-    a1 = TruncSeries.variable(("a",), order, "a")
-    operand = euler_series(a1.scale(v), q) \
-        * euler_inv_series(a1.scale(s), q) \
-        * euler_inv_series(a1.scale(t), q) \
-        * euler_inv_series(a1.scale(w), q)
-    lhs = t_op_graded(operand, q, bvar="b")
+    lhs = t_op_euler_kernel(s, t, v, w, q, order)
 
     ab = ("a", "b")
     av = TruncSeries.variable(ab, order, "a")
@@ -123,15 +128,3 @@ def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
         rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)
     return lhs, rhs
 
-
-def zhang_wang_check(b, s, t, v, w, q: Fraction, order: int = 8) -> IdentityReport:
-    """Machine check of the three-factor operator product transformation.
-
-    The identity is verified as an exact bivariate (a,b) series at the given
-    total order; the supplied b is recorded (any bound value follows from
-    the graded statement) and must sit in (-1, 1) like the other parameters.
-    This is the registry case zhang-wang at these parameters.
-    """
-    from .idverify import verify
-    return verify("zhang-wang", order=order,
-                  params={"b": b, "s": s, "t": t, "v": v, "w": w, "q": q})

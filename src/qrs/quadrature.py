@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 from .families import qhermite_circle
-from .reporting import IdentityReport
 
 EVAL_BUDGET = 2_000_000
 _PROD_EPS = 1e-17
@@ -194,15 +193,6 @@ def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> flo
     return (num / den).real
 
 
-def askey_wilson_check(a: float, b: float, c: float, d: float, q: float,
-                       tol: float = 1e-8) -> IdentityReport:
-    """Quadrature vs closed product for the Askey-Wilson integral: the
-    registry case askey-wilson at these parameters."""
-    from .idverify import verify
-    return verify("askey-wilson", params={"a": a, "b": b, "c": c, "d": d, "q": q,
-                                          "tol": tol})
-
-
 # -- big q-Hermite orthogonality ---------------------------------------------
 
 
@@ -225,13 +215,6 @@ def ortho_quad(n: int, m: int, a: float, q: float, tol: float = 1e-10) -> float:
     val, _ = integrate(IntegralSpec(ortho_integrand(n, m, a, q), tol=tol,
                                     prefactor=qpoch_inf(q, q).real / (2 * math.pi)))
     return val
-
-
-def ortho_check(n: int, m: int, a: float, q: float, tol: float = 1e-8) -> IdentityReport:
-    """Orthogonality of H_n(x;a|q), the weighted moment being (q;q)_n delta_nm:
-    the registry case ortho-big at these parameters."""
-    from .idverify import verify
-    return verify("ortho-big", params={"n": n, "m": m, "a": a, "q": q, "tol": tol})
 
 
 # -- mixed-base integrals and their closed forms ------------------------------
@@ -278,15 +261,3 @@ def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
     val, _ = integrate(IntegralSpec(f, tol=tol, prefactor=pref))
     return val
 
-
-def closed_forms_suite(q: float, a: float, t: float, tol: float = 1e-7) -> list:
-    """The four H-kind integrals that collapse to products: the registry
-    cases closed-H-* at these parameters, in registry order.
-
-    H_(q,q) = 1, H_(-q,q) = 1, H_(q^2,q) = (q^2 t^2; q^4)_oo and
-    H_(q^2,q^3) = (a t^3 q^6; q^6)_oo / (t^2 q^4; q^4)_oo.
-    """
-    from .idverify import registry, verify
-    params = {"q": q, "a": a, "t": t, "tol": tol}
-    return [verify(case.id, params=params) for case in registry()
-            if case.id.startswith("closed-H-")]

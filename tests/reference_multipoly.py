@@ -4,9 +4,12 @@ implementation that `qrs.qcore.MultiPoly` replaced.
 Terms are a dict from exponent tuples to nonzero Fractions and every
 operation works term by term in Fraction arithmetic. It is slow but
 obviously right, so the property tests in test_multipoly_kernel.py check
-the packed integer kernel against it. `poly_eval` evaluates a polynomial of
-either kind term by term from its `vars` and `terms`. None of this is part
-of the package and nothing outside the tests imports it; do not optimise it.
+the packed integer kernel against it. The functions at the end work on a
+polynomial of either kind through its `vars`, `terms`, constructors and
+arithmetic: `poly_eval` evaluates one, and the others are the views and
+substitutions that tests and test references take of a polynomial but the
+package itself never needs. None of this is part of the package and nothing
+outside the tests imports it; do not optimise it.
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ class MultiPoly:
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         return cls((name,), {(1,): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, exps: dict, coef=1) -> "MultiPoly":
-        names = tuple(sorted(exps))
-        return cls(names, {tuple(exps[n] for n in names): Fraction(coef)})
 
     # -- alignment ----------------------------------------------------
 
@@ -188,9 +186,6 @@ class MultiPoly:
             raise ValueError(f"not a constant polynomial: {self}")
         return next(iter(self.terms.values()), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
@@ -204,54 +199,6 @@ class MultiPoly:
         items = tuple(sorted((tuple(e[i] for i in used), c) for e, c in self.terms.items()))
         return (names, items)
 
-    def as_univariate(self, var: str) -> dict:
-        """View as a polynomial in `var`: degree -> MultiPoly in the rest."""
-        if var not in self.vars:
-            return {0: self}
-        i = self.vars.index(var)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        out = {}
-        for exp, c in self.terms.items():
-            d = exp[i]
-            rexp = exp[:i] + exp[i + 1:]
-            bucket = out.setdefault(d, {})
-            bucket[rexp] = bucket.get(rexp, Fraction(0)) + c
-        return {d: MultiPoly(rest, t) for d, t in sorted(out.items())}
-
-    def partial_coefficient(self, fixed: dict) -> "MultiPoly":
-        """Coefficient of prod var^e over `fixed`, a polynomial in the rest."""
-        idx = []
-        for v, e in fixed.items():
-            if v in self.vars:
-                idx.append((self.vars.index(v), e))
-            elif e != 0:
-                return MultiPoly((), {})
-        keep = [i for i in range(len(self.vars)) if i not in {j for j, _ in idx}]
-        out = {}
-        for exp, c in self.terms.items():
-            if all(exp[i] == e for i, e in idx):
-                out[tuple(exp[i] for i in keep)] = c
-        return MultiPoly(tuple(self.vars[i] for i in keep), out)
-
-    def substitute(self, bindings: dict) -> "MultiPoly":
-        """Replace variables by rationals or polynomials; others stay."""
-        if not any(v in bindings for v in self.vars):
-            return self
-        acc = MultiPoly.const(0)
-        for exp, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for v, e in zip(self.vars, exp):
-                if not e:
-                    continue
-                if v in bindings:
-                    val = bindings[v]
-                    val = MultiPoly.const(val) if _is_scalar(val) else val
-                    term = term * val ** e
-                else:
-                    term = term * MultiPoly((v,), {(e,): Fraction(1)})
-            acc = acc + term
-        return acc
-
     # -- serialization / display --------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -262,11 +209,6 @@ class MultiPoly:
                 for e, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiPoly":
-        return cls(tuple(d["vars"]),
-                   {tuple(t["exp"]): Fraction(t["coef"]) for t in d["terms"]})
 
     def __str__(self):
         if not self.terms:
@@ -309,3 +251,53 @@ def poly_eval(p, bindings: dict):
                 term *= bindings[v] ** e
         total += term
     return total
+
+
+def total_degree(p) -> int:
+    """The largest total degree of a term of p; 0 for the zero polynomial."""
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def as_univariate(p, var: str) -> dict:
+    """p as a polynomial in `var`: degree -> coefficient, a polynomial of
+    p's kind in the other variables, in increasing degree."""
+    if var not in p.vars:
+        return {0: p}
+    i = p.vars.index(var)
+    out = {}
+    for exp, c in p.terms.items():
+        out.setdefault(exp[i], {})[exp[:i] + exp[i + 1:]] = c
+    rest = p.vars[:i] + p.vars[i + 1:]
+    return {d: type(p)(rest, t) for d, t in sorted(out.items())}
+
+
+def partial_coefficient(p, fixed: dict):
+    """The coefficient of prod var^e over {var: e} = `fixed` in p, a
+    polynomial of p's kind in the other variables."""
+    keep = [i for i, v in enumerate(p.vars) if v not in fixed]
+    out = {}
+    for exp, c in p.terms.items():
+        named = dict(zip(p.vars, exp))
+        if all(named.get(v, 0) == e for v, e in fixed.items()):
+            out[tuple(exp[i] for i in keep)] = c
+    return type(p)(tuple(p.vars[i] for i in keep), out)
+
+
+def substitute(p, bindings: dict):
+    """p with each variable in `bindings` replaced by its value, a rational
+    or a polynomial of p's kind; the other variables stay. Every variable is
+    replaced at once, so a value may hold a variable that is itself bound."""
+    poly = type(p)
+    terms = []
+    for exp, c in p.terms.items():
+        term = poly.const(c)
+        for v, e in zip(p.vars, exp):
+            if e:
+                term = term * (bindings[v] if v in bindings else poly.var(v)) ** e
+        terms.append(term)
+    return sum(terms, poly.const(0))
+
+
+def from_json_dict(d: dict, poly=MultiPoly):
+    """The polynomial of class `poly` that `to_json_dict` wrote as d."""
+    return poly(tuple(d["vars"]), {tuple(t["exp"]): Fraction(t["coef"]) for t in d["terms"]})

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from reference_multipoly import as_univariate, substitute
+
 from qrs.families import cauchy_poly
 from qrs.fps import TruncSeries
 from qrs.qcore import MultiPoly, frac, lincomb, qfac
@@ -66,14 +68,14 @@ def dxy_poly(f: MultiPoly, q: Fraction, x: str = "x", y: str = "y") -> MultiPoly
     exact; anything else raises.
     """
     q = frac(q)
-    numer = f.substitute({y: MultiPoly.var(y) * (Fraction(1) / q)}) \
-        - f.substitute({x: MultiPoly.var(x) * q})
+    numer = substitute(f, {y: MultiPoly.var(y) * (Fraction(1) / q)}) \
+        - substitute(f, {x: MultiPoly.var(x) * q})
     return _divide_linear(numer, x, MultiPoly.var(y) * (Fraction(1) / q))
 
 
 def _divide_linear(f: MultiPoly, x: str, beta: MultiPoly) -> MultiPoly:
     """Exact division of f by (x - beta) with beta free of x."""
-    by_deg = f.as_univariate(x)
+    by_deg = as_univariate(f, x)
     d = max(by_deg, default=0)
     xv = MultiPoly.var(x)
     quot = MultiPoly.const(0)

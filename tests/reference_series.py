@@ -11,7 +11,8 @@ package and nothing outside the tests imports it; do not optimise it.
 
 `euler_expand`, `euler_inv_expand`, `cauchy_expand` and `poch_series` are
 thin wrappers over `qrs.fps` that only tests call; they build package
-series, not reference ones.
+series, not reference ones. `cauchy_expand` writes out the q-binomial sum
+term by term, so it is a reference for the package's Euler products too.
 """
 
 from __future__ import annotations
@@ -250,5 +251,9 @@ def euler_inv_expand(c, q: Fraction, order: int, var: str = "t") -> fps.TruncSer
 
 
 def cauchy_expand(a, c, q: Fraction, order: int, var: str = "t") -> fps.TruncSeries:
-    """(a c t; q)_oo / (c t; q)_oo as a series in the single variable var."""
-    return fps.cauchy_series(a, fps.TruncSeries.variable((var,), order, var).scale(c), q)
+    """(a c t; q)_oo / (c t; q)_oo as a series in the single variable var,
+    by the q-binomial theorem: sum_k (a;q)_k (c t)^k / (q;q)_k."""
+    q = frac(q)
+    pochs = qpochs(a, q, order)
+    return fps.TruncSeries((var,), order, {
+        (k,): pochs[k] * c ** k * (1 / qfac(q, k)) for k in range(order + 1)})

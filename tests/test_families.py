@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from reference_multipoly import poly_eval
+from reference_multipoly import (as_univariate, partial_coefficient,
+                                 poly_eval, substitute, total_degree)
 
 from qrs import qcore
 from qrs.families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                           brs_to_rs_coeffs, cauchy_poly, change_base_big,
-                          change_base_c, h_to_bivariate, qhermite_circle,
-                          qhermite_eval, qhermite_poly, rs_poly,
-                          rs_to_brs_coeffs)
-from qrs.qcore import MultiPoly, lincomb, qbinom, qfac, qpoch
+                          change_base_c, qhermite_circle, qhermite_poly,
+                          rs_poly, rs_to_brs_coeffs, ybinom_brs, ybinom_rs)
+from qrs.qcore import MultiPoly, lincomb, qbinom, qfac, qpochs
 
 RNG_SEED = 550211
 
@@ -49,7 +49,7 @@ def test_cauchy_poly_shifted_product_rule():
         q = rand_q(rng)
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         lhs = cauchy_poly(m + n, q)
-        rhs = cauchy_poly(m, q) * cauchy_poly(n, q).substitute({"y": Y * q ** m})
+        rhs = cauchy_poly(m, q) * substitute(cauchy_poly(n, q), {"y": Y * q ** m})
         assert lhs == rhs, f"m={m} n={n} q={q}"
 
 
@@ -78,9 +78,9 @@ def test_brs_specializations():
         n = rng.randint(0, 7)
         b = brs_poly(n, q)
         # y = 0 collapses to the one-variable family
-        assert b.substitute({"y": Fraction(0)}) == rs_poly(n, q)
+        assert substitute(b, {"y": Fraction(0)}) == rs_poly(n, q)
         # monic of degree n in x
-        assert b.partial_coefficient({"x": n, "y": 0}) == MultiPoly.const(1)
+        assert partial_coefficient(b, {"x": n, "y": 0}) == MultiPoly.const(1)
         assert b.degree_in("x") == n
 
 
@@ -124,11 +124,9 @@ def test_rs_brs_coefficient_conversions_invert():
 def test_single_basis_conversions_match_h_to_bivariate():
     q = Fraction(1, 2)
     for n in range(6):
-        (lhs_a, rhs_a), (lhs_b, rhs_b) = h_to_bivariate(n, q)
-        assert lhs_a == rs_poly(n, q)
-        assert lhs_b == brs_poly(n, q)
-        assert lhs_a == rhs_a
-        assert lhs_b == rhs_b
+        # the two expansions the awilson-special and its-inverse cases check
+        assert ybinom_brs(n, q) == rs_poly(n, q)
+        assert ybinom_rs(n, q) == brs_poly(n, q)
         coeffs = rs_to_brs_coeffs(n, q)
         rebuilt = MultiPoly.const(0)
         for k, c in enumerate(coeffs):
@@ -169,8 +167,9 @@ def test_big_qhermite_matches_its_circle_definition():
             az = z * (A if a == "a" else a)
             for n, poly in enumerate(big_qhermite_polys(10, a, q)):
                 circle = lincomb((c, ((z * z + 1) * Fraction(1, 2)) ** j, z ** (n - j))
-                                 for j, c in poly.as_univariate("x").items())
-                want = lincomb((qbinom(n, k, q), qpoch(az, q, k), z ** (2 * n - 2 * k))
+                                 for j, c in as_univariate(poly, "x").items())
+                pochs = qpochs(az, q, n)
+                want = lincomb((qbinom(n, k, q), pochs[k], z ** (2 * n - 2 * k))
                                for k in range(n + 1))
                 assert circle == want, (n, a, q)
 
@@ -193,17 +192,17 @@ def test_big_qhermite_a_zero_is_plain_family():
     q = Fraction(1, 3)
     assert big_qhermite_polys(7, Fraction(0), q) == [qhermite_poly(n, q) for n in range(8)]
     for n, poly in enumerate(big_qhermite_polys(7, "a", q)):
-        assert poly.substitute({"a": 0}) == qhermite_poly(n, q)
+        assert substitute(poly, {"a": 0}) == qhermite_poly(n, q)
 
 
 def test_big_qhermite_polys_at_degree_120():
     q = Fraction(1, 2)
     polys = big_qhermite_polys(120, Fraction(1, 3), q)
     top = polys[120]
-    assert len(polys) == 121 and top.total_degree() == 120
+    assert len(polys) == 121 and total_degree(top) == 120
     assert top.terms[(120,)] == 2 ** 120
     # H_n(-x; a|q) = (-1)^n H_n(x; -a|q)
-    assert top.substitute({"x": -X}) == big_qhermite_poly(120, Fraction(-1, 3), q)
+    assert substitute(top, {"x": -X}) == big_qhermite_poly(120, Fraction(-1, 3), q)
 
 
 def test_qhermite_eval_matches_exact_laurent():
@@ -214,7 +213,7 @@ def test_qhermite_eval_matches_exact_laurent():
         a = Fraction(rng.randint(-2, 2), 5)
         theta = rng.uniform(0.05, math.pi - 0.05)
         exact = poly_eval(big_qhermite_poly(n, a, q), {"x": math.cos(theta)})
-        fast = qhermite_eval(n, complex(a), float(q), theta)
+        fast = qhermite_circle(complex(a), float(q), theta)(n)
         assert abs(exact - fast) < 1e-10, f"n={n}"
 
 
@@ -223,7 +222,7 @@ def test_qhermite_eval_is_x_polynomial_value():
     theta = 1.1
     for n in range(7):
         via_poly = poly_eval(qhermite_poly(n, q), {"x": math.cos(theta)})
-        via_eval = qhermite_eval(n, 0.0, 0.5, theta)
+        via_eval = qhermite_circle(0.0, 0.5, theta)(n)
         assert abs(via_poly - via_eval) < 1e-12
 
 
@@ -266,7 +265,7 @@ def test_qhermite_circle_matches_the_defining_sum_to_1e_12():
         exact = _defining_sums(range(81), a, q, theta, 90)
         hermite = qhermite_circle(a, q, theta)
         for n in range(81):
-            for got in (hermite(n), qhermite_eval(n, a, q, theta)):
+            for got in (hermite(n), qhermite_circle(a, q, theta)(n)):
                 assert _hermite_error(got, exact, n) <= 1e-12, (n, a, q, theta, got, exact[n])
 
 
@@ -285,12 +284,12 @@ def test_qhermite_eval_at_n_300_and_q_095(a, theta):
     # terms of the circle sum reach 1e11 to 1e14 here and H_300 at the first
     # point is about 5e-6: the sum cancels some 20 digits, the oracle keeps 200
     exact = _defining_sums((299, 300), a, 0.95, theta, 200)
-    assert _hermite_error(qhermite_eval(300, a, 0.95, theta), exact, 300) <= 1e-12
+    assert _hermite_error(qhermite_circle(a, 0.95, theta)(300), exact, 300) <= 1e-12
 
 
 def test_qhermite_circle_gives_the_same_floats_in_any_order():
     # one qhermite_circle per (a, q, theta) serves every n, asked in any
-    # order, with the floats qhermite_eval builds afresh for each n
+    # order, with the floats a fresh qhermite_circle builds for each n alone
     rng = random.Random(RNG_SEED + 14)
     for draw in range(24):
         q = rng.uniform(0.05, 0.95)
@@ -301,7 +300,7 @@ def test_qhermite_circle_gives_the_same_floats_in_any_order():
         ns = list(range(81))
         rng.shuffle(ns)
         for n in ns:
-            assert hermite(n) == qhermite_eval(n, a, q, theta), (n, a, q, theta)
+            assert hermite(n) == qhermite_circle(a, q, theta)(n), (n, a, q, theta)
 
 
 def test_change_base_c_spot_values():
@@ -343,7 +342,7 @@ def test_poly_to_cauchy_round_trip():
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                   for _ in range(rng.randint(1, 6))]
         f = lincomb((c, cauchy_poly(k, q)) for k, c in enumerate(coeffs))
-        got = [f.partial_coefficient({"x": k, "y": 0}) for k in range(len(coeffs))]
+        got = [partial_coefficient(f, {"x": k, "y": 0}) for k in range(len(coeffs))]
         assert got == coeffs
         assert lincomb((c, cauchy_poly(k, q)) for k, c in enumerate(got)) == f
 

@@ -12,8 +12,6 @@ from qrs import fps, idverify, qcore
 from qrs.families import brs_poly
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
-from qrs.qops import zhang_wang_check
-from qrs.quadrature import askey_wilson_check, closed_forms_suite, ortho_check
 
 MODES = {"exact-poly", "exact-series", "numeric-complex", "quadrature"}
 
@@ -234,35 +232,31 @@ def test_product_and_expansion_transforms_are_mutual_inverses():
                     assert la == want, (n, m, r)
 
 
-_HELPER_CASES = [
-    ("askey_wilson", lambda: askey_wilson_check(-0.35, 0.25, 0.2, 0.1, 0.4, tol=1e-9),
-     "askey-wilson", None,
+_OFF_DEFAULT_CASES = [
+    ("askey_wilson", "askey-wilson", None,
      {"a": -0.35, "b": 0.25, "c": 0.2, "d": 0.1, "q": 0.4, "tol": 1e-9}),
-    ("ortho_diagonal", lambda: ortho_check(3, 3, 0.3, 0.4),
-     "ortho-big", None, {"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": 1e-8}),
-    ("ortho_off_diagonal", lambda: ortho_check(2, 4, -0.2, 0.35, tol=1e-9),
-     "ortho-big", None, {"n": 2, "m": 4, "a": -0.2, "q": 0.35, "tol": 1e-9}),
+    ("ortho_diagonal", "ortho-big", None, {"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": 1e-8}),
+    ("ortho_off_diagonal", "ortho-big", None,
+     {"n": 2, "m": 4, "a": -0.2, "q": 0.35, "tol": 1e-9}),
 ] + [
-    (cid, lambda i=i: closed_forms_suite(0.45, 0.3, 0.4)[i], cid, None,
-     {"q": 0.45, "a": 0.3, "t": 0.4, "tol": 1e-7})
-    for i, cid in enumerate(("closed-H-qq", "closed-H-mqq", "closed-H-q2q",
-                             "closed-H-q2q3"))
+    (cid, cid, None, {"q": 0.45, "a": 0.3, "t": 0.4, "tol": 1e-7})
+    for cid in ("closed-H-qq", "closed-H-mqq", "closed-H-q2q", "closed-H-q2q3")
 ] + [
-    ("zhang_wang",
-     lambda: zhang_wang_check(Fraction(1, 7), Fraction(1, 3), Fraction(1, 4),
-                              Fraction(1, 5), Fraction(0), Fraction(2, 5), order=4),
-     "zhang-wang", 4,
+    ("zhang_wang", "zhang-wang", 4,
      {"b": Fraction(1, 7), "s": Fraction(1, 3), "t": Fraction(1, 4),
       "v": Fraction(1, 5), "w": Fraction(0), "q": Fraction(2, 5)}),
 ]
 
 
-@pytest.mark.parametrize("helper, case_id, order, params",
-                         [c[1:] for c in _HELPER_CASES],
-                         ids=[c[0] for c in _HELPER_CASES])
-def test_check_helpers_report_exactly_what_verify_reports(helper, case_id, order, params):
-    rep = helper()
+@pytest.mark.parametrize("case_id, order, params", [c[1:] for c in _OFF_DEFAULT_CASES],
+                         ids=[c[0] for c in _OFF_DEFAULT_CASES])
+def test_check_helpers_report_exactly_what_verify_reports(case_id, order, params):
+    # a registered check runs at off-default parameters through
+    # verify(id, params=...) alone: it passes, reports exactly the caller's
+    # parameters, and a second call repeats its report field for field
+    rep = verify(case_id, order=order, params=params)
     assert rep.passed(), rep.witness
+    assert rep.params == params
     assert rep.to_json_dict() == verify(case_id, order=order, params=params).to_json_dict()
 
 
@@ -270,7 +264,6 @@ def test_check_helpers_report_exactly_what_verify_reports(helper, case_id, order
 
 SYMMETRIC = ["linear-rs", "linear-brs-simple", "hlm-relation", "linear-mixed",
              "mixed-identity", "askey-ismail"]
-SHADOWS = ("", " (y=0 shadow, left)", " (y=0 shadow, right)")
 
 
 def _sides_of(case_id, q, monkeypatch):
@@ -278,7 +271,7 @@ def _sides_of(case_id, q, monkeypatch):
     its runner does not call it."""
     caught = {}
     monkeypatch.setattr(idverify, "_symmetric_sweep",
-                        lambda order, sides, suffixes=("",): caught.update(sides=sides))
+                        lambda order, sides: caught.update(sides=sides))
     case = get_case(case_id)
     case.runner(4, q, {**case.defaults, "q": q})
     monkeypatch.undo()
@@ -305,10 +298,8 @@ def test_symmetric_sides_agree_when_n_and_m_swap(case_id, q, monkeypatch):
 @pytest.mark.parametrize("case_id", SYMMETRIC)
 def test_symmetric_sweeps_report_every_ordered_pair(case_id):
     case = get_case(case_id)
-    suffixes = SHADOWS if case_id == "askey-ismail" else ("",)
     labels = [label for label, _, _ in case.runner(4, Fraction(1, 2), case.defaults)]
-    assert labels == [f"n={n}, m={m}{suffix}"
-                      for n in range(5) for m in range(5) for suffix in suffixes]
+    assert labels == [f"n={n}, m={m}" for n in range(5) for m in range(5)]
 
 
 # -- numeric coefficient recurrences --------------------------------------------

@@ -77,6 +77,7 @@ def test_operations_match_fraction_reference(a_spec, b_spec, s):
     assert (a == b) == (ra == rb)
     assert a.key() == ra.key() and str(a) == str(ra)
     assert a.to_json_dict() == ra.to_json_dict()
+    assert all(a.degree_in(v) == ra.degree_in(v) for v in VARS)
 
 
 @KERNEL
@@ -124,21 +125,6 @@ def test_equal_values_have_equal_canonical_forms(a_spec, b_spec, c_spec, s):
         assert left.key() == right.key() and hash(left) == hash(right)
         assert left.to_json_dict() == right.to_json_dict()
         assert str(left) == str(right)
-
-
-@KERNEL
-@given(polys(over=("x", "y")), polys(over=("x",)), coefficients)
-def test_substitute_and_views_match_fraction_reference(p_spec, v_spec, s):
-    (p, rp), (v, rv) = both(p_spec), both(v_spec)
-    assert agrees(p.substitute({"y": v}), rp.substitute({"y": rv}))
-    assert agrees(p.substitute({"x": s}), rp.substitute({"x": s}))
-    # simultaneous: v is in x, so x -> v must not see the new x from y -> v
-    assert agrees(p.substitute({"x": v, "y": v}), rp.substitute({"x": rv, "y": rv}))
-    assert agrees(p.substitute({"x": s, "y": 0}), rp.substitute({"x": s, "y": 0}))
-    got, want = p.as_univariate("y"), rp.as_univariate("y")
-    assert list(got) == list(want) and all(agrees(got[d], want[d]) for d in got)
-    assert agrees(p.partial_coefficient({"x": 2}), rp.partial_coefficient({"x": 2}))
-    assert p.total_degree() == rp.total_degree() and p.degree_in("y") == rp.degree_in("y")
 
 
 @st.composite

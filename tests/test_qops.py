@@ -10,7 +10,8 @@ from reference_operators import (dq_apply, dxy_apply, dxy_poly, e_apply_by_opera
 from qrs.families import brs_poly, cauchy_poly
 from qrs.fps import TruncSeries, euler_inv_series
 from qrs.qcore import MultiPoly, lincomb, qbinom
-from qrs.qops import e_op_apply, t_op_graded, zhang_wang_check
+from qrs.idverify import verify
+from qrs.qops import e_op_apply, t_op_graded
 
 RNG_SEED = 90125
 
@@ -44,7 +45,8 @@ def test_dq_is_difference_quotient():
     for _ in range(15):
         q = rand_q(rng)
         f = rand_series(rng, rng.randint(1, 7))
-        lhs = dq_apply(f, q).shift((1,))
+        g = dq_apply(f, q)
+        lhs = g * TruncSeries.monomial(g.vars, g.order, (1,))
         # f(qa): scale the coefficient of a^n by q^n
         scaled = TruncSeries(f.vars, f.order,
                              {idx: c * q ** idx[0] for idx, c in f.coeffs.items()})
@@ -223,10 +225,9 @@ def test_e_op_apply_rejects_off_span_coefficients():
 
 def test_zhang_wang_check_reports():
     q = Fraction(1, 2)
-    args = (Fraction(1, 7), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5),
-            Fraction(1, 6))
-    rep = zhang_wang_check(*args, q, order=5)
+    params = {"b": Fraction(1, 7), "s": Fraction(1, 3), "t": Fraction(1, 4),
+              "v": Fraction(1, 5), "w": Fraction(1, 6), "q": q}
+    rep = verify("zhang-wang", order=5, params=params)
     assert rep.passed() and rep.status == "exact-pass"
     with pytest.raises(ValueError):
-        zhang_wang_check(Fraction(1, 7), Fraction(1, 3), Fraction(1, 4),
-                         Fraction(0), Fraction(1, 6), q, order=4)
+        verify("zhang-wang", order=4, params={**params, "v": Fraction(0)})

@@ -13,13 +13,12 @@ import pytest
 import reference_quadrature as ref
 from qrs import quadrature
 from qrs.cli import main
-from qrs.idverify import verify
+from qrs.idverify import registry, verify
 from qrs.quadrature import (EVAL_BUDGET, IntegralSpec, QuadratureError,
-                            askey_wilson_check, askey_wilson_closed,
-                            askey_wilson_quad, aw_integrand, closed_forms_suite,
-                            inf_product, integrate, jhi_eval, jhi_integrand,
-                            ortho_check, ortho_integrand, ortho_quad, qpoch_inf,
-                            qpoch_n)
+                            askey_wilson_closed, askey_wilson_quad,
+                            aw_integrand, inf_product, integrate, jhi_eval,
+                            jhi_integrand, ortho_integrand, ortho_quad,
+                            qpoch_inf, qpoch_n)
 
 RNG_SEED = 131071
 
@@ -114,30 +113,44 @@ def test_weight_integral_zero_parameters_normalizes_to_one():
     assert askey_wilson_closed(0.0, 0.0, 0.0, 0.0, 0.5) == pytest.approx(1.0)
 
 
+def _askey_wilson(a, b, c, d, q):
+    return verify("askey-wilson", params={"a": a, "b": b, "c": c, "d": d, "q": q})
+
+
+def _ortho(n, m, a, q):
+    return verify("ortho-big", params={"n": n, "m": m, "a": a, "q": q})
+
+
+def _closed_forms(q, a, t, **tol):
+    """The closed-H-* registry cases at one (q, a, t), in registry order."""
+    return [verify(case.id, params={"q": q, "a": a, "t": t, **tol})
+            for case in registry() if case.id.startswith("closed-H-")]
+
+
 def test_weight_integral_matches_closed_product():
-    rep = askey_wilson_check(0.3, 0.25, 0.2, 0.1, 0.5)
+    rep = _askey_wilson(0.3, 0.25, 0.2, 0.1, 0.5)
     assert rep.passed()
     assert rep.residual is not None and rep.residual <= 1e-8
     # three-parameter reduction: d = 0 drops every d-pair from the product
-    rep0 = askey_wilson_check(0.3, 0.25, 0.2, 0.0, 0.5)
+    rep0 = _askey_wilson(0.3, 0.25, 0.2, 0.0, 0.5)
     assert rep0.passed()
     # negative parameter stays inside the unit disk and still matches
-    repn = askey_wilson_check(-0.35, 0.25, 0.2, 0.1, 0.4)
+    repn = _askey_wilson(-0.35, 0.25, 0.2, 0.1, 0.4)
     assert repn.passed()
 
 
 def test_weight_integral_rejects_out_of_domain():
     with pytest.raises(ValueError):
-        askey_wilson_check(1.1, 0.2, 0.2, 0.1, 0.5)
+        _askey_wilson(1.1, 0.2, 0.2, 0.1, 0.5)
 
 
 def test_orthogonality_matrix_witnesses():
     q, a = 0.4, 0.3
-    rep = ortho_check(0, 0, 0.0, q)
+    rep = _ortho(0, 0, 0.0, q)
     assert rep.passed()
-    rep = ortho_check(2, 3, a, q)
+    rep = _ortho(2, 3, a, q)
     assert rep.passed() and rep.residual <= 1e-8
-    rep = ortho_check(3, 3, a, q)
+    rep = _ortho(3, 3, a, q)
     assert rep.passed()
     val, _ = integrate(IntegralSpec(ortho_integrand(3, 3, a, q), tol=1e-12))
     moment = qpoch_inf(q, q).real / (2 * math.pi) * val
@@ -162,7 +175,7 @@ def test_jhi_rejects_bad_kind():
 
 
 def test_closed_forms_suite_all_pass():
-    reports = closed_forms_suite(0.3, 0.1, 0.2)
+    reports = _closed_forms(0.3, 0.1, 0.2)
     assert len(reports) == 4
     ids = [r.id for r in reports]
     assert ids == ["closed-H-qq", "closed-H-mqq", "closed-H-q2q",
@@ -173,7 +186,7 @@ def test_closed_forms_suite_all_pass():
 
 
 def test_closed_forms_suite_reports_carry_the_callers_parameters():
-    reports = closed_forms_suite(0.3, 0.1, 0.2, tol=2e-7)
+    reports = _closed_forms(0.3, 0.1, 0.2, tol=2e-7)
     for r in reports:
         assert r.params == {"q": 0.3, "a": 0.1, "t": 0.2, "tol": 2e-7}, r.id
 
@@ -181,7 +194,7 @@ def test_closed_forms_suite_reports_carry_the_callers_parameters():
 @pytest.mark.parametrize("a, q", [(1.5, 0.4), (-1.0, 0.4), (0.3, 1.0), (0.3, -1.2)])
 def test_orthogonality_rejects_out_of_domain(a, q):
     with pytest.raises(ValueError):
-        ortho_check(2, 2, a, q)
+        _ortho(2, 2, a, q)
 
 
 # -- bit-exactness against the frozen integrands (reference_quadrature.py) ----
@@ -322,7 +335,7 @@ def test_circle_integrals_go_through_integrate_as_periodic(integrate_log):
     for kind in "JHI":
         jhi_eval(kind, 0.35, 0.55, -0.25, 0.4)
     assert verify("ortho-big").passed()
-    assert all(r.passed() for r in closed_forms_suite(0.3, 0.1, 0.2))
+    assert all(r.passed() for r in _closed_forms(0.3, 0.1, 0.2))
     assert len(integrate_log) == 1 + 3 + 1 + 4
 
 
