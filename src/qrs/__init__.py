@@ -19,8 +19,8 @@ from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import MultiPoly, frac, qbinom, qfac
 from .qops import e_op_apply, t_op_graded
 from .quadrature import (IntegralSpec, QuadratureError, askey_wilson_closed,
-                         askey_wilson_quad, inf_product, integrate, jhi_eval,
-                         qpoch_inf, qpoch_n)
+                         askey_wilson_quad, integrate, jhi_eval, qpoch_inf,
+                         qpoch_n)
 from .reporting import IdentityReport
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "askey_wilson_quad", "big_qhermite_poly", "big_qhermite_polys",
     "brs_poly", "cauchy_poly", "change_base_big", "change_base_c",
     "e_op_apply", "euler_inv_series", "euler_series", "frac", "get_case",
-    "inf_product", "integrate", "jhi_eval", "phi_series", "phi_sum",
-    "qbinom", "qfac", "qhermite_poly", "qpoch_inf", "qpoch_n", "registry",
-    "rs_poly", "series_inv", "t_op_graded", "verify", "verify_all",
+    "integrate", "jhi_eval", "phi_series", "phi_sum", "qbinom", "qfac",
+    "qhermite_poly", "qpoch_inf", "qpoch_n", "registry", "rs_poly",
+    "series_inv", "t_op_graded", "verify", "verify_all",
 ]

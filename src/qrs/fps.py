@@ -1,18 +1,18 @@
 """Truncated formal power series in one or two variables, Euler product
 expansions, and basic hypergeometric series.
 
-Coefficients are exact: rationals or MultiPoly values. A series is stored
-the way `qcore.MultiPoly` is, on plain ints: for each total degree d up to
-the order, one layer holding a positive int denominator and a dict from
-packed exponents to nonzero int numerators, reduced so that the two share
-no factor. A packed exponent carries the series indices in its leading
-fields and the coefficient variables (`cvars`, the sorted union of every
-coefficient's variables) in the trailing ones, so a rational coefficient is
-a constant term of its layer and a product of two terms is one integer
-addition. A product runs `qcore._mul_into` once per pair of layers whose
-degrees fit the order, at the common denominator of the output layer, and
-normalises each output layer once. `coeffs` is a read-only view {index
-tuple: coefficient}, built on first use.
+Coefficients are exact: rationals or MultiPoly values. A series holds, for
+each total degree d up to the order, one layer: a canonical
+`qcore.MultiPoly` whose variables are placeholders for the series indices
+followed by the coefficient variables (`cvars`, the sorted union of every
+coefficient's variables). Every layer of a series has the same variables,
+the placeholders sort before any variable name, and a rational coefficient
+is a constant term of its layer, so series `+`, `-`, scaling and comparison
+are polynomial operations layer by layer, and a product of two terms is one
+integer addition. A product sums, for each output degree, the products of
+the layer pairs whose degrees fit the order in one call of qcore's pair
+loop `_sum_of_products`, which normalises the output layer once. `coeffs`
+is a read-only view {index tuple: coefficient}, built on first use.
 
 Bivariate series are truncated by total degree. Operations on series of
 different orders propagate the minimum order, which is the honest amount of
@@ -30,71 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
 from types import MappingProxyType
 
-from .qcore import (_FIELD, MultiPoly, _check_guard, _moves, _mul_into, _normal,
-                    _pack, _repack, _union, _unpack, frac, qfac, tri)
+from .qcore import (_FIELD, MultiPoly, _build, _moves, _normal, _pack, _repack,
+                    _sum_of_products, _union, _unpack, _widen, frac, lincomb, qfac, tri)
 
 _SCALARS = (int, Fraction)
 
-# the layer of a degree with no terms; layers are never mutated once built
-_EMPTY = (1, MappingProxyType({}))
-
-
-def _fields(nser: int, cvars: tuple) -> tuple:
-    """Names of the packed fields of a series: placeholders that sort before
-    any variable name for the series indices, then the coefficient variables,
-    so that `qcore._moves` can re-key exponents to a wider cvars."""
-    return tuple(f"\0{i}" for i in range(nser)) + cvars
-
-
-def _norm(den: int, num: dict) -> tuple:
-    """The canonical layer num/den: no zero numerator, no common factor."""
-    if 0 in num.values():
-        num = {e: c for e, c in num.items() if c}
-    if not num:
-        return _EMPTY
-    g = gcd(den, *num.values()) if den != 1 else 1
-    if g != 1:
-        den //= g
-        num = {e: c // g for e, c in num.items()}
-    return den, num
-
-
-def _sum(layers) -> tuple:
-    """The sum of nonempty layers, at their common denominator; the largest
-    starts the sum, copied whole at C speed when it needs no scaling."""
-    layers = sorted(layers, key=lambda layer: len(layer[1]), reverse=True)
-    den = lcm(*[d for d, _ in layers])
-    d, num = layers[0]
-    acc = dict(num) if d == den else {e: c * (den // d) for e, c in num.items()}
-    get = acc.get
-    for d, num in layers[1:]:
-        s = den // d
-        for e, c in num.items():
-            acc[e] = get(e, 0) + c * s
-    return _norm(den, acc)
-
-
-def _convolve(pairs: list, names: tuple, cn: int = 1, cd: int = 1) -> tuple:
-    """cn/cd times the sum of the products of the nonempty layer pairs.
-
-    Every product goes into one dict at the common denominator of the
-    pairs, the scale riding on the smaller factor; names are the fields,
-    for the exponent guard.
-    """
-    dens = [a[0] * b[0] for a, b in pairs]
-    den = lcm(*dens)
-    acc = {}
-    for d, (a, b) in zip(dens, pairs):
-        small, big = (a[1], b[1]) if len(a[1]) <= len(b[1]) else (b[1], a[1])
-        s = cn * (den // d)
-        if s != 1:
-            small = {e: c * s for e, c in small.items()}
-        acc = _mul_into(acc, small, big)
-    _check_guard(acc, names)
-    return _norm(den * cd, acc)
+# the leading variables of a layer, one per series index; they sort before
+# any variable name
+_INDEX = tuple(f"\0{i}" for i in range(2))
 
 
 def _coef(cvars: tuple, den: int, num: dict):
@@ -105,19 +50,26 @@ def _coef(cvars: tuple, den: int, num: dict):
     return _normal(cvars, den, num)
 
 
+def _widened(layers: tuple, fields: tuple) -> tuple:
+    """The layers over `fields`, a superset of their variables."""
+    if layers[0].vars == fields:
+        return layers
+    zero = _build(fields, 1, {})
+    return tuple(_widen(layer, fields) if layer._num else zero for layer in layers)
+
+
 class TruncSeries:
     """Power series known exactly through total degree `order`.
 
     `vars` are the series variables (one or two) and `cvars` the sorted
-    variables of the coefficients. `_layers[d]` is the layer (den, num) of
-    total degree d, canonical as described in the module docstring, so equal
-    series over the same cvars have equal layers. `coeffs` is the read-only
-    view {index tuple: Fraction or MultiPoly}, absent indices being zero, and
-    `coefficient(idx)` reads it. Indices beyond the order are dropped at
-    construction.
+    variables of the coefficients. `_layers[d]` is the layer of total degree
+    d, a MultiPoly as described in the module docstring, so equal series over
+    the same cvars have equal layers. `coeffs` is the read-only view
+    {index tuple: Fraction or MultiPoly}, absent indices being zero. Indices
+    beyond the order are dropped at construction.
     """
 
-    __slots__ = ("vars", "order", "cvars", "_layers", "_coeffs")
+    __slots__ = ("vars", "order", "_layers", "_coeffs")
 
     def __init__(self, variables, order: int, coeffs: dict):
         variables = tuple(variables)
@@ -129,6 +81,7 @@ class TruncSeries:
         for c in coeffs.values():
             if type(c) is MultiPoly and c.vars != cvars:
                 cvars = _union(cvars, c.vars)
+        fields = _INDEX[:len(variables)] + cvars
         shift = _FIELD * len(cvars)
         parts = [[] for _ in range(order + 1)]
         for idx, c in coeffs.items():
@@ -149,9 +102,11 @@ class TruncSeries:
             else:
                 raise TypeError(f"cannot use {c!r} as a series coefficient")
             if num:
-                parts[sum(idx)].append((den, num))
-        _init(self, variables, order, cvars,
-              tuple(_sum(p) if len(p) > 1 else p[0] if p else _EMPTY for p in parts))
+                parts[sum(idx)].append(_build(fields, den, num))
+        zero = _build(fields, 1, {})
+        _init(self, variables, order, tuple(
+            p[0] if len(p) == 1 else lincomb((part,) for part in p) if p else zero
+            for p in parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -184,52 +139,49 @@ class TruncSeries:
     # -- basics -----------------------------------------------------------
 
     @property
+    def cvars(self) -> tuple:
+        return self._layers[0].vars[len(self.vars):]
+
+    @property
     def coeffs(self):
         """Read-only mapping from index tuples to nonzero coefficients."""
         try:
             return self._coeffs
         except AttributeError:
-            shift = _FIELD * len(self.cvars)
+            cvars = self.cvars
+            shift = _FIELD * len(cvars)
             mask = (1 << shift) - 1
             view = {}
-            for den, num in self._layers:
+            for layer in self._layers:
                 groups = {}
-                for e, c in num.items():
+                for e, c in layer._num.items():
                     groups.setdefault(e >> shift, {})[e & mask] = c
                 for key, part in sorted(groups.items()):
-                    view[_unpack(key, len(self.vars))] = _coef(self.cvars, den, part)
+                    view[_unpack(key, len(self.vars))] = _coef(cvars, layer._den, part)
             view = MappingProxyType(view)
             _set_coeffs(self, view)
             return view
 
-    def coefficient(self, idx):
-        return self.coeffs.get(tuple(idx), Fraction(0))
-
     def is_zero(self) -> bool:
-        return not any(num for _, num in self._layers)
+        return not any(layer._num for layer in self._layers)
 
     def truncate(self, order: int) -> "TruncSeries":
         """Forget coefficients above `order`. Never extends knowledge."""
         if order >= self.order:
             return self
-        return _make(self.vars, order, self.cvars, self._layers[:order + 1])
-
-    def _over(self, cvars: tuple, order: int) -> tuple:
-        """The layers through `order`, re-keyed over the wider cvars."""
-        layers = self._layers[:order + 1]
-        if cvars == self.cvars:
-            return layers
-        n = len(self.vars)
-        moves = _moves(_fields(n, self.cvars), _fields(n, cvars))
-        return tuple((den, _repack(num, moves)) if num else _EMPTY for den, num in layers)
+        return _make(self.vars, order, self._layers[:order + 1])
 
     def _common(self, other: "TruncSeries"):
-        """The joint order and cvars, and both operands' layers over them."""
+        """The joint order, and both operands' layers through it over the
+        joint variables."""
         if self.vars != other.vars:
             raise ValueError(f"series variable mismatch: {self.vars} vs {other.vars}")
         order = min(self.order, other.order)
-        cvars = self.cvars if self.cvars == other.cvars else _union(self.cvars, other.cvars)
-        return order, cvars, self._over(cvars, order), other._over(cvars, order)
+        a, b = self._layers[:order + 1], other._layers[:order + 1]
+        if a[0].vars != b[0].vars:
+            fields = _union(a[0].vars, b[0].vars)
+            a, b = _widened(a, fields), _widened(b, fields)
+        return order, a, b
 
     def _wrap(self, other):
         if isinstance(other, _SCALARS) or isinstance(other, MultiPoly):
@@ -243,17 +195,15 @@ class TruncSeries:
             other = self._wrap(other)
             if other is None:
                 return NotImplemented
-        order, cvars, a, b = self._common(other)
-        return _make(self.vars, order, cvars, tuple(
-            la if not lb[1] else lb if not la[1] else _sum((la, lb))
-            for la, lb in zip(a, b)))
+        order, a, b = self._common(other)
+        return _make(self.vars, order, tuple(
+            la if not lb._num else lb if not la._num else la + lb for la, lb in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.vars, self.order, self.cvars, tuple(
-            (den, {e: -c for e, c in num.items()}) if num else _EMPTY
-            for den, num in self._layers))
+        return _make(self.vars, self.order, tuple(
+            -layer if layer._num else layer for layer in self._layers))
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries) and self._wrap(other) is None:
@@ -268,18 +218,19 @@ class TruncSeries:
             if isinstance(other, _SCALARS) or isinstance(other, MultiPoly):
                 return self.scale(other)
             return NotImplemented
-        order, cvars, a, b = self._common(other)
-        names = self.vars + cvars
-        da = [d for d, layer in enumerate(a) if layer[1]]
-        db = [d for d, layer in enumerate(b) if layer[1]]
+        order, a, b = self._common(other)
+        fields = a[0].vars
+        da = [d for d, layer in enumerate(a) if layer._num]
+        db = [d for d, layer in enumerate(b) if layer._num]
         pairs = [[] for _ in range(order + 1)]
         for d1 in da:
             for d2 in db:
                 if d1 + d2 > order:
                     break
                 pairs[d1 + d2].append((a[d1], b[d2]))
-        return _make(self.vars, order, cvars,
-                     tuple(_convolve(p, names) if p else _EMPTY for p in pairs))
+        zero = _build(fields, 1, {})
+        return _make(self.vars, order, tuple(
+            _sum_of_products(p, fields) if p else zero for p in pairs))
 
     __rmul__ = __mul__
 
@@ -287,41 +238,41 @@ class TruncSeries:
         if not elem:
             return TruncSeries.zero(self.vars, self.order)
         if type(elem) is MultiPoly:
-            cvars = _union(self.cvars, elem.vars)
-            factor = (elem._den, _repack(elem._num, _moves(elem.vars, cvars)))
-            names = self.vars + cvars
-            return _make(self.vars, self.order, cvars, tuple(
-                _convolve([(layer, factor)], names) if layer[1] else _EMPTY
-                for layer in self._over(cvars, self.order)))
+            fields = _union(self._layers[0].vars, elem.vars)
+            factor = _widen(elem, fields)
+            return _make(self.vars, self.order, tuple(
+                _sum_of_products([(layer, factor)], fields) if layer._num else layer
+                for layer in _widened(self._layers, fields)))
         if not isinstance(elem, _SCALARS):
             raise TypeError(f"cannot scale a series by {elem!r}")
-        return _make(self.vars, self.order, self.cvars, tuple(
-            _scaled(layer, elem.numerator, elem.denominator) if layer[1] else _EMPTY
-            for layer in self._layers))
+        p, q = elem.numerator, elem.denominator
+        return _make(self.vars, self.order, tuple(
+            layer._scaled(p, q) if layer._num else layer for layer in self._layers))
 
     # -- comparison ---------------------------------------------------------
 
     def diff_witness(self, other: "TruncSeries"):
         """First differing index (lexicographic) and the difference, or None."""
-        order, cvars, a, b = self._common(other)
+        order, a, b = self._common(other)
+        n = len(self.vars)
+        cvars = a[0].vars[n:]
         shift = _FIELD * len(cvars)
         best = None
         for la, lb in zip(a, b):
             if la == lb:
                 continue
-            neg = (lb[0], {e: -c for e, c in lb[1].items()})
-            den, num = _sum([layer for layer in (la, neg) if layer[1]])
-            key = min(e >> shift for e in num)
+            diff = la - lb
+            key = min(e >> shift for e in diff._num)
             if best is None or key < best[0]:
-                best = key, den, num
-            if len(self.vars) == 1:
+                best = key, diff
+            if n == 1:
                 break
         if best is None:
             return None
-        key, den, num = best
+        key, diff = best
         mask = (1 << shift) - 1
-        part = {e & mask: c for e, c in num.items() if e >> shift == key}
-        return _unpack(key, len(self.vars)), _coef(cvars, den, part)
+        part = {e & mask: c for e, c in diff._num.items() if e >> shift == key}
+        return _unpack(key, n), _coef(cvars, diff._den, part)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -350,35 +301,21 @@ class TruncSeries:
 _new = object.__new__
 _set_vars = TruncSeries.vars.__set__
 _set_order = TruncSeries.order.__set__
-_set_cvars = TruncSeries.cvars.__set__
 _set_layers = TruncSeries._layers.__set__
 _set_coeffs = TruncSeries._coeffs.__set__
 
 
-def _init(s: TruncSeries, variables: tuple, order: int, cvars: tuple, layers: tuple) -> None:
+def _init(s: TruncSeries, variables: tuple, order: int, layers: tuple) -> None:
     _set_vars(s, variables)
     _set_order(s, order)
-    _set_cvars(s, cvars)
     _set_layers(s, layers)
 
 
-def _make(variables: tuple, order: int, cvars: tuple, layers: tuple) -> TruncSeries:
+def _make(variables: tuple, order: int, layers: tuple) -> TruncSeries:
     """Wrap canonical layers 0..order."""
     s = _new(TruncSeries)
-    _init(s, variables, order, cvars, layers)
+    _init(s, variables, order, layers)
     return s
-
-
-def _scaled(layer: tuple, p: int, q: int) -> tuple:
-    """layer * p/q for a reduced p/q; only gcd(p, den) and the gcd of q with
-    the numerators can cancel, so no full gcd pass is needed."""
-    den, num = layer
-    g = gcd(p, den)
-    gq = gcd(q, *num.values()) if q != 1 else 1
-    p //= g
-    if p != 1 or gq != 1:
-        num = {e: c // gq * p for e, c in num.items()}
-    return den // g * (q // gq), num
 
 
 def series_inv(f: TruncSeries) -> TruncSeries:
@@ -386,34 +323,32 @@ def series_inv(f: TruncSeries) -> TruncSeries:
     return _divide(TruncSeries.one(f.vars, f.order), f)
 
 
-# -1 as a layer, in any frame
-_MINUS_ONE = (1, {0: -1})
-
-
 def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
     """f / d for a series d whose constant term is a nonzero rational.
 
     Solved degree layer by degree layer from g_n = (f_n - sum_{k>=1} d_k
-    g_{n-k}) / d_0, each layer of g one `_convolve` over the nonzero layers
-    of d; exact. A sparse d, such as 1 - c t, costs one pair per layer.
+    g_{n-k}) / d_0, each layer of g one `_sum_of_products` over the nonzero
+    layers of d; exact. A sparse d, such as 1 - c t, costs one pair per
+    layer.
     """
-    order, cvars, fl, dl = f._common(d)
-    den0, num0 = dl[0]
-    if not num0:
+    order, fl, dl = f._common(d)
+    fields = fl[0].vars
+    d0 = dl[0]
+    if not d0._num:
         raise ZeroDivisionError("cannot divide by a series with zero constant term")
-    if set(num0) != {0}:
+    if set(d0._num) != {0}:
         raise ValueError("the constant term of the divisor is not a rational")
-    c0 = num0[0]
-    # -1/d_0 = -den0/c0, with a positive denominator
-    cn, cd = (-den0, c0) if c0 > 0 else (den0, -c0)
-    names = f.vars + cvars
-    nonconst = [k for k in range(1, order + 1) if dl[k][1]]
+    c0 = d0._num[0]
+    # -1/d_0 = -den/c0, with a positive denominator
+    cn, cd = (-d0._den, c0) if c0 > 0 else (d0._den, -c0)
+    minus_one, zero = _build(fields, 1, {0: -1}), _build(fields, 1, {})
+    nonconst = [k for k in range(1, order + 1) if dl[k]._num]
     g = []
     for n in range(order + 1):
-        pairs = [(fl[n], _MINUS_ONE)] if fl[n][1] else []
-        pairs += [(dl[k], g[n - k]) for k in nonconst if k <= n and g[n - k][1]]
-        g.append(_convolve(pairs, names, cn, cd) if pairs else _EMPTY)
-    return _make(f.vars, order, cvars, tuple(g))
+        pairs = [(fl[n], minus_one)] if fl[n]._num else []
+        pairs += [(dl[k], g[n - k]) for k in nonconst if k <= n and g[n - k]._num]
+        g.append(_sum_of_products(pairs, fields, cn, cd) if pairs else zero)
+    return _make(f.vars, order, tuple(g))
 
 
 def as_series(value, variables, order: int) -> TruncSeries:
@@ -431,7 +366,7 @@ def _power_sum(z: TruncSeries, weight, name: str) -> TruncSeries:
     z must have zero constant term, so z^k raises the valuation and the sum
     is finite at any truncation order.
     """
-    if z._layers[0][1]:
+    if z._layers[0]._num:
         raise ValueError(f"{name} needs a series with zero constant term")
     out = TruncSeries.one(z.vars, z.order)
     power = TruncSeries.one(z.vars, z.order)
@@ -477,7 +412,7 @@ class PhiSpec:
     ratio_upper: tuple = ()
 
 
-def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
+def phi_series(spec: PhiSpec) -> TruncSeries:
     """Truncated expansion of the basic hypergeometric sum described by spec.
 
     Term j is prod(upper Pochhammers) * prod(ratio factors) * arg^j divided
@@ -489,9 +424,8 @@ def phi_series(spec: PhiSpec, order: int | None = None) -> TruncSeries:
     if arg is None:
         raise ValueError("PhiSpec.argument is required")
     variables = arg.vars
-    N = arg.order if order is None else min(order, arg.order)
+    N = arg.order
     q = frac(spec.q)
-    arg = arg.truncate(N)
     one = TruncSeries.one(variables, N)
     uppers = [as_series(p, variables, N) for p in spec.upper]
     lowers = [as_series(p, variables, N) for p in spec.lower]

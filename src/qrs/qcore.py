@@ -14,7 +14,9 @@ polynomials is built in one dict at a common denominator and normalised
 once (accumulate, then reduce), and `+` is its single-factor case. Products
 share one term loop with `*`. Code that sums many products calls `lincomb`
 rather than chaining `acc = acc + a * b`, which re-normalises and copies
-the whole accumulator at every step.
+the whole accumulator at every step. A sum of two-factor products whose
+factors already share their variables, such as `*` itself or the layer
+products of `fps`, runs `_sum_of_products`.
 
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
@@ -162,13 +164,19 @@ def _normal(variables: tuple, den: int, num: dict) -> "MultiPoly":
     return _build(variables, den, num)
 
 
+def _widen(p: "MultiPoly", variables: tuple) -> "MultiPoly":
+    """p over the sorted `variables`, a superset of p.vars."""
+    if p.vars == variables:
+        return p
+    return _build(variables, p._den, _repack(p._num, _moves(p.vars, variables)))
+
+
 def _common(a: "MultiPoly", b: "MultiPoly"):
-    """The sorted union of the variables and both numerator dicts over it."""
+    """The sorted union of the variables, and a and b over it."""
     if a.vars == b.vars:
-        return a.vars, a._num, b._num
+        return a.vars, a, b
     union = _union(a.vars, b.vars)
-    return (union, _repack(a._num, _moves(a.vars, union)),
-            _repack(b._num, _moves(b.vars, union)))
+    return union, _widen(a, union), _widen(b, union)
 
 
 def _mul_into(acc: dict, small: dict, big: dict) -> dict:
@@ -193,6 +201,27 @@ def _mul_into(acc: dict, small: dict, big: dict) -> dict:
 def _check_guard(num: dict, variables: tuple) -> None:
     if num and reduce(or_, num) & _guard_bits(len(variables)):
         raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
+
+
+def _sum_of_products(pairs: list, variables: tuple, cn: int = 1, cd: int = 1) -> "MultiPoly":
+    """cn/cd times the sum of a * b over the pairs (a, b) of nonzero
+    polynomials over `variables`.
+
+    Every product goes into one dict at the common denominator of the
+    pairs, the scale riding on the smaller factor, and the sum is normalised
+    once.
+    """
+    dens = [a._den * b._den for a, b in pairs]
+    den = lcm(*dens)
+    acc = {}
+    for d, (a, b) in zip(dens, pairs):
+        small, big = (a._num, b._num) if len(a._num) <= len(b._num) else (b._num, a._num)
+        s = cn * (den // d)
+        if s != 1:
+            small = {e: c * s for e, c in small.items()}
+        acc = _mul_into(acc, small, big)
+    _check_guard(acc, variables)
+    return _normal(variables, den * cd, acc)
 
 
 def lincomb(terms) -> "MultiPoly":
@@ -365,11 +394,11 @@ class MultiPoly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def _scaled(self, s) -> "MultiPoly":
-        """self * s for a rational s; the result needs no full gcd pass."""
-        if not s or not self._num:
+    def _scaled(self, p: int, q: int) -> "MultiPoly":
+        """self * p/q for a reduced p/q with q > 0; the result needs no full
+        gcd pass."""
+        if not p or not self._num:
             return _build(self.vars, 1, {})
-        p, q = s.numerator, s.denominator
         # num/den is reduced and so is p/q: only gcd(p, den) and the gcd of
         # q with the numerators can cancel.
         g = gcd(p, self._den)
@@ -382,13 +411,13 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self._scaled(other) if _is_scalar(other) else NotImplemented
-        if not self._num or not other._num:
-            return _build(_union(self.vars, other.vars), 1, {})
-        variables, an, bn = _common(self, other)
-        acc = _mul_into({}, an, bn) if len(an) <= len(bn) else _mul_into({}, bn, an)
-        _check_guard(acc, variables)
-        return _normal(variables, self._den * other._den, acc)
+            if not _is_scalar(other):
+                return NotImplemented
+            return self._scaled(other.numerator, other.denominator)
+        variables, a, b = _common(self, other)
+        if not a._num or not b._num:
+            return _build(variables, 1, {})
+        return _sum_of_products([(a, b)], variables)
 
     __rmul__ = __mul__
 
@@ -413,8 +442,8 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _, an, bn = _common(self, other)
-        return self._den == other._den and an == bn
+        _, a, b = _common(self, other)
+        return a._den == b._den and a._num == b._num
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -430,14 +459,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def is_constant(self) -> bool:
-        return not self._num or (len(self._num) == 1 and 0 in self._num)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return Fraction(self._num.get(0, 0), self._den)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:

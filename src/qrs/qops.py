@@ -20,7 +20,7 @@ from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
                     frac, lincomb, qbinom)
 
 
-def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
+def t_op_graded(f: TruncSeries, q: Fraction) -> TruncSeries:
     """T(b D_q) f with b tracked as a second series variable.
 
     T(b D_q) = sum_n (b D_q)^n/(q;q)_n sends a^k to sum_n [k,n] a^(k-n) b^n,
@@ -32,8 +32,8 @@ def t_op_graded(f: TruncSeries, q: Fraction, bvar: str = "b") -> TruncSeries:
     q = frac(q)
     if len(f.vars) != 1:
         raise ValueError("t_op_graded expects a univariate series")
-    variables = tuple(sorted((f.vars[0], bvar)))
-    b_first = variables[0] == bvar
+    variables = tuple(sorted((f.vars[0], "b")))
+    b_first = variables[0] == "b"
     out = {}
     for (k,), c in f.coeffs.items():
         for n in range(k + 1):
@@ -94,7 +94,7 @@ def t_op_euler_kernel(s, t, v, w, q: Fraction, order: int) -> TruncSeries:
     operand = euler_series(a1.scale(v), q)
     for c in (s, t, w):
         operand = operand * euler_inv_series(a1.scale(c), q)
-    return t_op_graded(operand, q, bvar="b")
+    return t_op_graded(operand, q)
 
 
 def t_op_product_sides(s, t, v, w, q: Fraction, order: int):

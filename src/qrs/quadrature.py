@@ -37,46 +37,30 @@ _PROD_EPS = 1e-17
 _TRAP_START = 8
 _FLOOR_ULPS = 16
 
-def _truncation(maxbase: float) -> int:
-    """Factors kept per (c; base)_oo when the largest |base| is maxbase:
-    K = ceil(log(eps)/log(maxbase)) + 8, past which the remaining factors
+def _truncation(absbase: float) -> int:
+    """Factors kept of (c; base)_oo when |base| is absbase:
+    K = ceil(log(eps)/log(absbase)) + 8, past which the remaining factors
     differ from 1 by less than eps = 1e-17 relative."""
-    if maxbase >= 1:
-        raise ValueError("inf_product needs |base| < 1")
-    if maxbase == 0:
+    if absbase >= 1:
+        raise ValueError("(c; base)_oo needs |base| < 1")
+    if absbase == 0:
         return 1
-    return math.ceil(math.log(_PROD_EPS) / math.log(maxbase)) + 8
-
-
-def inf_product(factors) -> complex:
-    """Numeric (c1; b1)_oo (c2; b2)_oo ... over the (c, base) pairs in
-    factors, for |b_i| < 1, each factor truncated after
-    _truncation(max |b_i|) terms."""
-    factors = tuple(factors)
-    if not factors:
-        return 1.0 + 0j
-    K = _truncation(max(abs(b) for _, b in factors))
-    total = 1.0 + 0j
-    for c, base in factors:
-        c = complex(c)
-        bk = 1.0
-        for _ in range(K):
-            total *= 1 - c * bk
-            bk *= base
-    return total
+    return math.ceil(math.log(_PROD_EPS) / math.log(absbase)) + 8
 
 
 def qpoch_inf(c, base) -> complex:
-    """Single infinite factor (c; base)_oo."""
-    return inf_product(((c, base),))
+    """Numeric (c; base)_oo for |base| < 1, truncated after
+    _truncation(|base|) factors."""
+    return qpoch_n(c, base, _truncation(abs(base)))
 
 
 def qpoch_n(c, base, n: int) -> complex:
     """Finite numeric (c; base)_n."""
+    c = complex(c)
     total = 1.0 + 0j
     bk = 1.0
     for _ in range(n):
-        total *= 1 - complex(c) * bk
+        total *= 1 - c * bk
         bk *= base
     return total
 
@@ -138,7 +122,7 @@ def integrate(spec: IntegralSpec):
 
 
 def _ladder(base: float) -> list:
-    """base^k for k < K, by inf_product's bk *= base steps and truncation:
+    """base^k for k < K, by qpoch_inf's bk *= base steps and truncation:
     the factor ladder of (c; base)_oo for every c, built once per integral.
     base must be real (float() raises TypeError on a complex one)."""
     base = float(base)

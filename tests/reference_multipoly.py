@@ -6,9 +6,9 @@ operation works term by term in Fraction arithmetic. It is slow but
 obviously right, so the property tests in test_multipoly_kernel.py check
 the packed integer kernel against it. The functions at the end work on a
 polynomial of either kind through its `vars`, `terms`, constructors and
-arithmetic: `poly_eval` evaluates one, and the others are the views and
-substitutions that tests and test references take of a polynomial but the
-package itself never needs. None of this is part of the package and nothing
+arithmetic: `poly_eval` evaluates one, and the others are the queries,
+views and substitutions that tests and test references take of a polynomial
+but the package itself never needs. None of this is part of the package and nothing
 outside the tests imports it; do not optimise it.
 """
 
@@ -178,14 +178,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()), Fraction(0))
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0
@@ -251,6 +243,18 @@ def poly_eval(p, bindings: dict):
                 term *= bindings[v] ** e
         total += term
     return total
+
+
+def is_constant(p) -> bool:
+    """Whether p has no term of positive degree."""
+    return all(not any(e) for e in p.terms)
+
+
+def constant_value(p) -> Fraction:
+    """The value of a constant polynomial; ValueError for any other."""
+    if not is_constant(p):
+        raise ValueError(f"not a constant polynomial: {p}")
+    return next(iter(p.terms.values()), Fraction(0))
 
 
 def total_degree(p) -> int:

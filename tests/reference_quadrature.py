@@ -108,7 +108,7 @@ def _adaptive_gk15(f, lo: float, hi: float, tol: float, budget: int):
 def qpoch_inf(c, base) -> complex:
     """(c; base)_oo truncated after ceil(log(eps)/log|base|) + 8 factors."""
     if abs(base) >= 1:
-        raise ValueError("inf_product needs |base| < 1")
+        raise ValueError("(c; base)_oo needs |base| < 1")
     K = 1 if abs(base) == 0 else math.ceil(math.log(_PROD_EPS) / math.log(abs(base))) + 8
     total = 1.0 + 0j
     c = complex(c)

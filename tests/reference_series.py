@@ -21,6 +21,8 @@ from functools import reduce
 from itertools import starmap
 from operator import add, mul
 
+from reference_multipoly import constant_value
+
 from qrs import fps
 from qrs.qcore import MultiPoly, frac, lincomb, qfac, qpochs
 
@@ -36,7 +38,7 @@ def is_zero_elem(e) -> bool:
 def invert_elem(e):
     """Multiplicative inverse of a ring unit (scalars and constant polys)."""
     if isinstance(e, MultiPoly):
-        c = e.constant_value()
+        c = constant_value(e)
         if not c:
             raise ZeroDivisionError("cannot invert zero")
         return Fraction(1) / c

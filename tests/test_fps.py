@@ -73,12 +73,12 @@ def test_series_inverse_needs_invertible_constant():
 def test_euler_expansion_frozen_coefficients():
     # (t; q)_oo and 1/(t; q)_oo at q = 1/2, through order 2
     e = euler_expand(1, Fraction(1, 2), 2)
-    assert e.coefficient((0,)) == 1
-    assert e.coefficient((1,)) == Fraction(-2)
-    assert e.coefficient((2,)) == Fraction(4, 3)
+    assert e.coeffs.get((0,), 0) == 1
+    assert e.coeffs.get((1,), 0) == Fraction(-2)
+    assert e.coeffs.get((2,), 0) == Fraction(4, 3)
     ei = euler_inv_expand(1, Fraction(1, 2), 2)
-    assert ei.coefficient((1,)) == Fraction(2)
-    assert ei.coefficient((2,)) == Fraction(8, 3)
+    assert ei.coeffs.get((1,), 0) == Fraction(2)
+    assert ei.coeffs.get((2,), 0) == Fraction(8, 3)
 
 
 def test_euler_product_times_inverse_is_one():
@@ -120,7 +120,7 @@ def test_cauchy_expand_q_binomial_theorem_coefficients():
     a = Fraction(1, 5)
     s = cauchy_expand(a, 1, q, 6)
     for n in range(7):
-        assert s.coefficient((n,)) == qpochs(a, q, n)[n] / qfac(q, n)
+        assert s.coeffs.get((n,), 0) == qpochs(a, q, n)[n] / qfac(q, n)
 
 
 def test_poch_series_finite_product():
@@ -156,7 +156,7 @@ def test_phi_series_matches_direct_pochhammer_sum():
     for n in range(order + 1):
         expect = (qpochs(a, q, n)[n] * qpochs(b, q, n)[n]
                   / (qfac(q, n) * qpochs(c, q, n)[n]))
-        assert got.coefficient((n,)) == expect
+        assert got.coeffs.get((n,), 0) == expect
 
 
 def test_phi_series_ratio_mechanism_matches_plain_parameter():
@@ -188,7 +188,7 @@ def test_phi_series_ratio_mechanism_zero_denominator():
                              lower=(), q=q, argument=z))
     for j in range(order + 1):
         expect = (-num) ** j * q ** (j * (j - 1) // 2) / qfac(q, j)
-        assert got.coefficient((j,)) == expect
+        assert got.coeffs.get((j,), 0) == expect
 
 
 def test_phi_series_with_series_parameters():
@@ -372,13 +372,16 @@ def both(operand):
 
 
 def canonical(s: TruncSeries) -> bool:
-    """One layer per degree through the order, each holding only exponents
-    of its degree, reduced, with no zero numerator."""
+    """One MultiPoly layer per degree through the order, all over the same
+    variables, each holding only exponents of its degree, reduced, with no
+    zero numerator."""
     shift = _FIELD * len(s.cvars)
     return len(s._layers) == s.order + 1 and all(
-        den > 0 and 0 not in num.values() and gcd(den, *num.values()) == 1
-        and all(sum(_unpack(e >> shift, len(s.vars))) == d for e in num)
-        for d, (den, num) in enumerate(s._layers))
+        type(layer) is MultiPoly and layer.vars == s._layers[0].vars
+        and layer._den > 0 and 0 not in layer._num.values()
+        and gcd(layer._den, *layer._num.values()) == 1
+        and all(sum(_unpack(e >> shift, len(s.vars))) == d for e in layer._num)
+        for d, layer in enumerate(s._layers))
 
 
 def assert_same(got: TruncSeries, want: "ref.TruncSeries"):

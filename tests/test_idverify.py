@@ -8,7 +8,7 @@ from itertools import islice
 import pytest
 import reference_numeric
 
-from qrs import fps, idverify, qcore
+from qrs import idverify, qcore
 from qrs.families import brs_poly
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
@@ -365,8 +365,8 @@ def test_recurrence_cases_pass_at_twenty_seeds(case_id):
 
 
 def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
-    # a timing-free guard on the exact cases: every product of two term dicts
-    # goes through qcore._mul_into, which fps imports by name. Before the
+    # a timing-free guard on the exact cases: every product of two term dicts,
+    # series layers included, goes through qcore._mul_into. Before the
     # Euler prefactors met their dense series one factor at a time, the
     # symmetric sweeps built each unordered pair once and linear-brs-double
     # summed its left side over l first, verify_all() took 339,964 pairs:
@@ -385,7 +385,6 @@ def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
         return verify_one(case_id, **kwargs)
 
     monkeypatch.setattr(qcore, "_mul_into", counted)
-    monkeypatch.setattr(fps, "_mul_into", counted)
     monkeypatch.setattr(idverify, "verify", verify_counted)
     # memo tables that earlier tests filled would hide the cost of the families
     qcore._table.cache_clear()

@@ -1,7 +1,8 @@
 """Every name a module under src/qrs imports is used in that module, every
 module-level private name is referenced somewhere in the package, every
 public one is referenced by some module other than __init__ (exporting a
-name does not use it), and every cache is bounded."""
+name does not use it), every method of a class is called somewhere in the
+package, and every cache is bounded."""
 
 import ast
 import pathlib
@@ -130,6 +131,40 @@ def test_every_public_name_is_referenced_outside_init():
     defined = {name for p in MODULES for node in ast.parse(p.read_text()).body
                for name in _defined(node)}
     assert set(qrs.__all__) <= defined
+
+
+def unused_methods(sources: dict) -> list:
+    """(module, line, "Class.method") of each non-dunder method that a class
+    defines and that no module loads as an attribute or names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+    return sorted((module, item.lineno, f"{node.name}.{item.name}")
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not item.name.startswith("__") and item.name not in used)
+
+
+def test_the_check_sees_an_unused_method():
+    sources = {
+        "a": "class C:\n    def f(self):\n        return self.g()\n"
+             "    def g(self):\n        pass\n    def h(self):\n        pass\n"
+             "    def __eq__(self, other):\n        pass\n"
+             "    @property\n    def p(self):\n        pass\n",
+        "b": "from a import C\nC().f\nx = C.k\n",
+    }
+    assert unused_methods(sources) == [("a", 6, "C.h"), ("a", 11, "C.p")]
+
+
+def test_every_method_is_called_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unused_methods(sources) == []
 
 
 def unbounded_caches(source: str) -> list:

@@ -36,7 +36,7 @@ def test_dq_on_monomials():
     g = dq_apply(f, q)
     assert g.order == 4
     for n in range(1, 6):
-        assert g.coefficient((n - 1,)) == 1 - q ** n
+        assert g.coeffs.get((n - 1,), 0) == 1 - q ** n
 
 
 def test_dq_is_difference_quotient():
@@ -78,7 +78,7 @@ def test_t_op_scalar_on_monomial_gives_binomial_weights():
     f = TruncSeries.monomial(("a",), 2 * n, (n,))
     img = t_op_apply(b, f, q)
     for k in range(n + 1):
-        assert img.coefficient((n - k,)) == qbinom(n, k, q) * b ** k
+        assert img.coeffs.get((n - k,), 0) == qbinom(n, k, q) * b ** k
 
 
 def test_t_op_graded_coefficients_are_binomials():
@@ -88,7 +88,7 @@ def test_t_op_graded_coefficients_are_binomials():
     img = t_op_graded(f, q)
     assert img.vars == ("a", "b")
     for k in range(n + 1):
-        assert img.coefficient((n - k, k)) == qbinom(n, k, q)
+        assert img.coeffs.get((n - k, k), 0) == qbinom(n, k, q)
 
 
 def test_t_op_graded_single_pole_generating_function():
@@ -116,9 +116,9 @@ def test_t_op_graded_collapses_to_scalar_application():
         graded = t_op_graded(f, q)
         direct = t_op_apply(b, f, q)
         for m in range(order + 1):
-            total = sum((graded.coefficient((m, n)) * b ** n
+            total = sum((graded.coeffs.get((m, n), 0) * b ** n
                          for n in range(order - m + 1)), Fraction(0))
-            assert direct.coefficient((m,)) == total, f"m={m} q={q}"
+            assert direct.coeffs.get((m,), 0) == total, f"m={m} q={q}"
 
 
 def test_t_op_graded_with_b_sorting_first_matches_t_op_apply():
@@ -131,16 +131,16 @@ def test_t_op_graded_with_b_sorting_first_matches_t_op_apply():
         order = rng.randint(2, 8)
         fa = rand_series(rng, order)
         fz = TruncSeries(("z",), order, dict(fa.coeffs))
-        graded = t_op_graded(fz, q, bvar="b")
+        graded = t_op_graded(fz, q)
         assert graded.vars == ("b", "z")
         swapped = t_op_graded(fa, q)
         direct = t_op_apply(b, fz, q)
         for m in range(order + 1):
             for n in range(order - m + 1):
-                assert graded.coefficient((n, m)) == swapped.coefficient((m, n))
-            total = sum((graded.coefficient((n, m)) * b ** n
+                assert graded.coeffs.get((n, m), 0) == swapped.coeffs.get((m, n), 0)
+            total = sum((graded.coeffs.get((n, m), 0) * b ** n
                          for n in range(order - m + 1)), Fraction(0))
-            assert direct.coefficient((m,)) == total, f"m={m} q={q}"
+            assert direct.coeffs.get((m,), 0) == total, f"m={m} q={q}"
 
 
 def test_dxy_poly_lowers_cauchy_basis():
@@ -183,7 +183,7 @@ def test_e_op_routes_agree_and_map_basis_to_brs():
             TruncSeries(("t",), order, {i: to_poly(c, q) for i, c in lists.items()}), q)
         for idx, coeffs in lists.items():
             via_operator = e_apply_by_operator(coeffs, q)
-            assert image.coefficient(idx) == via_operator
+            assert image.coeffs.get(idx, 0) == via_operator
             expect = lincomb((c, brs_poly(k, q)) for k, c in enumerate(coeffs))
             assert via_operator == expect
 
@@ -195,8 +195,8 @@ def test_e_op_apply_respects_series_structure():
     image = e_op_apply(TruncSeries(("t",), order, polys), q)
     assert image.vars == ("t",) and image.order == order
     for k in range(order + 1):
-        assert image.coefficient((k,)) == brs_poly(k, q)
-        assert image.coefficient((k,)) == e_apply_by_operator([0] * k + [1], q)
+        assert image.coeffs.get((k,), 0) == brs_poly(k, q)
+        assert image.coeffs.get((k,), 0) == e_apply_by_operator([0] * k + [1], q)
 
 
 def test_e_op_apply_lifts_rational_coefficients():
@@ -207,7 +207,7 @@ def test_e_op_apply_lifts_rational_coefficients():
     assert isinstance(f.coeffs[(0,)], Fraction)
     image = e_op_apply(f, q)
     assert image == f
-    assert image.coefficient((0,)) == 3
+    assert image.coeffs.get((0,), 0) == 3
     # and sum_k c_k P_k t^k goes to sum_k c_k h_k t^k
     cs = [Fraction(3), Fraction(-2, 5), Fraction(7), Fraction(1, 4)]
     f = TruncSeries(("t",), 3, {(k,): cauchy_poly(k, q) * c for k, c in enumerate(cs)})

@@ -16,7 +16,7 @@ from qrs.cli import main
 from qrs.idverify import registry, verify
 from qrs.quadrature import (EVAL_BUDGET, IntegralSpec, QuadratureError,
                             askey_wilson_closed, askey_wilson_quad,
-                            aw_integrand, inf_product, integrate, jhi_eval,
+                            aw_integrand, integrate, jhi_eval,
                             jhi_integrand, ortho_integrand, ortho_quad,
                             qpoch_inf, qpoch_n)
 
@@ -38,7 +38,7 @@ def test_infinite_product_edge_cases():
     assert qpoch_inf(0.0, 0.3) == 1.0
     assert qpoch_inf(0.4, 0.0) == pytest.approx(0.6)  # only the k=0 factor
     with pytest.raises(ValueError):
-        inf_product(((0.5, 1.0),))
+        qpoch_inf(0.5, 1.0)
     with pytest.raises(ValueError):
         qpoch_inf(0.5, 1.2)
 
