@@ -13,8 +13,8 @@ sides of each identity either coefficientwise (exact) or numerically
 from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
                        qhermite_poly, rs_poly)
-from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                  phi_series, phi_sum, series_inv)
+from .fps import (TruncSeries, euler_inv_series, euler_series, phi_series,
+                  phi_sum, series_inv)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import MultiPoly, frac, qbinom, qfac
 from .qops import e_op_apply, t_op_graded
@@ -26,7 +26,7 @@ from .reporting import IdentityReport
 __version__ = "0.1.0"
 
 __all__ = [
-    "IdentityCase", "IdentityReport", "IntegralSpec", "MultiPoly", "PhiSpec",
+    "IdentityCase", "IdentityReport", "IntegralSpec", "MultiPoly",
     "QuadratureError", "TruncSeries", "askey_wilson_closed",
     "askey_wilson_quad", "big_qhermite_poly", "big_qhermite_polys",
     "brs_poly", "cauchy_poly", "change_base_big", "change_base_c",

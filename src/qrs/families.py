@@ -64,7 +64,7 @@ def _a_elem(a):
     return frac(a)
 
 
-def big_qhermite_polys(n: int, a, q: Fraction, x: str = "x") -> list:
+def big_qhermite_polys(n: int, a, q: Fraction) -> list:
     """[H_0, ..., H_n] of the big q-Hermite family H_k(x;a|q), built by the
     three-term recurrence (Koekoek, Lesky & Swarttouw 2010, section 14.18)
 
@@ -77,7 +77,7 @@ def big_qhermite_polys(n: int, a, q: Fraction, x: str = "x") -> list:
     if n < 0:
         raise ValueError("n must be nonnegative")
     a, q = _a_elem(a), frac(q)
-    two_x = MultiPoly.var(x) * 2
+    two_x = MultiPoly.var("x") * 2
     polys, qk = [MultiPoly.const(1)], Fraction(1)
     for k in range(n):
         step = polys[k] * (two_x - a * qk)
@@ -86,15 +86,15 @@ def big_qhermite_polys(n: int, a, q: Fraction, x: str = "x") -> list:
     return polys
 
 
-def big_qhermite_poly(n: int, a, q: Fraction, x: str = "x") -> MultiPoly:
+def big_qhermite_poly(n: int, a, q: Fraction) -> MultiPoly:
     """Big q-Hermite H_n(x;a|q) as a polynomial in x, the last entry of
     `big_qhermite_polys`."""
-    return big_qhermite_polys(n, a, q, x)[n]
+    return big_qhermite_polys(n, a, q)[n]
 
 
-def qhermite_poly(n: int, q: Fraction, x: str = "x") -> MultiPoly:
+def qhermite_poly(n: int, q: Fraction) -> MultiPoly:
     """Continuous q-Hermite H_n(x|q), the a = 0 case of the big family."""
-    return big_qhermite_poly(n, Fraction(0), q, x)
+    return big_qhermite_poly(n, Fraction(0), q)
 
 
 def qhermite_circle(a, q, theta: float):
@@ -142,19 +142,18 @@ def qhermite_circle(a, q, theta: float):
 # -- transforms between the classical and bivariate families ---------------
 
 
-def rs_to_brs_coeffs(n: int, q: Fraction, y: str = "y") -> list:
+def rs_to_brs_coeffs(n: int, q: Fraction) -> list:
     """Coefficients c_m(y) with h_n(x|q) = sum_m c_m h_m(x,y|q)."""
     q = frac(q)
-    return [MultiPoly((y,), {(n - m,): qbinom(n, n - m, q)}) for m in range(n + 1)]
+    return [MultiPoly(("y",), {(n - m,): qbinom(n, n - m, q)}) for m in range(n + 1)]
 
 
-def brs_to_rs_coeffs(n: int, q: Fraction, y: str = "y") -> list:
+def brs_to_rs_coeffs(n: int, q: Fraction) -> list:
     """Coefficients c_m(y) with h_n(x,y|q) = sum_m c_m h_m(x|q)."""
     q = frac(q)
-    return [
-        MultiPoly((y,), {(n - m,): Fraction((-1) ** (n - m)) * q ** tri(n - m) * qbinom(n, n - m, q)})
-        for m in range(n + 1)
-    ]
+    return [MultiPoly(("y",), {(n - m,): Fraction((-1) ** (n - m)) * q ** tri(n - m)
+                               * qbinom(n, n - m, q)})
+            for m in range(n + 1)]
 
 
 def ybinom_brs(n: int, q: Fraction) -> MultiPoly:

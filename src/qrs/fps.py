@@ -18,16 +18,18 @@ Bivariate series are truncated by total degree. Operations on series of
 different orders propagate the minimum order, which is the honest amount of
 information available.
 
-A dense series meets a product of Euler series one factor at a time, as in
-`dense * euler_series(z1, q) * euler_inv_series(z2, q)`: for z = c t with c
-a monomial, an Euler series has one term per degree layer, so each product
-costs about one pair per term of the dense series per layer. The product of
-the Euler series, multiplied out first, would be dense itself.
+An Euler factor (z; q)_oo or 1/(z; q)_oo takes a one-term argument
+z = c s^i t^j, and Euler's identities give its expansion term by term
+(Gasper & Rahman 2004, section 1.3): the series is written down at once,
+with no series product. It has at most one term per degree layer, so a
+dense series meets a product of Euler series one factor at a time, as in
+`dense * euler_series(z1, q) * euler_inv_series(z2, q)`, at about one pair
+per term of the dense series per layer. The product of the Euler series,
+multiplied out first, would be dense itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from types import MappingProxyType
@@ -36,6 +38,8 @@ from .qcore import (_FIELD, MultiPoly, _build, _moves, _normal, _pack, _repack,
                     _sum_of_products, _union, _unpack, _widen, frac, lincomb, qfac, tri)
 
 _SCALARS = (int, Fraction)
+
+_PHI_SUM_TOL = 1e-13
 
 # the leading variables of a layer, one per series index; they sort before
 # any variable name
@@ -164,12 +168,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not any(layer._num for layer in self._layers)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        """Forget coefficients above `order`. Never extends knowledge."""
-        if order >= self.order:
-            return self
-        return _make(self.vars, order, self._layers[:order + 1])
 
     def _common(self, other: "TruncSeries"):
         """The joint order, and both operands' layers through it over the
@@ -351,95 +349,70 @@ def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
     return _make(f.vars, order, tuple(g))
 
 
-def as_series(value, variables, order: int) -> TruncSeries:
-    """Lift a ring element (or pass a series through) into the given frame."""
-    if isinstance(value, TruncSeries):
-        if value.vars != tuple(variables):
-            raise ValueError("series variable mismatch")
-        return value.truncate(order)
-    return TruncSeries.const(value, variables, order)
-
-
-def _power_sum(z: TruncSeries, weight, name: str) -> TruncSeries:
-    """1 + sum_k weight(k) z^k over k <= z.order, for the Euler-type expansions.
-
-    z must have zero constant term, so z^k raises the valuation and the sum
-    is finite at any truncation order.
-    """
-    if z._layers[0]._num:
-        raise ValueError(f"{name} needs a series with zero constant term")
-    out = TruncSeries.one(z.vars, z.order)
-    power = TruncSeries.one(z.vars, z.order)
-    for k in range(1, z.order + 1):
-        power = power * z
-        if power.is_zero():
-            break
-        out = out + power.scale(weight(k))
-    return out
+def _euler(z: TruncSeries, weight, name: str) -> TruncSeries:
+    """1 + sum_k weight(k) c^k s^(k i) t^(k j) for a one-term z = c s^i t^j,
+    through z's order. A zero z gives 1."""
+    terms = z.coeffs
+    if not terms:
+        return TruncSeries.one(z.vars, z.order)
+    idx = next(iter(terms))
+    if len(terms) > 1 or not any(idx):
+        raise ValueError(f"{name} needs a one-term series c*s^i*t^j with i + j > 0")
+    c = terms[idx]
+    coeffs = {(0,) * len(idx): Fraction(1)}
+    for k in range(1, z.order // sum(idx) + 1):
+        coeffs[tuple(k * i for i in idx)] = c ** k * weight(k)
+    return TruncSeries(z.vars, z.order, coeffs)
 
 
 def euler_series(z: TruncSeries, q: Fraction) -> TruncSeries:
-    """(z; q)_oo as a truncated series: sum_k (-1)^k q^(k(k-1)/2) z^k / (q;q)_k."""
+    """(z; q)_oo for a one-term z: sum_k (-1)^k q^(k(k-1)/2) z^k / (q;q)_k."""
     q = frac(q)
-    return _power_sum(z, lambda k: Fraction((-1) ** k) * q ** tri(k) / qfac(q, k),
-                      "euler_series")
+    return _euler(z, lambda k: Fraction((-1) ** k) * q ** tri(k) / qfac(q, k),
+                  "euler_series")
 
 
 def euler_inv_series(z: TruncSeries, q: Fraction) -> TruncSeries:
-    """1/(z; q)_oo as a truncated series: sum_k z^k / (q;q)_k."""
+    """1/(z; q)_oo for a one-term z: sum_k z^k / (q;q)_k."""
     q = frac(q)
-    return _power_sum(z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series")
+    return _euler(z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series")
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Description of a basic hypergeometric series r+1_phi_r.
+def phi_series(upper, lower, q: Fraction, argument: TruncSeries,
+               ratio_upper=()) -> TruncSeries:
+    """Truncated expansion of the basic hypergeometric r+1_phi_r(upper;
+    lower; q, argument), through the argument's order.
 
-    upper / lower entries are ring elements or series of degree <= 1 in the
-    frame variables (a parameter like x*t is a degree-1 series in t).
-    ratio_upper entries are (num, den) pairs standing for a parameter
-    num/den whose Pochhammer factor is kept polynomial by absorbing den^j
-    into the argument: the caller passes `argument` equal to the true
-    argument divided by every ratio's den, and the engine multiplies term j
-    by prod_{k<j}(den - num q^k) per ratio. That product equals
-    (num/den; q)_j den^j and remains valid at den = 0.
-    """
-
-    upper: tuple = ()
-    lower: tuple = ()
-    q: Fraction = Fraction(1, 2)
-    argument: TruncSeries = None
-    ratio_upper: tuple = ()
-
-
-def phi_series(spec: PhiSpec) -> TruncSeries:
-    """Truncated expansion of the basic hypergeometric sum described by spec.
-
-    Term j is prod(upper Pochhammers) * prod(ratio factors) * arg^j divided
-    by (q;q)_j and the lower Pochhammers, all exact in the coefficient ring.
+    upper and lower entries are ring elements or series in the argument's
+    variables (a parameter like x*t is a degree-1 series in t). Term j is
+    prod(upper Pochhammers) * prod(ratio factors) * argument^j divided by
+    (q;q)_j and the lower Pochhammers, all exact in the coefficient ring.
     Lower parameters must keep the denominator invertible as a series (unit
     constant term), which every zero-constant or scalar parameter does.
+
+    ratio_upper entries are (num, den) pairs standing for a parameter
+    num/den whose Pochhammer factor is kept polynomial by absorbing den^j
+    into the argument: the caller passes the true argument divided by every
+    ratio's den, and term j is multiplied by prod_{k<j}(den - num q^k) per
+    ratio. That product equals (num/den; q)_j den^j and remains valid at
+    den = 0.
     """
-    arg = spec.argument
-    if arg is None:
-        raise ValueError("PhiSpec.argument is required")
-    variables = arg.vars
-    N = arg.order
-    q = frac(spec.q)
-    one = TruncSeries.one(variables, N)
-    uppers = [as_series(p, variables, N) for p in spec.upper]
-    lowers = [as_series(p, variables, N) for p in spec.lower]
+    q = frac(q)
+    one = TruncSeries.one(argument.vars, argument.order)
+    # a series parameter is used as it is: products keep the smaller order
+    uppers = [p if isinstance(p, TruncSeries) else one.scale(p) for p in upper]
+    lowers = [p if isinstance(p, TruncSeries) else one.scale(p) for p in lower]
     out = num = den_inv = argpow = one
     ratio = Fraction(1)
-    for j in range(1, N + 1):
+    for j in range(1, argument.order + 1):
         qk = q ** (j - 1)
         for u in uppers:
             num = num * (one - u.scale(qk))
-        for rnum, rden in spec.ratio_upper:
+        for rnum, rden in ratio_upper:
             ratio = ratio * (rden - rnum * qk)
         for l in lowers:
             den_inv = _divide(den_inv, one - l.scale(qk))
-        argpow = argpow * arg
+        argpow = argpow * argument
         if argpow.is_zero():
             break
         # arg^j first: the dense products cover only the degrees it leaves
@@ -447,12 +420,12 @@ def phi_series(spec: PhiSpec) -> TruncSeries:
     return out
 
 
-def phi_sum(upper, lower, q, z, tol: float = 1e-13, max_terms: int = 2000) -> complex:
+def phi_sum(upper, lower, q, z, max_terms: int = 2000) -> complex:
     """Numeric value of r+1_phi_r(upper; lower; q, z) with a tail guard.
 
     Terms follow the defining one-step recurrence; `_sum_terms` stops once
-    three consecutive terms stay below tol scaled against the geometric
-    tail factor max(|z|/(1-|z|), 1). Requires |z| < 1.
+    three consecutive terms stay below _PHI_SUM_TOL scaled against the
+    geometric tail factor max(|z|/(1-|z|), 1). Requires |z| < 1.
     """
     z = complex(z)
     q = complex(q)
@@ -480,7 +453,7 @@ def phi_sum(upper, lower, q, z, tol: float = 1e-13, max_terms: int = 2000) -> co
             term *= ratio
             yield term
 
-    return _sum_terms(terms(), r, tol, max_terms)
+    return _sum_terms(terms(), r, _PHI_SUM_TOL, max_terms)
 
 
 def _sum_terms(terms, ratio: float, tol: float, max_terms: int = 500) -> complex:

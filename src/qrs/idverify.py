@@ -54,8 +54,8 @@ from fractions import Fraction
 from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
                        change_base_big, change_base_c, qhermite_circle,
                        rs_poly, ybinom_brs, ybinom_rs)
-from .fps import (PhiSpec, TruncSeries, _sum_terms, euler_inv_series,
-                  euler_series, phi_series, phi_sum, series_inv)
+from .fps import (TruncSeries, _sum_terms, euler_inv_series, euler_series,
+                  phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, qfac, qpochs, tri
 from .qops import e_op_apply, t_op_euler_kernel, t_op_product_sides
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
@@ -366,14 +366,10 @@ def _run_mehler_brs(order, q, params):
     t1 = TruncSeries.variable(("t",), order, "t")
     lhs = TruncSeries(("t",), order, {
         (n,): brs_poly(n, q) * brs_poly(n, q, "u", "v") * inv[n] for n in range(order + 1)})
-    spec = PhiSpec(
-        upper=(_Y, t1.scale(_X)),
-        ratio_upper=((_V, _U),),
-        lower=(t1.scale(_Y), t1.scale(_V * _X)),
-        q=q, argument=t1)
+    phi = phi_series((_Y, t1.scale(_X)), (t1.scale(_Y), t1.scale(_V * _X)), q, t1,
+                     ratio_upper=((_V, _U),))
     # the dense 3phi2 first: it meets one Euler factor at a time
-    yield "", lhs, phi_series(spec) \
-        * euler_series(t1.scale(_Y), q) * euler_series(t1.scale(_V * _X), q) \
+    yield "", lhs, phi * euler_series(t1.scale(_Y), q) * euler_series(t1.scale(_V * _X), q) \
         * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
         * euler_inv_series(t1.scale(_U * _X), q)
 
@@ -387,12 +383,9 @@ def _run_mehler_brs(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_mehler_reduction(order, q, params):
     t1 = TruncSeries.variable(("t",), order, "t")
-    spec = PhiSpec(
-        upper=(t1.scale(_X),),
-        ratio_upper=((Fraction(0), _Y),),
-        q=q, argument=t1)
-    lhs = phi_series(spec) * euler_inv_series(t1, q) \
-        * euler_inv_series(t1.scale(_X), q) * euler_inv_series(t1.scale(_Y * _X), q)
+    lhs = phi_series((t1.scale(_X),), (), q, t1, ratio_upper=((Fraction(0), _Y),)) \
+        * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
+        * euler_inv_series(t1.scale(_Y * _X), q)
     yield "", lhs, _mehler_product(q, order)
 
 
@@ -408,9 +401,8 @@ def _run_rogers_brs(order, q, params):
     s1 = TruncSeries.variable(("s", "t"), order, "s")
     t1 = TruncSeries.variable(("s", "t"), order, "t")
     lhs = _st_series(order, lambda i, j: brs_poly(i + j, q) * (inv[i] * inv[j]))
-    spec = PhiSpec(upper=(_Y, s1.scale(_X)), lower=(s1.scale(_Y),),
-                   q=q, argument=t1)
-    yield "", lhs, phi_series(spec) * euler_series(s1.scale(_Y), q) \
+    yield "", lhs, phi_series((_Y, s1.scale(_X)), (s1.scale(_Y),), q, t1) \
+        * euler_series(s1.scale(_Y), q) \
         * euler_inv_series(s1, q) * euler_inv_series(s1.scale(_X), q) \
         * euler_inv_series(t1.scale(_X), q)
 
@@ -448,9 +440,8 @@ def _run_lemma_22(order, q, params):
     lhs = t_op_euler_kernel(s, t, v, Fraction(0), q, order)
     av = TruncSeries.variable(("a", "b"), order, "a")
     bv = TruncSeries.variable(("a", "b"), order, "b")
-    spec = PhiSpec(upper=(v / t, bv.scale(s)), lower=(bv.scale(v),),
-                   q=q, argument=av.scale(t))
-    yield "", lhs, phi_series(spec) * euler_series(bv.scale(v), q) \
+    yield "", lhs, phi_series((v / t, bv.scale(s)), (bv.scale(v),), q, av.scale(t)) \
+        * euler_series(bv.scale(v), q) \
         * euler_inv_series(av.scale(s), q) * euler_inv_series(bv.scale(s), q) \
         * euler_inv_series(bv.scale(t), q)
 

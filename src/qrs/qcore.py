@@ -457,9 +457,6 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
             return 0

@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import brs_poly, cauchy_poly
-from .fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                  phi_series)
+from .fps import TruncSeries, euler_inv_series, euler_series, phi_series
 from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
                     frac, lincomb, qbinom)
 
@@ -114,15 +113,10 @@ def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
     av = TruncSeries.variable(ab, order, "a")
     bv = TruncSeries.variable(ab, order, "b")
     abm = TruncSeries.monomial(ab, order, (1, 1))
-    spec = PhiSpec(
-        upper=(v / s, v / t),
-        ratio_upper=((v, w),),
-        lower=(av.scale(v), bv.scale(v)),
-        q=q,
-        argument=abm.scale(s * t / v),
-    )
+    phi = phi_series((v / s, v / t), (av.scale(v), bv.scale(v)), q, abm.scale(s * t / v),
+                     ratio_upper=((v, w),))
     # the dense 3phi2 meets the closed product one Euler factor at a time
-    rhs = phi_series(spec) * euler_series(av.scale(v), q) \
+    rhs = phi * euler_series(av.scale(v), q) \
         * euler_series(bv.scale(v), q) * euler_series(abm.scale(s * t * w / v), q)
     for c in (s, t, w):
         rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)

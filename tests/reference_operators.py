@@ -85,7 +85,7 @@ def _divide_linear(f: MultiPoly, x: str, beta: MultiPoly) -> MultiPoly:
         quot = quot + xv ** (i - 1) * coef
         carry = coef * beta
     rem = by_deg.get(0, MultiPoly.const(0)) + carry
-    if not rem.is_zero():
+    if rem:
         raise ValueError("division by (x - y/q) is not exact")
     return quot
 

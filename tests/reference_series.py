@@ -9,9 +9,13 @@ contributing pairs. It is slow but obviously right, so the property tests in
 test_fps.py check the packed layers against it. It is not part of the
 package and nothing outside the tests imports it; do not optimise it.
 
-`euler_expand`, `euler_inv_expand`, `cauchy_expand` and `poch_series` are
-thin wrappers over `qrs.fps` that only tests call; they build package
-series, not reference ones.
+`power_sum` is the Euler expansion that `qrs.fps` ran before it wrote an
+Euler series down from its one-term argument: 1 + sum_k weight(k) z^k by
+repeated package series products, for any z with zero constant term.
+
+`truncate`, `euler_expand`, `euler_inv_expand`, `cauchy_expand` and
+`poch_series` are thin wrappers over `qrs.fps` that only tests call; they
+build package series, not reference ones.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ _SCALARS = (int, Fraction)
 
 def is_zero_elem(e) -> bool:
     if isinstance(e, MultiPoly):
-        return e.is_zero()
+        return not e
     return e == 0
 
 
@@ -201,28 +205,29 @@ def series_inv(f: TruncSeries) -> TruncSeries:
     return TruncSeries(f.vars, f.order, out)
 
 
-def phi_series(spec, order: int | None = None) -> TruncSeries:
-    """The truncated basic hypergeometric sum of a `qrs.fps.PhiSpec` whose
-    series parameters and argument are reference series."""
-    arg = spec.argument
-    variables = arg.vars
-    N = arg.order if order is None else min(order, arg.order)
-    q = frac(spec.q)
-    arg = arg.truncate(N)
+def phi_series(upper, lower, q: Fraction, argument: TruncSeries,
+               ratio_upper=(), order: int | None = None) -> TruncSeries:
+    """The truncated basic hypergeometric sum that `qrs.fps.phi_series`
+    takes the same arguments for, with series parameters and argument
+    reference series."""
+    variables = argument.vars
+    N = argument.order if order is None else min(order, argument.order)
+    q = frac(q)
+    arg = argument.truncate(N)
     one = TruncSeries.one(variables, N)
 
     def lift(p):
         return p.truncate(N) if isinstance(p, TruncSeries) else one.scale(p)
 
-    uppers = [lift(p) for p in spec.upper]
-    lowers = [lift(p) for p in spec.lower]
+    uppers = [lift(p) for p in upper]
+    lowers = [lift(p) for p in lower]
     out = num = den_inv = argpow = one
     ratio = Fraction(1)
     for j in range(1, N + 1):
         qk = q ** (j - 1)
         for u in uppers:
             num = num * (one - u.scale(qk))
-        for rnum, rden in spec.ratio_upper:
+        for rnum, rden in ratio_upper:
             ratio = ratio * (rden - rnum * qk)
         for low in lowers:
             den_inv = den_inv * series_inv(one - low.scale(qk))
@@ -233,12 +238,40 @@ def phi_series(spec, order: int | None = None) -> TruncSeries:
     return out
 
 
+def power_sum(z: fps.TruncSeries, weight, name: str) -> fps.TruncSeries:
+    """1 + sum_k weight(k) z^k over k <= z.order, for the Euler-type expansions.
+
+    z must have zero constant term, so z^k raises the valuation and the sum
+    is finite at any truncation order.
+    """
+    if z.coeffs.get((0,) * len(z.vars)):
+        raise ValueError(f"{name} needs a series with zero constant term")
+    out = fps.TruncSeries.one(z.vars, z.order)
+    power = fps.TruncSeries.one(z.vars, z.order)
+    for k in range(1, z.order + 1):
+        power = power * z
+        if power.is_zero():
+            break
+        out = out + power.scale(weight(k))
+    return out
+
+
 # -- conveniences over the package's series ------------------------------------
+
+
+def truncate(s: fps.TruncSeries, order: int) -> fps.TruncSeries:
+    """s with its coefficients above `order` forgotten; never extends
+    knowledge."""
+    return fps.TruncSeries(s.vars, min(order, s.order), dict(s.coeffs))
 
 
 def poch_series(p, q: Fraction, n: int, variables, order: int) -> fps.TruncSeries:
     """(p; q)_n where p is a ring element or series: prod_{k<n} (1 - p q^k)."""
-    return qpochs(fps.as_series(p, variables, order), q, n)[n]
+    if isinstance(p, fps.TruncSeries):
+        p = truncate(p, order)
+    else:
+        p = fps.TruncSeries.const(p, variables, order)
+    return qpochs(p, q, n)[n]
 
 
 def euler_expand(c, q: Fraction, order: int, var: str = "t") -> fps.TruncSeries:

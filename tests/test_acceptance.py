@@ -15,8 +15,7 @@ from reference_multipoly import substitute
 
 from qrs.families import (big_qhermite_poly, brs_poly, cauchy_poly,
                           change_base_c, rs_poly)
-from qrs.fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                     phi_series)
+from qrs.fps import TruncSeries, euler_inv_series, euler_series, phi_series
 from qrs.idverify import verify
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
 
@@ -99,7 +98,7 @@ def test_criterion_04_y_zero_specializations():
                 * euler_inv_series(t1.scale(c), q)
         reduced = euler_inv_series(s1, q) * euler_inv_series(s1.scale(X), q) \
             * euler_inv_series(t1.scale(X), q) \
-            * phi_series(PhiSpec(upper=(s1.scale(X),), q=q, argument=t1))
+            * phi_series((s1.scale(X),), (), q, t1)
         assert dbl == classical, f"double sum vs product at q={q}"
         assert reduced == classical, f"reduced phi form vs product at q={q}"
 

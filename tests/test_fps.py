@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_series as ref
-from qrs.fps import (PhiSpec, TruncSeries, euler_inv_series, euler_series,
-                     phi_series, phi_sum, series_inv)
-from qrs.qcore import _FIELD, MultiPoly, _unpack, qfac, qpochs
+from qrs.fps import (TruncSeries, euler_inv_series, euler_series, phi_series,
+                     phi_sum, series_inv)
+from qrs.qcore import _FIELD, MultiPoly, _unpack, qfac, qpochs, tri
 from qrs.quadrature import qpoch_inf
 from reference_series import (cauchy_expand, euler_expand, euler_inv_expand,
-                              poch_series)
+                              poch_series, power_sum, truncate)
 
 RNG_SEED = 77103
 
@@ -51,7 +51,7 @@ def test_mul_matches_brute_force_convolution():
 
 def test_order_propagates_as_minimum():
     t = TruncSeries.variable(("t",), 7, "t")
-    g = (1 + t).truncate(4)
+    g = truncate(1 + t, 4)
     assert ((1 + t) * g).order == 4
     assert ((1 + t) + g).order == 4
 
@@ -79,6 +79,40 @@ def test_euler_expansion_frozen_coefficients():
     ei = euler_inv_expand(1, Fraction(1, 2), 2)
     assert ei.coeffs.get((1,), 0) == Fraction(2)
     assert ei.coeffs.get((2,), 0) == Fraction(8, 3)
+
+
+def _euler_loops(q):
+    """The repeated-product Euler expansions, keyed by the builders they
+    must agree with."""
+    return {
+        euler_series: lambda z: power_sum(
+            z, lambda k: Fraction((-1) ** k) * q ** tri(k) / qfac(q, k), "euler_series"),
+        euler_inv_series: lambda z: power_sum(
+            z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series"),
+    }
+
+
+@pytest.mark.parametrize("idx", [(1,), (1, 0), (0, 1), (1, 1), (0, 2)])
+def test_euler_series_match_the_repeated_products(idx):
+    # written down term by term from the one-term argument c s^i t^j
+    variables = ("t",) if len(idx) == 1 else ("s", "t")
+    xy = MultiPoly.var("x") * MultiPoly.var("y")
+    for q in (Fraction(1, 2), Fraction(-3, 7), Fraction(97, 100)):
+        for build, loop in _euler_loops(q).items():
+            for c in (Fraction(2, 5), Fraction(-3), Fraction(-7, 4), xy, Fraction(0)):
+                for order in range(11):
+                    z = TruncSeries.monomial(variables, order, idx, c)
+                    got, want = build(z, q), loop(z)
+                    assert got.order == want.order and dict(got.coeffs) == dict(want.coeffs)
+                    assert got == want and canonical(got)
+
+
+def test_euler_series_need_a_one_term_argument():
+    t = TruncSeries.variable(("t",), 6, "t")
+    for build in (euler_series, euler_inv_series):
+        for z in (t + t * t, 1 + t, TruncSeries.one(("t",), 6)):
+            with pytest.raises(ValueError, match="one-term series"):
+                build(z, Fraction(1, 2))
 
 
 def test_euler_product_times_inverse_is_one():
@@ -141,7 +175,7 @@ def test_phi_series_one_phi_zero_is_cauchy_kernel():
     order = 8
     z = TruncSeries.variable(("t",), order, "t")
     a = Fraction(2, 7)
-    lhs = phi_series(PhiSpec(upper=(a,), lower=(), q=q, argument=z))
+    lhs = phi_series((a,), (), q, z)
     rhs = cauchy_expand(a, 1, q, order)
     assert lhs == rhs
 
@@ -152,7 +186,7 @@ def test_phi_series_matches_direct_pochhammer_sum():
     order = 7
     a, b, c = Fraction(1, 2), Fraction(-1, 3), Fraction(1, 7)
     z = TruncSeries.variable(("t",), order, "t")
-    got = phi_series(PhiSpec(upper=(a, b), lower=(c,), q=q, argument=z))
+    got = phi_series((a, b), (c,), q, z)
     for n in range(order + 1):
         expect = (qpochs(a, q, n)[n] * qpochs(b, q, n)[n]
                   / (qfac(q, n) * qpochs(c, q, n)[n]))
@@ -168,12 +202,8 @@ def test_phi_series_ratio_mechanism_matches_plain_parameter():
     other = Fraction(1, 5)
     lower = Fraction(1, 7)
     z = TruncSeries.variable(("t",), order, "t")
-    via_ratio = phi_series(PhiSpec(
-        upper=(other,), ratio_upper=((num, den),), lower=(lower,),
-        q=q, argument=z))
-    plain = phi_series(PhiSpec(
-        upper=(other, num / den), lower=(lower,),
-        q=q, argument=z.scale(den)))
+    via_ratio = phi_series((other,), (lower,), q, z, ratio_upper=((num, den),))
+    plain = phi_series((other, num / den), (lower,), q, z.scale(den))
     assert via_ratio == plain
 
 
@@ -184,8 +214,7 @@ def test_phi_series_ratio_mechanism_zero_denominator():
     order = 6
     num = Fraction(1, 4)
     z = TruncSeries.variable(("t",), order, "t")
-    got = phi_series(PhiSpec(upper=(), ratio_upper=((num, Fraction(0)),),
-                             lower=(), q=q, argument=z))
+    got = phi_series((), (), q, z, ratio_upper=((num, Fraction(0)),))
     for j in range(order + 1):
         expect = (-num) ** j * q ** (j * (j - 1) // 2) / qfac(q, j)
         assert got.coeffs.get((j,), 0) == expect
@@ -197,7 +226,7 @@ def test_phi_series_with_series_parameters():
     order = 6
     x = MultiPoly.var("x")
     t = TruncSeries.variable(("t",), order, "t")
-    got = phi_series(PhiSpec(upper=(t.scale(x),), lower=(), q=q, argument=t))
+    got = phi_series((t.scale(x),), (), q, t)
     expect = TruncSeries.zero(("t",), order)
     for n in range(order + 1):
         term = poch_series(t.scale(x), q, n, ("t",), order) \
@@ -287,21 +316,21 @@ def test_series_inverse_with_polynomial_coefficients(f):
     assert series_inv(f) * f == TruncSeries.one(f.vars, f.order)
 
 
-def phi_direct(spec: PhiSpec, order: int) -> TruncSeries:
+def phi_direct(upper, lower, q, argument, ratio_upper, order: int) -> TruncSeries:
     """The defining term sum of phi_series, inverting each term's lower
-    Pochhammer product afresh."""
-    variables, q = spec.argument.vars, spec.q
-    arg = spec.argument.truncate(order)
+    Pochhammer product afresh, through `order`."""
+    variables = argument.vars
+    arg = truncate(argument, order)
     out = TruncSeries.one(variables, arg.order)
     for j in range(1, arg.order + 1):
         num = TruncSeries.one(variables, arg.order)
-        for u in spec.upper:
+        for u in upper:
             num = num * poch_series(u, q, j, variables, arg.order)
         den = TruncSeries.one(variables, arg.order)
-        for low in spec.lower:
+        for low in lower:
             den = den * poch_series(low, q, j, variables, arg.order)
         ratio = Fraction(1)
-        for rnum, rden in spec.ratio_upper:
+        for rnum, rden in ratio_upper:
             for k in range(j):
                 ratio = ratio * (rden - rnum * q ** k)
         power = TruncSeries.one(variables, arg.order)
@@ -317,14 +346,12 @@ def test_phi_series_matches_the_direct_sum(order):
     x, y, u, v = (MultiPoly.var(n) for n in "xyuv")
     t = TruncSeries.variable(("t",), order, "t")
     s2, t2 = (TruncSeries.variable(("s", "t"), order, n) for n in "st")
-    specs = [
-        PhiSpec(upper=(y, t.scale(x)), ratio_upper=((v, u),),
-                lower=(t.scale(y), t.scale(v * x)), q=q, argument=t),
-        PhiSpec(upper=(y, s2.scale(x)), lower=(s2.scale(y), Fraction(1, 3)),
-                q=q, argument=t2),
+    sums = [
+        ((y, t.scale(x)), (t.scale(y), t.scale(v * x)), q, t, ((v, u),)),
+        ((y, s2.scale(x)), (s2.scale(y), Fraction(1, 3)), q, t2, ()),
     ]
-    for spec in specs:
-        assert phi_series(spec) == phi_direct(spec, order)
+    for args in sums:
+        assert phi_series(*args) == phi_direct(*args, order)
 
 
 # -- the layered packed storage against the per-coefficient reference ---------
@@ -414,7 +441,7 @@ def test_layered_scale_shift_truncate_match_the_reference(ops, elem, idx):
     shifted = a * TruncSeries.monomial(a.vars, a.order, idx)
     assert_same(shifted, ra.shift(idx))
     assert_same(shifted * a, ra.shift(idx) * ra)
-    assert_same(a.truncate(ops[1][1]), ra.truncate(ops[1][1]))
+    assert_same(truncate(a, ops[1][1]), ra.truncate(ops[1][1]))
 
 
 @LAYERS
@@ -486,10 +513,8 @@ def test_layered_phi_series_matches_the_reference(data):
     ratios = tuple((data.draw(elems), data.draw(elems))
                    for _ in range(data.draw(st.integers(0, 1))))
     arg, rarg = _linear(data, variables, order + data.draw(st.integers(0, 1)), elems)
-    got = phi_series(PhiSpec(upper=tuple(u for u, _ in uppers),
-                             lower=tuple(low for low, _ in lowers),
-                             ratio_upper=ratios, q=q, argument=arg))
-    want = ref.phi_series(PhiSpec(upper=tuple(r for _, r in uppers),
-                                  lower=tuple(r for _, r in lowers),
-                                  ratio_upper=ratios, q=q, argument=rarg))
+    got = phi_series(tuple(u for u, _ in uppers), tuple(low for low, _ in lowers),
+                     q, arg, ratio_upper=ratios)
+    want = ref.phi_series(tuple(r for _, r in uppers), tuple(r for _, r in lowers),
+                          q, rarg, ratio_upper=ratios)
     assert_same(got, want)

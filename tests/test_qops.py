@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from reference_operators import (dq_apply, dxy_apply, dxy_poly, e_apply_by_operator,
                                  t_op_apply, to_poly)
+from reference_series import truncate
 
 from qrs.families import brs_poly, cauchy_poly
 from qrs.fps import TruncSeries, euler_inv_series
@@ -50,7 +51,7 @@ def test_dq_is_difference_quotient():
         # f(qa): scale the coefficient of a^n by q^n
         scaled = TruncSeries(f.vars, f.order,
                              {idx: c * q ** idx[0] for idx, c in f.coeffs.items()})
-        assert lhs == (f - scaled).truncate(lhs.order)
+        assert lhs == truncate(f - scaled, lhs.order)
 
 
 def test_dq_leibniz_rule():
@@ -64,8 +65,8 @@ def test_dq_leibniz_rule():
         lhs = dq_apply(f * g, q)
         g_shift = TruncSeries(g.vars, g.order,
                               {idx: c * q ** idx[0] for idx, c in g.coeffs.items()})
-        rhs = f.truncate(order - 1) * dq_apply(g, q) \
-            + dq_apply(f, q) * g_shift.truncate(order - 1)
+        rhs = truncate(f, order - 1) * dq_apply(g, q) \
+            + dq_apply(f, q) * truncate(g_shift, order - 1)
         assert lhs == rhs
 
 
@@ -152,7 +153,7 @@ def test_dxy_poly_lowers_cauchy_basis():
             got = dxy_poly(cauchy_poly(n, q), q)
             expect = cauchy_poly(n - 1, q) * (1 - q ** n)
             assert got == expect, f"n={n} q={q}"
-    assert dxy_poly(MultiPoly.const(1, ("x", "y")), Fraction(1, 2)).is_zero()
+    assert not dxy_poly(MultiPoly.const(1, ("x", "y")), Fraction(1, 2))
 
 
 def test_dxy_apply_matches_polynomial_route():
