@@ -3,9 +3,10 @@ h_n(x|q) and their bivariate extension h_n(x,y|q), continuous q-Hermite and
 big q-Hermite polynomials, and change-of-base expansions between them.
 
 Every constructor is exact over rationals. The Cauchy and Rogers-Szego
-families indexed by n at a base q are memoised in qcore's bounded tables
-(`memo_table`), so repeated identity checks share one copy of each
-polynomial; the q-Hermite families are built as one list per call.
+families indexed by n at a base q, and the change-of-base coefficients
+c_{n,n-2k}(p,q), are memoised in qcore's bounded tables (`memo_table`), so
+repeated identity checks share one copy of each value; the q-Hermite
+families are built as one list per call.
 A polynomial in the span of the P_n is read in that basis only where it
 is used, by `qops.e_op_apply`.
 """
@@ -178,21 +179,22 @@ def change_base_c(n: int, k: int, p: Fraction, q: Fraction) -> Fraction:
     H_n(x|p) = sum_k c_{n,n-2k}(p,q) H_{n-2k}(x|q).
 
     Gaussian binomials with out-of-range lower index vanish, which covers
-    the [n, -1] = 0 boundary term.
+    the [n, -1] = 0 boundary term. Values are memoised by (n, k) in a table
+    tagged with p at base q.
     """
     p, q = frac(p), frac(q)
     if k < 0 or 2 * k > n:
         return Fraction(0)
-    total = Fraction(0)
-    for j in range(k + 1):
-        total += (
+    table = memo_table(("change_base_c", p.numerator, p.denominator), q)
+    if (n, k) not in table:
+        table[n, k] = sum(
             Fraction((-1) ** j)
             * p ** (k - j)
             * q ** tri(j + 1)
             * qbinom(n - 2 * k + j, j, q)
             * (qbinom(n, k - j, p) - p ** (n - 2 * k + 2 * j + 1) * qbinom(n, k - j - 1, p))
-        )
-    return total
+            for j in range(k + 1))
+    return table[n, k]
 
 
 def change_base_big(n: int, a: Fraction, p: Fraction, q: Fraction) -> list:

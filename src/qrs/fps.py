@@ -10,8 +10,8 @@ the placeholders sort before any variable name, and a rational coefficient
 is a constant term of its layer, so series `+`, `-`, scaling and comparison
 are polynomial operations layer by layer, and a product of two terms is one
 integer addition. A product sums, for each output degree, the products of
-the layer pairs whose degrees fit the order in one call of qcore's pair
-loop `_sum_of_products`, which normalises the output layer once. `coeffs`
+the layer pairs whose degrees fit the order in one call of qcore's
+accumulator `_accumulate`, which normalises the output layer once. `coeffs`
 is a read-only view {index tuple: coefficient}, built on first use.
 
 Bivariate series are truncated by total degree. Operations on series of
@@ -34,8 +34,8 @@ from fractions import Fraction
 from itertools import count
 from types import MappingProxyType
 
-from .qcore import (_FIELD, MultiPoly, _build, _moves, _normal, _pack, _repack,
-                    _sum_of_products, _union, _unpack, _widen, frac, lincomb, qfac, tri)
+from .qcore import (_FIELD, MultiPoly, _accumulate, _build, _moves, _normal, _pack,
+                    _repack, _union, _unpack, _widen, frac, lincomb, qfac, tri)
 
 _SCALARS = (int, Fraction)
 
@@ -225,10 +225,10 @@ class TruncSeries:
             for d2 in db:
                 if d1 + d2 > order:
                     break
-                pairs[d1 + d2].append((a[d1], b[d2]))
+                pairs[d1 + d2].append((1, a[d1]._den * b[d2]._den, a[d1], b[d2]))
         zero = _build(fields, 1, {})
         return _make(self.vars, order, tuple(
-            _sum_of_products(p, fields) if p else zero for p in pairs))
+            _accumulate(p, fields) if p else zero for p in pairs))
 
     __rmul__ = __mul__
 
@@ -239,8 +239,8 @@ class TruncSeries:
             fields = _union(self._layers[0].vars, elem.vars)
             factor = _widen(elem, fields)
             return _make(self.vars, self.order, tuple(
-                _sum_of_products([(layer, factor)], fields) if layer._num else layer
-                for layer in _widened(self._layers, fields)))
+                _accumulate([(1, layer._den * factor._den, layer, factor)], fields)
+                if layer._num else layer for layer in _widened(self._layers, fields)))
         if not isinstance(elem, _SCALARS):
             raise TypeError(f"cannot scale a series by {elem!r}")
         p, q = elem.numerator, elem.denominator
@@ -325,9 +325,9 @@ def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
     """f / d for a series d whose constant term is a nonzero rational.
 
     Solved degree layer by degree layer from g_n = (f_n - sum_{k>=1} d_k
-    g_{n-k}) / d_0, each layer of g one `_sum_of_products` over the nonzero
-    layers of d; exact. A sparse d, such as 1 - c t, costs one pair per
-    layer.
+    g_{n-k}) / d_0, each layer of g one `qcore._accumulate` of f_n and the
+    products with the nonzero layers of d; exact. A sparse d, such as
+    1 - c t, costs one pair per layer.
     """
     order, fl, dl = f._common(d)
     fields = fl[0].vars
@@ -337,15 +337,16 @@ def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
     if set(d0._num) != {0}:
         raise ValueError("the constant term of the divisor is not a rational")
     c0 = d0._num[0]
-    # -1/d_0 = -den/c0, with a positive denominator
-    cn, cd = (-d0._den, c0) if c0 > 0 else (d0._den, -c0)
-    minus_one, zero = _build(fields, 1, {0: -1}), _build(fields, 1, {})
+    # 1/d_0 = den/c0, with a positive denominator
+    cn, cd = (d0._den, c0) if c0 > 0 else (-d0._den, -c0)
+    zero = _build(fields, 1, {})
     nonconst = [k for k in range(1, order + 1) if dl[k]._num]
     g = []
     for n in range(order + 1):
-        pairs = [(fl[n], minus_one)] if fl[n]._num else []
-        pairs += [(dl[k], g[n - k]) for k in nonconst if k <= n and g[n - k]._num]
-        g.append(_sum_of_products(pairs, fields, cn, cd) if pairs else zero)
+        terms = [(cn, cd * fl[n]._den, fl[n], None)] if fl[n]._num else []
+        terms += [(-cn, cd * dl[k]._den * g[n - k]._den, dl[k], g[n - k])
+                  for k in nonconst if k <= n and g[n - k]._num]
+        g.append(_accumulate(terms, fields) if terms else zero)
     return _make(f.vars, order, tuple(g))
 
 

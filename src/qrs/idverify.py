@@ -417,7 +417,7 @@ def _run_rogers_brs(order, q, params):
 def _run_rogers2_brs(order, q, params):
     inv = _inv_qfacs(q, order)
     lhs = _st_series(order, lambda i, j: lincomb(
-        (Fraction((-1) ** k) * q ** tri(k) * inv[k] * inv[i - k] * inv[j - k],
+        ((-1) ** k, q ** tri(k), inv[k], inv[i - k], inv[j - k],
          _Y ** k, brs_poly(i + j - k, q)) for k in range(min(i, j) + 1)))
     yield "", lhs, _rogers_product(brs_poly, q, order)
 
@@ -556,7 +556,7 @@ def _run_linear_brs_double(order, q, params):
     yh = [[ypoch[k] * brs_poly(j, q) for j in range(order + 1 - k)] for k in span]
     # d[k][m] = sum_l [m,l] q^(kl) P_l h_(m-l), the right side's inner sum, and
     # e[m][j - m] = sum_l [m,l] P_l h_(j-l) for m <= j <= m + order, the left's
-    d = [[lincomb((qbinom(m, l, q) * q ** (k * l), cauchy_poly(l, q), brs_poly(m - l, q))
+    d = [[lincomb((qbinom(m, l, q), q ** (k * l), cauchy_poly(l, q), brs_poly(m - l, q))
                   for l in range(m + 1)) for m in span] for k in span]
     e = [[lincomb((qbinom(m, l, q), cauchy_poly(l, q), brs_poly(j - l, q))
                   for l in range(m + 1)) for j in range(m, m + order + 1)] for m in span]
@@ -702,7 +702,7 @@ def _run_askey_ismail(order, q, params):
 def _run_hxa_hx(order, q, params):
     big, plain = big_qhermite_polys(order, "a", q), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        rhs = lincomb((qbinom(n, k, q) * Fraction((-1) ** k) * q ** tri(k), _A ** k, plain[n - k])
+        rhs = lincomb((qbinom(n, k, q), (-1) ** k, q ** tri(k), _A ** k, plain[n - k])
                       for k in range(n + 1))
         yield f"n={n}", big[n], rhs
 

@@ -9,14 +9,15 @@ monomials of Monagan & Pearce), so products and sums run on plain ints and
 reduce by one gcd per result. Its `terms` view still reads as exponent
 tuples mapped to Fractions.
 
-`lincomb` is the one accumulation path: a sum of products of rationals and
-polynomials is built in one dict at a common denominator and normalised
-once (accumulate, then reduce), and `+` is its single-factor case. Products
-share one term loop with `*`. Code that sums many products calls `lincomb`
-rather than chaining `acc = acc + a * b`, which re-normalises and copies
-the whole accumulator at every step. A sum of two-factor products whose
-factors already share their variables, such as `*` itself or the layer
-products of `fps`, runs `_sum_of_products`.
+One accumulator, `_accumulate`, builds every sum and product: its terms
+are a scale (an int numerator and denominator) times at most two
+polynomials, added into one dict at the common denominator and normalised
+once (accumulate, then reduce). `+` is its sum of two one-factor terms, `*`
+its single two-factor term, and the layer products of `fps` call it
+directly. `lincomb` parses rationals and polynomials into such terms. Code
+that sums many products calls `lincomb` rather than chaining
+`acc = acc + a * b`, which re-normalises and copies the whole accumulator
+at every step.
 
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
@@ -33,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
-from operator import index, or_
+from operator import index, mul, or_
 from types import MappingProxyType
 
 # A packed exponent gives every variable a _FIELD-bit field, the first
@@ -164,19 +165,16 @@ def _normal(variables: tuple, den: int, num: dict) -> "MultiPoly":
     return _build(variables, den, num)
 
 
+def _joint(a: "MultiPoly", b: "MultiPoly") -> tuple:
+    """The sorted union of a's and b's variables."""
+    return a.vars if a.vars == b.vars else _union(a.vars, b.vars)
+
+
 def _widen(p: "MultiPoly", variables: tuple) -> "MultiPoly":
     """p over the sorted `variables`, a superset of p.vars."""
     if p.vars == variables:
         return p
     return _build(variables, p._den, _repack(p._num, _moves(p.vars, variables)))
-
-
-def _common(a: "MultiPoly", b: "MultiPoly"):
-    """The sorted union of the variables, and a and b over it."""
-    if a.vars == b.vars:
-        return a.vars, a, b
-    union = _union(a.vars, b.vars)
-    return union, _widen(a, union), _widen(b, union)
 
 
 def _mul_into(acc: dict, small: dict, big: dict) -> dict:
@@ -198,41 +196,17 @@ def _mul_into(acc: dict, small: dict, big: dict) -> dict:
     return acc
 
 
-def _check_guard(num: dict, variables: tuple) -> None:
-    if num and reduce(or_, num) & _guard_bits(len(variables)):
-        raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
-
-
-def _sum_of_products(pairs: list, variables: tuple, cn: int = 1, cd: int = 1) -> "MultiPoly":
-    """cn/cd times the sum of a * b over the pairs (a, b) of nonzero
-    polynomials over `variables`.
-
-    Every product goes into one dict at the common denominator of the
-    pairs, the scale riding on the smaller factor, and the sum is normalised
-    once.
-    """
-    dens = [a._den * b._den for a, b in pairs]
-    den = lcm(*dens)
-    acc = {}
-    for d, (a, b) in zip(dens, pairs):
-        small, big = (a._num, b._num) if len(a._num) <= len(b._num) else (b._num, a._num)
-        s = cn * (den // d)
-        if s != 1:
-            small = {e: c * s for e, c in small.items()}
-        acc = _mul_into(acc, small, big)
-    _check_guard(acc, variables)
-    return _normal(variables, den * cd, acc)
-
-
 def lincomb(terms) -> "MultiPoly":
     """The sum over `terms` of the product of each term's factors.
 
     A term is a sequence of factors, each a rational or a MultiPoly, so
-    (c, p1, p2) stands for c * p1 * p2. Every product runs on raw int
-    numerators over the union of all the variables and is added into one
-    dict at the common denominator of the terms; the result is normalised
-    once. A term with a zero factor adds nothing but its variables, as the
-    chain of `+` and `*` it replaces would.
+    (c, p1, p2) stands for c * p1 * p2. The rationals' numerators and
+    denominators multiply as ints; a term of three or more polynomials is
+    multiplied out with `*` down to two first. Every product runs on raw
+    int numerators over the union of all the variables and is added into
+    one dict at the common denominator of the terms; the result is
+    normalised once. A term with a zero factor adds nothing but its
+    variables, as the chain of `+` and `*` it replaces would.
     """
     parsed = []
     var_lists = set()
@@ -242,64 +216,68 @@ def lincomb(terms) -> "MultiPoly":
         for f in term:
             if type(f) is MultiPoly:
                 polys.append(f)
-                var_lists.add(f.vars)
-                cd *= f._den
             elif _is_scalar(f):
                 cn *= f.numerator
                 cd *= f.denominator
             else:
                 raise TypeError(f"cannot use {f!r} as a polynomial factor")
-        parsed.append((cn, cd, polys))
-    return _accumulate(parsed, var_lists)
+        if len(polys) > 2:
+            polys = [reduce(mul, polys[:-1]), polys[-1]]
+        for p in polys:
+            var_lists.add(p.vars)
+            cd *= p._den
+        a, b = polys + [None] * (2 - len(polys))
+        parsed.append((cn, cd, a, b))
+    variables = next(iter(var_lists)) if len(var_lists) == 1 else reduce(_union, var_lists, ())
+    return _accumulate(parsed, variables)
 
 
-def _accumulate(parsed: list, var_lists) -> "MultiPoly":
-    """`lincomb` of terms already split into (numerator, denominator,
-    polynomials), where var_lists holds every polynomial's variables.
+def _accumulate(terms: list, variables: tuple) -> "MultiPoly":
+    """The sum of the terms (cn, cd, a, b), each cn/cd times the product of
+    the polynomials a and b, as a polynomial over `variables`, a superset
+    of every polynomial's. b is None for a one-polynomial term, and a too
+    for a rational one.
 
+    cd is positive and already holds the polynomials' denominators, so every
+    term adds its int numerators into one dict at the lcm of the cd, and the
+    sum is normalised once. A product's scale rides on its smaller factor.
     A lone polynomial with scale 1 that meets an empty sum is copied whole
     at C speed, so callers summing plain polynomials put the largest first.
     """
-    variables = reduce(_union, var_lists, ()) if len(var_lists) != 1 else next(iter(var_lists))
-    den = lcm(*[cd for _, cd, _ in parsed])
+    den = lcm(*[term[1] for term in terms])
     acc = {}
     multiplied = False
-    for cn, cd, polys in parsed:
+    for cn, cd, a, b in terms:
         scale = cn if cd == den else cn * (den // cd)
         if not scale:
             continue
-        nums = []
-        for p in polys:
-            if not p._num:
-                break
-            nums.append(p._num if p.vars == variables else _repack(p._num, _moves(p.vars, variables)))
+        if b is not None:
+            small, big = a._num, b._num
+            if a.vars != variables:
+                small = _repack(small, _moves(a.vars, variables))
+            if b.vars != variables:
+                big = _repack(big, _moves(b.vars, variables))
+            if len(small) > len(big):
+                small, big = big, small
+            if scale != 1:
+                small = {e: c * scale for e, c in small.items()}
+            acc = _mul_into(acc, small, big)
+            multiplied = True
+        elif a is not None:
+            num = a._num if a.vars == variables else _repack(a._num, _moves(a.vars, variables))
+            if not acc:
+                acc = dict(num) if scale == 1 else {e: c * scale for e, c in num.items()}
+                continue
+            for e, c in num.items():
+                if e in acc:
+                    acc[e] += c * scale
+                else:
+                    acc[e] = c * scale
         else:
-            if not nums:
-                acc[0] = acc.get(0, 0) + scale
-            elif len(nums) == 1:
-                (num,) = nums
-                if not acc:
-                    acc = dict(num) if scale == 1 else {e: c * scale for e, c in num.items()}
-                    continue
-                for e, c in num.items():
-                    if e in acc:
-                        acc[e] += c * scale
-                    else:
-                        acc[e] = c * scale
-            else:
-                # the scale rides on the smallest factor, and every product
-                # but the last is checked, so no exponent field carries into
-                # the next
-                nums.sort(key=len)
-                cur = nums[0] if scale == 1 else {e: c * scale for e, c in nums[0].items()}
-                for nxt in nums[1:-1]:
-                    cur = _mul_into({}, cur, nxt) if len(cur) <= len(nxt) else _mul_into({}, nxt, cur)
-                    _check_guard(cur, variables)
-                last = nums[-1]
-                acc = _mul_into(acc, cur, last) if len(cur) <= len(last) else _mul_into(acc, last, cur)
-                multiplied = True
-    if multiplied:
-        _check_guard(acc, variables)
+            acc[0] = acc.get(0, 0) + scale
+    # the guard bits: no product exponent reached EXP_LIMIT
+    if multiplied and reduce(or_, acc, 0) & _guard_bits(len(variables)):
+        raise OverflowError(f"a product exponent reached {EXP_LIMIT} in {variables}")
     return _normal(variables, den, acc)
 
 
@@ -378,7 +356,7 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         a, b = (self, other) if len(self._num) >= len(other._num) else (other, self)
-        return _accumulate([(1, a._den, (a,)), (1, b._den, (b,))], {a.vars, b.vars})
+        return _accumulate([(1, a._den, a, None), (1, b._den, b, None)], _joint(a, b))
 
     __radd__ = __add__
 
@@ -414,10 +392,7 @@ class MultiPoly:
             if not _is_scalar(other):
                 return NotImplemented
             return self._scaled(other.numerator, other.denominator)
-        variables, a, b = _common(self, other)
-        if not a._num or not b._num:
-            return _build(variables, 1, {})
-        return _sum_of_products([(a, b)], variables)
+        return _accumulate([(1, self._den * other._den, self, other)], _joint(self, other))
 
     __rmul__ = __mul__
 
@@ -442,8 +417,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _, a, b = _common(self, other)
-        return a._den == b._den and a._num == b._num
+        if self._den != other._den:
+            return False
+        if self.vars == other.vars:
+            return self._num == other._num
+        union = _union(self.vars, other.vars)
+        return (_repack(self._num, _moves(self.vars, union))
+                == _repack(other._num, _moves(other.vars, union)))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -528,12 +508,13 @@ def _table(*key) -> dict:
 
 
 def memo_table(tag, q) -> dict:
-    """The memo table n -> value of the sequence `tag` at base q.
+    """The memo table index -> value of the sequence `tag` at base q; the
+    index is n, or a tuple such as (n, k).
 
     q is keyed with its type, as 0.5 and Fraction(1, 2) compare and hash
     alike, and a Fraction by numerator and denominator, as Fraction.__hash__
-    is slow Python code. Entries are keyed by n, never by position, so two
-    threads growing one table can at worst compute an entry twice.
+    is slow Python code. Entries are keyed by index, never by position, so
+    two threads growing one table can at worst compute an entry twice.
     """
     if type(q) is Fraction:
         return _table(tag, Fraction, q.numerator, q.denominator)
@@ -595,8 +576,9 @@ def qbinom(n: int, k: int, q):
         left = dict.fromkeys(range(n - k + 1), one)
         for j in range(1, k + 1):
             column = memo_table(("qbinom", j), q)
+            qj = q ** j
             for m in range(j, n - k + j + 1):
                 if m not in column:
-                    column[m] = one if m == j else left[m - 1] + q ** j * column[m - 1]
+                    column[m] = one if m == j else left[m - 1] + qj * column[m - 1]
             left = column
     return column[n]

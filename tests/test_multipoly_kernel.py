@@ -132,7 +132,7 @@ def lincomb_terms(draw):
     """Terms (scalar, factor specs) with their own 1-4 variables each; zero
     scalars and zero factors come up, and some sums cancel to zero."""
     terms = draw(st.lists(st.tuples(st.one_of(st.just(Fraction(0)), coefficients),
-                                    st.lists(polys(), max_size=3)), max_size=5))
+                                    st.lists(polys(), max_size=4)), max_size=5))
     if terms and draw(st.booleans()):
         c, specs = terms[0]
         terms.append((-c, specs))
