@@ -35,10 +35,12 @@ quadrature     runner(params, tol) returns (integral, closed value), compared
                relative to |closed value|; or (integral, closed value,
                witness template), compared absolutely, for a closed value
                that may be 0. The runner integrates to
-               tol = min((the case's tol) * 1e-2, 1e-10).
+               tol = (the case's tol) * 1e-2, so a case tol loosens the
+               integral as well as tightening it.
 
-The tolerance a runner gets is thus tighter than the one its verdict
-compares against, so truncation and quadrature error stay well inside it.
+The tolerance a runner gets is thus a fixed factor tighter than the one its
+verdict compares against, so truncation and quadrature error stay well
+inside it.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     and quadrature modes ignore it). params override the case defaults;
     unknown parameter names are rejected. seed fixes the parameter draws of
     numeric modes. perturb injects a deliberate error into the left side, as
-    a negative control that the comparison actually bites.
+    a negative control that the comparison actually bites. A numeric case's
+    params["tol"] is its verdict's tolerance; its runner works to a tighter
+    one, tol / 10 (numeric-complex) or tol * 1e-2 (quadrature).
     """
     case = get_case(case_id)
     merged = dict(case.defaults)
@@ -143,7 +147,7 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
             sides.append((f"draw {i}: {label}", values))
     else:
         tol = _tol_param(merged)
-        sides = case.runner(merged, min(tol * 1e-2, 1e-10))
+        sides = case.runner(merged, tol * 1e-2)
     report.status, report.residual, report.witness = \
         _VERDICTS[case.mode](sides, tol, perturb)
     report.elapsed_ms = (time.perf_counter() - started) * 1000

@@ -2,31 +2,31 @@
 weight-function integrals attached to the q-Hermite families.
 
 Every integral here (Askey-Wilson, big q-Hermite orthogonality, the
-mixed-base J/H/I integrals) is a circle integral over theta in [0, pi] whose
-integrand is even, of period 2 pi and analytic in a strip. `integrate` has
-one rule for them, the endpoint trapezoidal rule on [0, pi], which then
+mixed-base J/H/I integrals) is a circle integral over theta in [0, pi] of
+the weight (e^{2i t}, e^{-2i t}; wbase)_oo over conjugate pole pairs
+(c e^{ik t}, c e^{-ik t}; base)_oo, built by circle_integrand (times H_n H_m
+for orthogonality). With c and base real, float complex multiplication maps
+conjugated operands to the conjugated result bit for bit (round-to-nearest
+is symmetric under negation), so each pair is p * p.conjugate() for the one
+product p = (c e^{ik t}; base)_oo, over a base^k ladder cached by base.
+circle_integrand therefore passes c and base through float(), which raises
+TypeError on a complex value, and needs |c| < 1.
+
+Those integrands are even, of period 2 pi and analytic in a strip, so
+`integrate` has one rule, the endpoint trapezoidal rule on [0, pi], which
 converges geometrically (Trefethen and Weideman, SIAM Review 56, 2014).
 N doubles from 8, each sum T_2N reuses the N + 1 points of T_N, the sums
 are math.fsum, and the rule stops when |T_2N - T_N| <= tol. When that
 difference is down to the rounding floor of the sums but still above tol,
 no larger N can help, and it raises QuadratureError instead of running on
 towards the evaluation budget EVAL_BUDGET.
-
-Every circle weight here is a product of conjugate pairs
-(c e^{i t}, c e^{-i t}; base)_oo. With c and base real, the factors of the
-second product are the conjugates of the first's, and float complex
-multiplication maps conjugated operands to the conjugated result bit for
-bit (round-to-nearest is symmetric under negation), so each pair is
-computed as p * p.conjugate() from the one product p = (c e^{i t}; base)_oo.
-That shortcut is only valid for real parameters and bases, so the integrand
-builders pass them through float(), which raises TypeError on a complex
-value. The base^k ladder of each base is built once per integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .families import qhermite_circle
 
@@ -118,55 +118,68 @@ def integrate(spec: IntegralSpec):
         prev = cur
 
 
-# -- Askey-Wilson integral ----------------------------------------------------
+# -- circle integrands ----------------------------------------------------------
 
 
-def _ladder(base: float) -> list:
+@lru_cache(maxsize=64, typed=True)
+def _ladder(base: float) -> tuple:
     """base^k for k < K, by qpoch_inf's bk *= base steps and truncation:
-    the factor ladder of (c; base)_oo for every c, built once per integral.
-    base must be real (float() raises TypeError on a complex one)."""
+    the factor ladder of (c; base)_oo for every c, at a real base. typed:
+    a complex base equal to a real one must still reach float() and raise."""
     base = float(base)
     ladder, bk = [], 1.0
     for _ in range(_truncation(abs(base))):
         ladder.append(bk)
         bk *= base
-    return ladder
+    return tuple(ladder)
 
 
-def _param_factor(theta: float, c: float, ladder: list) -> complex:
+def _param_factor(theta: float, c: float, ladder: tuple) -> complex:
     """(c e^{i t}; base)_oo (c e^{-i t}; base)_oo for real c and the ladder of
     a real base: one product p, returned as p * p.conjugate()."""
-    c = float(c) * complex(math.cos(theta), math.sin(theta))
+    c *= complex(math.cos(theta), math.sin(theta))
     p = 1.0 + 0j
     for bk in ladder:
         p *= 1 - c * bk
     return p * p.conjugate()
 
 
-def _aw_weight(theta: float, ladder: list) -> float:
-    """(e^{2i t}, e^{-2i t}; q)_oo, the free weight of the circle measure."""
-    return _param_factor(2 * theta, 1.0, ladder).real
-
-
-def aw_integrand(a: float, b: float, c: float, d: float, q: float):
-    shifts = [p for p in map(float, (a, b, c, d)) if p]
-    ladder = _ladder(q)
+def circle_integrand(wbase: float, poles: list):
+    """theta -> (e^{2i t}, e^{-2i t}; wbase)_oo / prod (c e^{ik t}, c e^{-ik t}; base)_oo
+    over the poles (c, k, base), as a float; a pole with c = 0 is skipped.
+    Raises TypeError for a complex c or base, and ValueError unless every
+    |c| < 1 (a NaN fails) and every |base| < 1."""
+    weight, pairs = _ladder(wbase), []
+    for c, k, base in poles:
+        c, ladder = float(c), _ladder(base)
+        if not abs(c) < 1:
+            raise ValueError(f"a pole (c e^(+-ik t); base)_oo needs |c| < 1, got c = {c}")
+        if c:
+            pairs.append((c, k, ladder))
 
     def f(theta: float) -> float:
-        w = _aw_weight(theta, ladder)
         den = 1.0 + 0j
-        for p in shifts:
-            den *= _param_factor(theta, p, ladder)
-        return (w / den).real
+        for c, k, ladder in pairs:
+            den *= _param_factor(k * theta, c, ladder)
+        return (_param_factor(2 * theta, 1.0, weight).real / den).real
     return f
+
+
+def _circle_quad(f, pref: float, tol: float) -> float:
+    """pref / (2 pi) times the integral of f over [0, pi], to within tol."""
+    val, _ = integrate(IntegralSpec(f, prefactor=pref / (2 * math.pi), tol=tol))
+    return val
+
+
+# -- Askey-Wilson integral and big q-Hermite orthogonality ----------------------
 
 
 def askey_wilson_quad(a: float, b: float, c: float, d: float, q: float,
                       tol: float = 1e-10) -> float:
-    """Left side: (q;q)_oo/(2 pi) times the weight integral over [0, pi]."""
-    val, _ = integrate(IntegralSpec(aw_integrand(a, b, c, d, q), tol=tol,
-                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi)))
-    return val
+    """Left side: (q;q)_oo/(2 pi) times the integral over [0, pi] of the
+    weight at base q over the poles a, b, c, d at base q."""
+    f = circle_integrand(q, [(s, 1, q) for s in (a, b, c, d)])
+    return _circle_quad(f, qpoch_inf(q, q).real, tol)
 
 
 def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> float:
@@ -177,71 +190,38 @@ def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> flo
     return (num / den).real
 
 
-# -- big q-Hermite orthogonality ---------------------------------------------
-
-
-def ortho_integrand(n: int, m: int, a: float, q: float):
-    a, q = float(a), float(q)
-    ladder = _ladder(q)
-
-    def f(theta: float) -> float:
-        w = _aw_weight(theta, ladder)
-        den = _param_factor(theta, a, ladder) if a else 1.0
-        hermite = qhermite_circle(a, q, theta)
-        hn = hermite(n)
-        return (w / den * hn * (hn if m == n else hermite(m))).real
-    return f
-
-
 def ortho_quad(n: int, m: int, a: float, q: float, tol: float = 1e-10) -> float:
     """Left side of the orthogonality relation: (q;q)_oo/(2 pi) times the
-    weighted moment integral of H_n H_m over [0, pi]."""
-    val, _ = integrate(IntegralSpec(ortho_integrand(n, m, a, q), tol=tol,
-                                    prefactor=qpoch_inf(q, q).real / (2 * math.pi)))
-    return val
-
-
-# -- mixed-base integrals and their closed forms ------------------------------
-
-
-def jhi_integrand(kind: str, p: float, q: float, a: float, t: float):
-    """(prefactor, integrand) of one of the three mixed-base weight integrals.
-
-    J: weight base q, poles (a e^{+-i t}; q), (t e^{+-2i t}; p^2),
-       prefactor (q;q)_oo (a^2 t; p^2)_oo (-t; p)_oo / 2 pi.
-    H: weight base q^2, poles (a e^{+-i t}; q^2), (t e^{+-i t}; p),
-       prefactor (q^2;q^2)_oo (a t; p)_oo (p t^2; p^2)_oo / 2 pi.
-    I: weight base q, poles (a e^{+-i t}; q), (t e^{+-i t}; p),
-       prefactor (q;q)_oo (a t; p)_oo / 2 pi.
-
-    The weight and the a-pair share one base in all three.
-    """
-    p, q, a, t = float(p), float(q), float(a), float(t)
-    if kind == "J":
-        wbase, tpair, tbase = q, 2, p * p
-        pref = (qpoch_inf(q, q) * qpoch_inf(a * a * t, p * p) * qpoch_inf(-t, p)).real
-    elif kind == "H":
-        wbase, tpair, tbase = q * q, 1, p
-        pref = (qpoch_inf(q * q, q * q) * qpoch_inf(a * t, p) * qpoch_inf(p * t * t, p * p)).real
-    elif kind == "I":
-        wbase, tpair, tbase = q, 1, p
-        pref = (qpoch_inf(q, q) * qpoch_inf(a * t, p)).real
-    else:
-        raise ValueError(f"unknown integral kind {kind!r}")
-    wladder, tladder = _ladder(wbase), _ladder(tbase)
+    integral over [0, pi] of H_n H_m times the weight at base q over the
+    pole a at base q."""
+    a, q = float(a), float(q)
+    w = circle_integrand(q, [(a, 1, q)])
 
     def f(theta: float) -> float:
-        w = _aw_weight(theta, wladder)
-        den = _param_factor(theta, a, wladder) if a else 1.0
-        den *= _param_factor(tpair * theta, t, tladder)
-        return (w / den).real
-    return pref / (2 * math.pi), f
+        hermite = qhermite_circle(a, q, theta)
+        hn = hermite(n)
+        return (w(theta) * hn * (hn if m == n else hermite(m))).real
+    return _circle_quad(f, qpoch_inf(q, q).real, tol)
+
+
+# kind -> (p, q, a, t) -> (weight base, poles (c, k, base), prefactor) of the
+# three mixed-base weight integrals; the weight and the a-pole share one base.
+_JHI = {
+    "J": lambda p, q, a, t: (q, [(a, 1, q), (t, 2, p * p)],
+                             qpoch_inf(q, q) * qpoch_inf(a * a * t, p * p) * qpoch_inf(-t, p)),
+    "H": lambda p, q, a, t: (q * q, [(a, 1, q * q), (t, 1, p)],
+                             qpoch_inf(q * q, q * q) * qpoch_inf(a * t, p)
+                             * qpoch_inf(p * t * t, p * p)),
+    "I": lambda p, q, a, t: (q, [(a, 1, q), (t, 1, p)], qpoch_inf(q, q) * qpoch_inf(a * t, p)),
+}
 
 
 def jhi_eval(kind: str, p: float, q: float, a: float, t: float,
              tol: float = 1e-10) -> float:
-    """The mixed-base weight integral of jhi_integrand."""
-    pref, f = jhi_integrand(kind, p, q, a, t)
-    val, _ = integrate(IntegralSpec(f, tol=tol, prefactor=pref))
-    return val
-
+    """The mixed-base weight integral J, H or I: its prefactor / (2 pi) times
+    the integral over [0, pi] of its circle integrand, both from _JHI."""
+    p, q, a, t = float(p), float(q), float(a), float(t)
+    if kind not in _JHI:
+        raise ValueError(f"unknown integral kind {kind!r}")
+    wbase, poles, pref = _JHI[kind](p, q, a, t)
+    return _circle_quad(circle_integrand(wbase, poles), pref.real, tol)

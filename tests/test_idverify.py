@@ -12,6 +12,7 @@ from qrs import idverify, qcore
 from qrs.families import brs_poly
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
+from qrs.quadrature import QuadratureError
 
 MODES = {"exact-poly", "exact-series", "numeric-complex", "quadrature"}
 
@@ -185,6 +186,18 @@ def test_tol_must_be_finite_and_positive(case_id, tol):
     # a tol no residual can meet would read as a failed identity
     with pytest.raises(ValueError, match="parameter tol must be finite and positive"):
         verify(case_id, params={"tol": tol})
+
+
+def test_a_looser_tol_reaches_the_quadrature():
+    # at q = 0.9 the askey-wilson weight integral is large enough that its
+    # trapezoid sums round at about 2e-7, so under the default tol (integral
+    # tol 1e-10) the rule stops at its rounding floor. The runner integrates
+    # to tol * 1e-2, so tol = 1e-4 lets the rule stop before the floor, and
+    # the verdict still holds the result to 1e-4 relative.
+    with pytest.raises(QuadratureError, match="rounding floor"):
+        verify("askey-wilson", params={"q": 0.9})
+    rep = verify("askey-wilson", params={"q": 0.9, "tol": 1e-4})
+    assert rep.status == "pass" and rep.residual <= 1e-12
 
 
 # -- cross-identity consistency -----------------------------------------------

@@ -4,9 +4,11 @@ the frozen adaptive GK15 of reference_quadrature.py."""
 
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -16,11 +18,25 @@ from qrs.cli import main
 from qrs.idverify import registry, verify
 from qrs.quadrature import (EVAL_BUDGET, IntegralSpec, QuadratureError,
                             askey_wilson_closed, askey_wilson_quad,
-                            aw_integrand, integrate, jhi_eval,
-                            jhi_integrand, ortho_integrand, ortho_quad,
+                            circle_integrand, integrate, jhi_eval, ortho_quad,
                             qpoch_inf, qpoch_n)
 
 RNG_SEED = 131071
+
+
+def _spec(quad, *args) -> IntegralSpec:
+    """The IntegralSpec that a public integral (askey_wilson_quad, ortho_quad,
+    jhi_eval) hands to integrate, caught before any evaluation."""
+    specs = []
+    with mock.patch.object(quadrature, "integrate",
+                           lambda spec: specs.append(spec) or (0.0, 0.0)):
+        quad(*args)
+    return specs[0]
+
+
+def _aw(a, b, c, d, q):
+    """The Askey-Wilson integrand, as askey_wilson_quad builds it."""
+    return _spec(askey_wilson_quad, a, b, c, d, q).integrand
 
 
 def test_qq_infinite_product_frozen_value():
@@ -101,7 +117,7 @@ def test_integrate_rejects_a_tol_it_cannot_meet(tol):
 def test_integrand_cross_check_against_scipy():
     # scipy is a test-only oracle for the weight integrand
     from scipy.integrate import quad as scipy_quad
-    f = aw_integrand(0.3, 0.25, 0.2, 0.1, 0.5)
+    f = _aw(0.3, 0.25, 0.2, 0.1, 0.5)
     ours, _ = integrate(IntegralSpec(f, tol=1e-11))
     ref, ref_err = scipy_quad(f, 0.0, math.pi, epsabs=1e-12, epsrel=1e-12)
     assert abs(ours - ref) < 1e-9
@@ -152,8 +168,10 @@ def test_orthogonality_matrix_witnesses():
     assert rep.passed() and rep.residual <= 1e-8
     rep = _ortho(3, 3, a, q)
     assert rep.passed()
-    val, _ = integrate(IntegralSpec(ortho_integrand(3, 3, a, q), tol=1e-12))
-    moment = qpoch_inf(q, q).real / (2 * math.pi) * val
+    spec = _spec(ortho_quad, 3, 3, a, q)
+    assert spec.prefactor == qpoch_inf(q, q).real / (2 * math.pi)
+    val, _ = integrate(IntegralSpec(spec.integrand, tol=1e-12))
+    moment = spec.prefactor * val
     assert moment == pytest.approx(0.6 * 0.84 * 0.936, abs=1e-8)
     assert ortho_quad(3, 3, a, q, tol=1e-12) == moment
 
@@ -217,12 +235,17 @@ def test_conjugate_pair_is_the_conjugated_product_bit_for_bit():
         assert qpoch_inf(c * z.conjugate(), b) == qpoch_inf(c * z, b).conjugate()
 
 
+# Every integrand below is the one a public integral hands to integrate,
+# built by circle_integrand. Each grid follows its random draws with zero
+# poles, which circle_integrand skips: all four shifts 0, a = 0, t = 0.
+
+
 @pytest.mark.parametrize("q", [0.1, 0.37, 0.62, 0.9])
 def test_aw_integrand_matches_the_reference_bit_for_bit(q):
     rng = random.Random(f"aw:{q}")
-    for _ in range(6):
-        shifts = [_shift(rng) for _ in range(4)]
-        new, old = aw_integrand(*shifts, q), ref.aw_integrand(*shifts, q)
+    draws = ([_shift(rng) for _ in range(4)] for _ in range(6))
+    for shifts in itertools.chain(draws, [[0.0] * 4]):
+        new, old = _aw(*shifts, q), ref.aw_integrand(*shifts, q)
         for theta in _theta_grid(rng):
             assert new(theta) == old(theta), (shifts, theta)
 
@@ -230,45 +253,72 @@ def test_aw_integrand_matches_the_reference_bit_for_bit(q):
 @pytest.mark.parametrize("q", [0.1, 0.45, 0.8, 0.9])
 def test_ortho_integrand_matches_the_reference_bit_for_bit(q):
     rng = random.Random(f"ortho:{q}")
-    for _ in range(6):
-        n, m, a = rng.randint(0, 8), rng.randint(0, 8), _shift(rng)
-        new, old = ortho_integrand(n, m, a, q), ref.ortho_integrand(n, m, a, q)
+    draws = ((rng.randint(0, 8), rng.randint(0, 8), _shift(rng)) for _ in range(6))
+    for n, m, a in itertools.chain(draws, [(4, 4, 0.0), (6, 3, 0.0)]):
+        new = _spec(ortho_quad, n, m, a, q).integrand
+        old = ref.ortho_integrand(n, m, a, q)
         for theta in _theta_grid(rng, 8):
             assert new(theta) == old(theta), (n, m, a, theta)
+
+
+def _jhi_draws(rng):
+    for _ in range(10):
+        q = rng.uniform(0.1, 0.9)
+        # equal and negated bases (closed-H-qq, closed-H-mqq), then free ones
+        p = rng.choice([q, -q, q * q, rng.uniform(-0.9, 0.9)])
+        yield p, q, _shift(rng), _shift(rng)
+    yield from ((0.27, 0.45, 0.0, 0.3), (-0.45, 0.45, 0.2, 0.0), (0.3, 0.45, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("kind", ["J", "H", "I"])
 def test_jhi_integrand_matches_the_reference_bit_for_bit(kind):
     rng = random.Random(f"jhi:{kind}")
-    for _ in range(10):
-        q = rng.uniform(0.1, 0.9)
-        # equal and negated bases (closed-H-qq, closed-H-mqq), then free ones
-        p = rng.choice([q, -q, q * q, rng.uniform(-0.9, 0.9)])
-        a, t = _shift(rng), _shift(rng)
-        (pref, new), (old_pref, old) = jhi_integrand(kind, p, q, a, t), \
-            ref.jhi_integrand(kind, p, q, a, t)
-        assert pref == old_pref
+    for p, q, a, t in _jhi_draws(rng):
+        new = _spec(jhi_eval, kind, p, q, a, t)
+        old_pref, old = ref.jhi_integrand(kind, p, q, a, t)
+        assert new.prefactor == old_pref
         for theta in _theta_grid(rng, 8):
-            assert new(theta) == old(theta), (p, q, a, t, theta)
+            assert new.integrand(theta) == old(theta), (p, q, a, t, theta)
+
+
+# each public integral with one of its poles' parameters c left free
+POLE_CALLS = {
+    "askey-wilson": lambda c: askey_wilson_quad(0.3, c, 0.2, 0.1, 0.5),
+    "ortho": lambda c: ortho_quad(2, 2, c, 0.5),
+    **{f"{kind} a": lambda c, kind=kind: jhi_eval(kind, 0.3, 0.4, c, 0.2) for kind in "JHI"},
+    **{f"{kind} t": lambda c, kind=kind: jhi_eval(kind, 0.3, 0.4, 0.1, c) for kind in "JHI"},
+}
 
 
 def test_integrands_reject_complex_parameters_and_bases():
     # the conjugate-pair shortcut holds for real shifts and bases only
     with pytest.raises(TypeError):
-        aw_integrand(0.3, 0.2j, 0.1, 0.0, 0.5)
+        circle_integrand(0.5, [(0.3, 1, 0.5), (0.2j, 1, 0.5)])
     with pytest.raises(TypeError):
-        aw_integrand(0.3, 0.2, 0.1, 0.0, 0.5 + 0j)
+        circle_integrand(0.5 + 0j, [(0.3, 1, 0.5)])
     with pytest.raises(TypeError):
-        askey_wilson_quad(0.3 + 0.1j, 0.2, 0.1, 0.0, 0.5)
+        circle_integrand(0.5, [(0.3, 2, complex(0.4, 0.0))])
     with pytest.raises(TypeError):
-        ortho_integrand(3, 2, 0.3j, 0.4)
+        askey_wilson_quad(0.3, 0.2, 0.1, 0.0, 0.5 + 0j)
     with pytest.raises(TypeError):
-        ortho_integrand(3, 2, 0.3, complex(0.4, 0.0))
+        ortho_quad(3, 2, 0.3, complex(0.4, 0.0))
     for bad in range(4):
         args = [0.3, 0.4, 0.1, 0.2]
         args[bad] = complex(args[bad], 0.1)
         with pytest.raises(TypeError):
             jhi_eval("H", *args)
+    for call in POLE_CALLS.values():
+        with pytest.raises(TypeError):
+            call(0.2j)
+
+
+@pytest.mark.parametrize("name", POLE_CALLS)
+@pytest.mark.parametrize("c", [1.0, -1.5, math.nan])
+def test_public_integrals_reject_a_pole_off_the_open_unit_disk(name, c):
+    # (c e^(+-ik t); base)_oo vanishes on the circle at |c| = 1, and past it
+    # the integral is no longer the one the closed forms evaluate
+    with pytest.raises(ValueError, match=r"needs \|c\| < 1"):
+        POLE_CALLS[name](c)
 
 
 # -- the trapezoidal rule for the circle integrals ------------------------------
@@ -279,12 +329,12 @@ def _circle_integrands():
     moments on and off the diagonal, and the J/H/I mixed-base weights."""
     for q in (0.1, 0.5, 0.7, 0.9):
         for shifts in ((0.3, 0.25, 0.2, 0.1), (0.45, -0.3, 0.2, 0.05), (0.0,) * 4):
-            yield f"aw{shifts} q={q}", aw_integrand(*shifts, q)
+            yield f"aw{shifts} q={q}", _aw(*shifts, q)
         for n, m, a in ((3, 3, 0.3), (8, 7, -0.4), (5, 5, 0.0)):
-            yield f"ortho({n},{m}) a={a} q={q}", ortho_integrand(n, m, a, q)
+            yield f"ortho({n},{m}) a={a} q={q}", _spec(ortho_quad, n, m, a, q).integrand
         for kind in "JHI":
             for p, a, t in ((0.6 * q, 0.2, 0.3), (-q, -0.35, 0.45)):
-                yield f"{kind} p={p} a={a} t={t} q={q}", jhi_integrand(kind, p, q, a, t)[1]
+                yield f"{kind} p={p} a={a} t={t} q={q}", _spec(jhi_eval, kind, p, q, a, t).integrand
 
 
 CIRCLE_INTEGRANDS = list(_circle_integrands())
@@ -362,7 +412,7 @@ def test_periodic_rule_reuses_every_point_and_is_exact_on_trig_polynomials():
 
 
 def test_periodic_rule_enforces_the_budget(monkeypatch):
-    f = aw_integrand(0.45, -0.3, 0.2, 0.05, 0.68)
+    f = _aw(0.45, -0.3, 0.2, 0.05, 0.68)
     monkeypatch.setattr(quadrature, "EVAL_BUDGET", 40)
     with pytest.raises(QuadratureError, match="budget 40 exhausted"):
         integrate(IntegralSpec(f, tol=1e-14))
@@ -372,7 +422,7 @@ def test_periodic_rule_stops_at_the_rounding_floor():
     # at q = 0.8 with every shift 0.5 the weight integral is about 4.5e6, so
     # its sums round at ~1e-8 and an absolute 1e-10 cannot be met; the rule
     # says so after 129 points instead of doubling towards the budget
-    f = aw_integrand(0.5, 0.5, 0.5, 0.5, 0.8)
+    f = _aw(0.5, 0.5, 0.5, 0.5, 0.8)
     seen = []
 
     def counted(theta):
