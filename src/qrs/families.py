@@ -1,6 +1,6 @@
 """Polynomial families: Cauchy polynomials P_n(x,y), Rogers-Szego polynomials
 h_n(x|q) and their bivariate extension h_n(x,y|q), continuous q-Hermite and
-big q-Hermite polynomials, and change-of-base expansions between them.
+big q-Hermite polynomials, and their change-of-base expansions.
 
 Every constructor is exact over rationals. The Cauchy and Rogers-Szego
 families indexed by n at a base q, and the change-of-base coefficients
@@ -8,7 +8,7 @@ c_{n,n-2k}(p,q), are memoised in qcore's bounded tables (`memo_table`), so
 repeated identity checks share one copy of each value; the q-Hermite
 families are built as one list per call.
 A polynomial in the span of the P_n is read in that basis only where it
-is used, by `qops.e_op_apply`.
+is used, by `qops.e_op_apply`; transforms between families are in `idverify`.
 """
 
 from __future__ import annotations
@@ -138,37 +138,6 @@ def qhermite_circle(a, q, theta: float):
             values.append(-last if flip and len(values) % 2 else last)
         return values[n]
     return hermite
-
-
-# -- transforms between the classical and bivariate families ---------------
-
-
-def rs_to_brs_coeffs(n: int, q: Fraction) -> list:
-    """Coefficients c_m(y) with h_n(x|q) = sum_m c_m h_m(x,y|q)."""
-    q = frac(q)
-    return [MultiPoly(("y",), {(n - m,): qbinom(n, n - m, q)}) for m in range(n + 1)]
-
-
-def brs_to_rs_coeffs(n: int, q: Fraction) -> list:
-    """Coefficients c_m(y) with h_n(x,y|q) = sum_m c_m h_m(x|q)."""
-    q = frac(q)
-    return [MultiPoly(("y",), {(n - m,): Fraction((-1) ** (n - m)) * q ** tri(n - m)
-                               * qbinom(n, n - m, q)})
-            for m in range(n + 1)]
-
-
-def ybinom_brs(n: int, q: Fraction) -> MultiPoly:
-    """The y-binomial transform sum_k [n,k] y^k h_(n-k)(x,y|q), which equals
-    h_n(x|q)."""
-    q = frac(q)
-    return lincomb((c, brs_poly(m, q)) for m, c in enumerate(rs_to_brs_coeffs(n, q)))
-
-
-def ybinom_rs(n: int, q: Fraction) -> MultiPoly:
-    """The alternating y-binomial transform
-    sum_k [n,k] (-1)^k q^(k(k-1)/2) y^k h_(n-k)(x|q), which equals h_n(x,y|q)."""
-    q = frac(q)
-    return lincomb((c, rs_poly(m, q)) for m, c in enumerate(brs_to_rs_coeffs(n, q)))
 
 
 # -- change of base ---------------------------------------------------------

@@ -55,11 +55,11 @@ from fractions import Fraction
 
 from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
                        change_base_big, change_base_c, qhermite_circle,
-                       rs_poly, ybinom_brs, ybinom_rs)
+                       rs_poly)
 from .fps import (TruncSeries, _sum_terms, euler_inv_series, euler_series,
                   phi_series, phi_sum, series_inv)
 from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, qfac, qpochs, tri
-from .qops import e_op_apply, t_op_euler_kernel, t_op_product_sides
+from .qops import e_op_apply, t_op_graded
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
                          ortho_quad, qpoch_inf, qpoch_n)
 from .reporting import IdentityReport, clip_witness
@@ -429,6 +429,17 @@ def _run_rogers2_brs(order, q, params):
 # -- exact series: operator lemmas --------------------------------------------
 
 
+def _t_op_euler_kernel(s, t, v, w, q: Fraction, order: int) -> TruncSeries:
+    """T(bD_q){(av;q)_oo / ((as,at,aw;q)_oo)}, the operator side of `lemma-2.2`
+    (w = 0) and `zhang-wang`: the graded T action on the a-series operand, an
+    exact series in (a, b) truncated at total degree `order`."""
+    a1 = TruncSeries.variable(("a",), order, "a")
+    operand = euler_series(a1.scale(v), q)
+    for c in (s, t, w):
+        operand = operand * euler_inv_series(a1.scale(c), q)
+    return t_op_graded(operand, q)
+
+
 @_case("lemma-2.2",
        "q-exponential operator on a two-pole Euler kernel: T(bD_q) image "
        "equals the closed product times a 2phi1 in argument at",
@@ -441,9 +452,8 @@ def _run_lemma_22(order, q, params):
     s, t, v = frac(params["s"]), frac(params["t"]), frac(params["v"])
     if t == 0:
         raise ValueError("t must be nonzero")
-    lhs = t_op_euler_kernel(s, t, v, Fraction(0), q, order)
-    av = TruncSeries.variable(("a", "b"), order, "a")
-    bv = TruncSeries.variable(("a", "b"), order, "b")
+    lhs = _t_op_euler_kernel(s, t, v, Fraction(0), q, order)
+    av, bv = (TruncSeries.variable(("a", "b"), order, c) for c in "ab")
     yield "", lhs, phi_series((v / t, bv.scale(s)), (bv.scale(v),), q, av.scale(t)) \
         * euler_series(bv.scale(v), q) \
         * euler_inv_series(av.scale(s), q) * euler_inv_series(bv.scale(s), q) \
@@ -463,7 +473,19 @@ def _run_zhang_wang(order, q, params):
     for name, val in vals.items():
         if not abs(val) < 1:
             raise ValueError(f"parameter {name} must lie in (-1, 1)")
-    yield ("", *t_op_product_sides(vals["s"], vals["t"], vals["v"], vals["w"], q, order))
+    s, t, v, w = (vals[k] for k in "stvw")
+    if not v:
+        raise ValueError("v must be nonzero (it divides the 3phi2 argument)")
+    av, bv = (TruncSeries.variable(("a", "b"), order, c) for c in "ab")
+    abm = TruncSeries.monomial(("a", "b"), order, (1, 1))
+    # the 3phi2 takes v/w as a homogenized ratio, so w = 0 stays polynomial
+    rhs = phi_series((v / s, v / t), (av.scale(v), bv.scale(v)), q, abm.scale(s * t / v),
+                     ratio_upper=((v, w),)) \
+        * euler_series(av.scale(v), q) * euler_series(bv.scale(v), q) \
+        * euler_series(abm.scale(s * t * w / v), q)
+    for c in (s, t, w):
+        rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)
+    yield "", _t_op_euler_kernel(s, t, v, w, q, order), rhs
 
 
 @_case("lemma-2.3",
@@ -547,6 +569,16 @@ def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
     return lincomb((*weight(k), var ** k, factor(k)) for k in range(min(n, m) + 1))
 
 
+def _binomial_sum(n: int, q: Fraction, var, values, alternating: bool = False) -> MultiPoly:
+    """sum_k [n,k] var^k values[n-k], each term times (-1)^k q^(k(k-1)/2) when
+    alternating: the q-binomial transform and its inverse, which carry h_n(x,y|q)
+    to h_n(x|q) at var = y and H_n(x;a|q) to H_n(x|q) at var = a, and back."""
+    def weight(k):
+        return (qbinom(n, k, q), (-1) ** k, q ** tri(k)) if alternating else (qbinom(n, k, q),)
+
+    return lincomb((*weight(k), var ** k, values[n - k]) for k in range(n + 1))
+
+
 @_case("linear-brs-double",
        "double-sum linearization for h_n(x,y|q): the (y;q)_k P_l weights "
        "balance h_(n+m-k-l) against h_(n-k) h_(m-l) products",
@@ -616,7 +648,8 @@ def _run_hlm(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_linear_mixed(order, q, params):
-    yb = [ybinom_brs(n, q) for n in range(order + 1)]
+    brs = [brs_poly(n, q) for n in range(order + 1)]
+    yb = [_binomial_sum(n, q, _Y, brs) for n in range(order + 1)]
     return _symmetric_sweep(order, lambda n, m: (
         _lin_sum(n, m, q, lambda k: rs_poly(n + m - 2 * k, q)), yb[n] * yb[m]))
 
@@ -628,8 +661,9 @@ def _run_linear_mixed(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_awilson_special(order, q, params):
+    brs = [brs_poly(n, q) for n in range(order + 1)]
     for n in range(order + 1):
-        yield f"n={n}", rs_poly(n, q), ybinom_brs(n, q)
+        yield f"n={n}", rs_poly(n, q), _binomial_sum(n, q, _Y, brs)
 
 
 @_case("its-inverse",
@@ -640,8 +674,9 @@ def _run_awilson_special(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_its_inverse(order, q, params):
+    rs = [rs_poly(n, q) for n in range(order + 1)]
     for n in range(order + 1):
-        yield f"n={n}", brs_poly(n, q), ybinom_rs(n, q)
+        yield f"n={n}", brs_poly(n, q), _binomial_sum(n, q, _Y, rs, alternating=True)
 
 
 def _pair_products(family, q: Fraction, top: int) -> dict:
@@ -706,9 +741,7 @@ def _run_askey_ismail(order, q, params):
 def _run_hxa_hx(order, q, params):
     big, plain = big_qhermite_polys(order, "a", q), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        rhs = lincomb((qbinom(n, k, q), (-1) ** k, q ** tri(k), _A ** k, plain[n - k])
-                      for k in range(n + 1))
-        yield f"n={n}", big[n], rhs
+        yield f"n={n}", big[n], _binomial_sum(n, q, _A, plain, alternating=True)
 
 
 @_case("hx-hxa",
@@ -721,8 +754,7 @@ def _run_hxa_hx(order, q, params):
 def _run_hx_hxa(order, q, params):
     big, plain = big_qhermite_polys(order, "a", q), big_qhermite_polys(order, 0, q)
     for n in range(order + 1):
-        rhs = lincomb((qbinom(n, k, q), _A ** k, big[n - k]) for k in range(n + 1))
-        yield f"n={n}", plain[n], rhs
+        yield f"n={n}", plain[n], _binomial_sum(n, q, _A, big)
 
 
 @_case("cb-hermite",

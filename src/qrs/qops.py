@@ -6,7 +6,7 @@ Each operator is one coefficient-wise basis substitution on a truncated
 series. T(b D_q) sends a^k to sum_n [k,n] a^(k-n) b^n, and E(D_xy) sends the
 Cauchy polynomial P_k(x,y) to h_k(x,y|q). Both operators lower degree, so
 their operator sums are finite on every coefficient and introduce no
-truncation error of their own.
+truncation error of their own. The identities they enter are in `idverify`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import brs_poly, cauchy_poly
-from .fps import TruncSeries, euler_inv_series, euler_series, phi_series
+from .fps import TruncSeries
 from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
                     frac, lincomb, qbinom)
 
@@ -79,46 +79,4 @@ def _cauchy_parts(c: MultiPoly) -> list:
     moves = _moves(variables, keep)
     return [_normal(keep, c._den, _repack(buckets.get(k, {}), moves))
             for k in range(c.degree_in("x") + 1)]
-
-
-# -- the operator product transformations -------------------------------------
-
-
-def t_op_euler_kernel(s, t, v, w, q: Fraction, order: int) -> TruncSeries:
-    """T(bD_q){(av;q)_oo / ((as,at,aw;q)_oo)}, the operator side of both
-    operator product transformations, as an exact bivariate series in (a, b)
-    truncated at total degree `order`: the graded T action on the a-series
-    operand. w = 0 gives the two-denominator-factor kernel."""
-    a1 = TruncSeries.variable(("a",), order, "a")
-    operand = euler_series(a1.scale(v), q)
-    for c in (s, t, w):
-        operand = operand * euler_inv_series(a1.scale(c), q)
-    return t_op_graded(operand, q)
-
-
-def t_op_product_sides(s, t, v, w, q: Fraction, order: int):
-    """Both sides of T(bD_q){(av;q)_oo / ((as,at,aw;q)_oo)} as exact
-    bivariate series in (a, b), truncated at total degree `order`.
-
-    The operator side is `t_op_euler_kernel`. The closed side is Euler
-    products times a 3phi2 whose v/w parameter is handled as a homogenized
-    ratio, so w = 0 stays polynomial.
-    """
-    s, t, v, w, q = frac(s), frac(t), frac(v), frac(w), frac(q)
-    if not v:
-        raise ValueError("v must be nonzero (it divides the 3phi2 argument)")
-    lhs = t_op_euler_kernel(s, t, v, w, q, order)
-
-    ab = ("a", "b")
-    av = TruncSeries.variable(ab, order, "a")
-    bv = TruncSeries.variable(ab, order, "b")
-    abm = TruncSeries.monomial(ab, order, (1, 1))
-    phi = phi_series((v / s, v / t), (av.scale(v), bv.scale(v)), q, abm.scale(s * t / v),
-                     ratio_upper=((v, w),))
-    # the dense 3phi2 meets the closed product one Euler factor at a time
-    rhs = phi * euler_series(av.scale(v), q) \
-        * euler_series(bv.scale(v), q) * euler_series(abm.scale(s * t * w / v), q)
-    for c in (s, t, w):
-        rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)
-    return lhs, rhs
 

@@ -86,9 +86,9 @@ def integrate(spec: IntegralSpec):
     sums T_N of spec.integrand on [0, pi], N = 8, 16, 32, ..., at the first N
     with |T_2N - T_N| <= spec.tol.
 
-    Raises ValueError unless tol is finite and positive, and
-    QuadratureError if the tolerance cannot be met inside EVAL_BUDGET
-    evaluations, or above the rounding floor of the sums.
+    Raises ValueError unless tol is finite and positive, and QuadratureError
+    at the first sum that is NaN or infinite, or if the tolerance cannot be
+    met inside EVAL_BUDGET evaluations, or above the rounding floor of the sums.
     """
     f, tol = spec.integrand, spec.tol
     if not 0 < tol < math.inf:
@@ -99,6 +99,8 @@ def integrate(spec: IntegralSpec):
     vals = [0.5 * f(0.0), 0.5 * f(math.pi)] + [f(k * h) for k in range(1, n)]
     prev, diff = h * math.fsum(vals), math.inf
     while True:
+        if not math.isfinite(prev):
+            raise QuadratureError(f"the trapezoid sum T_{n} = {prev} is not finite")
         if len(vals) + n > EVAL_BUDGET:
             raise QuadratureError(
                 f"evaluation budget {EVAL_BUDGET} exhausted: error {diff:.3e} > tol {tol:.3e} "
@@ -111,7 +113,7 @@ def integrate(spec: IntegralSpec):
         if diff <= tol:
             return spec.prefactor * cur, diff
         floor = _FLOOR_ULPS * math.ulp(1.0) * h * math.fsum(map(abs, vals))
-        if diff <= floor:
+        if diff <= floor < math.inf:     # an infinite sum is reported as not finite
             raise QuadratureError(
                 f"rounding floor reached: |T_{n} - T_{n // 2}| = {diff:.3e} is within "
                 f"the rounding floor {floor:.3e} of the sums but above tol {tol:.3e}")
@@ -183,6 +185,10 @@ def askey_wilson_quad(a: float, b: float, c: float, d: float, q: float,
 
 
 def askey_wilson_closed(a: float, b: float, c: float, d: float, q: float) -> float:
+    """Right side: (abcd;q)_oo over the six (uv;q)_oo of the pairs u, v of
+    a, b, c, d. Raises ValueError unless |a|, |b|, |c|, |d|, |q| < 1."""
+    if not all(abs(u) < 1 for u in (a, b, c, d, q)):     # a NaN fails too
+        raise ValueError(f"a, b, c, d, q must lie in (-1, 1), got {(a, b, c, d, q)}")
     num = qpoch_inf(a * b * c * d, q)
     den = 1.0 + 0j
     for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):

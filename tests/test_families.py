@@ -6,15 +6,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from reference_multipoly import (as_univariate, constant_value, is_constant,
-                                 partial_coefficient, poly_eval, substitute,
-                                 total_degree)
+from reference_multipoly import (as_univariate, partial_coefficient, poly_eval,
+                                 substitute, total_degree)
 
 from qrs import qcore
 from qrs.families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
-                          brs_to_rs_coeffs, cauchy_poly, change_base_big,
-                          change_base_c, qhermite_circle, qhermite_poly,
-                          rs_poly, rs_to_brs_coeffs, ybinom_brs, ybinom_rs)
+                          cauchy_poly, change_base_big, change_base_c,
+                          qhermite_circle, qhermite_poly, rs_poly)
 from qrs.qcore import MultiPoly, lincomb, qbinom, qfac, qpochs
 
 RNG_SEED = 550211
@@ -92,52 +90,6 @@ def test_brs_is_binomial_cauchy_sum():
         for k in range(n + 1):
             expect = expect + cauchy_poly(k, q) * qbinom(n, k, q)
         assert brs_poly(n, q) == expect
-
-
-def _recombine(coeffs: list, rows: list) -> list:
-    """b_m = sum_n rows[n][m] a_n, where rows[n] has entries m <= n."""
-    return [lincomb((rows[n][m], a_n) for n, a_n in enumerate(coeffs) if n >= m)
-            for m in range(len(coeffs))]
-
-
-def test_rs_brs_coefficient_conversions_invert():
-    rng = random.Random(RNG_SEED + 3)
-    for _ in range(12):
-        q = rand_q(rng)
-        n = rng.randint(0, 6)
-        combo = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 for _ in range(n + 1)]
-        # sum_k a_k h_k(x|q) rewritten over h_m(x,y|q), and back
-        there = _recombine(combo, [rs_to_brs_coeffs(k, q) for k in range(n + 1)])
-        back = _recombine(there, [brs_to_rs_coeffs(k, q) for k in range(n + 1)])
-        assert all(is_constant(c) for c in back)
-        assert [constant_value(c) for c in back] == combo
-        # and the conversions really express the same polynomial
-        direct = MultiPoly.const(0)
-        for k, c in enumerate(combo):
-            direct = direct + rs_poly(k, q) * c
-        via = MultiPoly.const(0)
-        for k, c in enumerate(there):
-            via = via + brs_poly(k, q) * c
-        assert direct == via
-
-
-def test_single_basis_conversions_match_h_to_bivariate():
-    q = Fraction(1, 2)
-    for n in range(6):
-        # the two expansions the awilson-special and its-inverse cases check
-        assert ybinom_brs(n, q) == rs_poly(n, q)
-        assert ybinom_rs(n, q) == brs_poly(n, q)
-        coeffs = rs_to_brs_coeffs(n, q)
-        rebuilt = MultiPoly.const(0)
-        for k, c in enumerate(coeffs):
-            rebuilt = rebuilt + brs_poly(k, q) * c
-        assert rebuilt == rs_poly(n, q)
-        coeffs = brs_to_rs_coeffs(n, q)
-        rebuilt = MultiPoly.const(0)
-        for k, c in enumerate(coeffs):
-            rebuilt = rebuilt + rs_poly(k, q) * c
-        assert rebuilt == brs_poly(n, q)
 
 
 def test_qhermite_three_term_recurrence():

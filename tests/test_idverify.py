@@ -350,6 +350,32 @@ def test_coefficient_recurrences_equal_their_defining_sums(q, a, s, t):
         _gen_big_2_sum(a, t, q, n) for n in range(top + 1)]
 
 
+def test_binomial_sum_and_its_alternating_form_invert():
+    # q-binomial inversion: the plain transform of the alternating one, and
+    # the alternating transform of the plain one, give back the sequence
+    rng = random.Random(20061)
+    x, y, a = (MultiPoly.var(v) for v in "xya")
+    for _ in range(10):
+        den = rng.randint(2, 9)
+        q = Fraction(rng.choice((-1, 1)) * rng.randint(1, den - 1), den)
+        var = rng.choice((y, a))
+        top = rng.randint(0, 6)
+        values = [MultiPoly(("x", "y"), {(i, j): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                         for i in range(3) for j in range(2)})
+                  for _ in range(top + 1)]
+        for alternating in (False, True):
+            there = [idverify._binomial_sum(n, q, var, values, alternating)
+                     for n in range(top + 1)]
+            back = [idverify._binomial_sum(n, q, var, there, not alternating)
+                    for n in range(top + 1)]
+            assert back == values
+    # the weights at n = 2: [2,1] = 1 + q, and q^C(2,2) = q on the alternating side
+    q, v = Fraction(1, 3), [MultiPoly.const(1), x, x * x]
+    assert idverify._binomial_sum(2, q, y, v) == x * x + (1 + q) * y * x + y * y
+    assert idverify._binomial_sum(2, q, y, v, alternating=True) == \
+        x * x - (1 + q) * y * x + q * y * y
+
+
 RECURRENCE_CASES = {"rogers-big": reference_numeric.rogers_big_lhs,
                     "gen-big-1": reference_numeric.gen_big_1_lhs,
                     "gen-big-2": reference_numeric.gen_big_2_lhs}

@@ -2,15 +2,24 @@
 module-level private name is referenced somewhere in the package, every
 public one is referenced by some module other than __init__ (exporting a
 name does not use it), every method of a class is called somewhere in the
-package, and every cache is bounded."""
+package, and every cache is bounded. The `test` extra of pyproject.toml
+names every third-party module that the tests and the bench harness import."""
 
 import ast
 import pathlib
+import re
+import sys
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qrs"
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qrs"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -199,3 +208,26 @@ def test_the_check_sees_an_unbounded_cache():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_cache_has_a_finite_maxsize(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+def third_party_imports(paths) -> set:
+    """The top-level modules that the files import from outside the standard
+    library, the package and the files themselves."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    local = {path.stem for path in paths} | {"qrs"}
+    return {m for m in found - local if m not in sys.stdlib_module_names}
+
+
+def test_the_test_extra_names_every_module_the_tests_import():
+    # each of these modules is installed by a distribution of the same name
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    named = {re.match(r"[\w.-]+", req).group().lower() for req in extra}
+    paths = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("bench/*.py"))
+    assert third_party_imports(paths) - named == set()

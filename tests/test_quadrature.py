@@ -137,6 +137,36 @@ def _ortho(n, m, a, q):
     return verify("ortho-big", params={"n": n, "m": m, "a": a, "q": q})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("after, points", [(0, 9), (9, 17)])
+def test_integrate_fails_at_the_first_sum_that_is_not_finite(value, after, points):
+    # no tol is met by a NaN or infinite sum, and no larger N mends it: the
+    # rule raises at T_8 (9 points) or at T_16 (17) when the first `after`
+    # values are finite, rather than doubling on towards the budget
+    seen = []
+
+    def f(theta):
+        seen.append(theta)
+        return 1.0 if len(seen) <= after else value
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        integrate(IntegralSpec(f))
+    assert len(seen) == points
+
+
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("bad", [1.5, -1.0, math.nan])
+def test_askey_wilson_closed_rejects_parameters_off_the_open_unit_disk(slot, bad):
+    # the closed product stands for the integral only where the integral
+    # converges, and askey_wilson_quad refuses the same parameters
+    args = [0.3, 0.25, 0.2, 0.1, 0.5]
+    args[slot] = bad
+    with pytest.raises(ValueError, match=r"must lie in \(-1, 1\)"):
+        askey_wilson_closed(*args)
+    with pytest.raises(ValueError):
+        askey_wilson_quad(*args)
+
+
 def _closed_forms(q, a, t, **tol):
     """The closed-H-* registry cases at one (q, a, t), in registry order."""
     return [verify(case.id, params={"q": q, "a": a, "t": t, **tol})
