@@ -221,7 +221,18 @@ def third_party_imports(paths) -> set:
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 found.add(node.module.split(".")[0])
     local = {path.stem for path in paths} | {"qrs"}
-    return {m for m in found - local if m not in sys.stdlib_module_names}
+    # tomllib joined the standard library in Python 3.11; on 3.10 the files
+    # fall back to tomli, which the extra names for that version
+    stdlib = sys.stdlib_module_names | {"tomllib"}
+    return {m for m in found - local if m not in stdlib}
+
+
+def test_the_check_sees_a_third_party_import_on_every_python(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import os.path\nfrom numpy import linalg\nimport sample\n"
+                    "try:\n    import tomllib\nexcept ModuleNotFoundError:\n"
+                    "    import tomli as tomllib\n")
+    assert third_party_imports([path]) == {"numpy", "tomli"}
 
 
 def test_the_test_extra_names_every_module_the_tests_import():
