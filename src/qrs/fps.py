@@ -12,7 +12,9 @@ are polynomial operations layer by layer, and a product of two terms is one
 integer addition. A product sums, for each output degree, the products of
 the layer pairs whose degrees fit the order in one call of qcore's
 accumulator `_accumulate`, which normalises the output layer once. `coeffs`
-is a read-only view {index tuple: coefficient}, built on first use.
+is a read-only view {index tuple: coefficient}, built on first use by
+`qcore._split` of each layer over the index placeholders: a Fraction when
+there are no cvars, else a MultiPoly.
 
 Bivariate series are truncated by total degree. Operations on series of
 different orders propagate the minimum order, which is the honest amount of
@@ -34,8 +36,8 @@ from fractions import Fraction
 from itertools import count
 from types import MappingProxyType
 
-from .qcore import (_FIELD, MultiPoly, _accumulate, _build, _moves, _normal, _pack,
-                    _repack, _union, _unpack, _widen, frac, lincomb, qfac, tri)
+from .qcore import (MultiPoly, _accumulate, _build, _pack, _split, _union, _widen, frac,
+                    lincomb, qfac, tri)
 
 _SCALARS = (int, Fraction)
 
@@ -46,18 +48,8 @@ _PHI_SUM_TOL = 1e-13
 _INDEX = tuple(f"\0{i}" for i in range(2))
 
 
-def _coef(cvars: tuple, den: int, num: dict):
-    """A coefficient from its numerators over cvars: a Fraction when the
-    series has no coefficient variables, else a MultiPoly."""
-    if not cvars:
-        return Fraction(num.get(0, 0), den)
-    return _normal(cvars, den, num)
-
-
 def _widened(layers: tuple, fields: tuple) -> tuple:
     """The layers over `fields`, a superset of their variables."""
-    if layers[0].vars == fields:
-        return layers
     zero = _build(fields, 1, {})
     return tuple(_widen(layer, fields) if layer._num else zero for layer in layers)
 
@@ -86,7 +78,7 @@ class TruncSeries:
             if type(c) is MultiPoly and c.vars != cvars:
                 cvars = _union(cvars, c.vars)
         fields = _INDEX[:len(variables)] + cvars
-        shift = _FIELD * len(cvars)
+        pad = (0,) * len(cvars)
         parts = [[] for _ in range(order + 1)]
         for idx, c in coeffs.items():
             idx = tuple(idx)
@@ -96,13 +88,12 @@ class TruncSeries:
                 raise ValueError("negative series exponent")
             if sum(idx) > order:
                 continue
-            base = _pack(idx) << shift
+            base = _pack(idx + pad)
             if type(c) is MultiPoly:
-                num = {base + e: v for e, v in _repack(c._num, _moves(c.vars, cvars)).items()}
-                den = c._den
+                c = _widen(c, fields)
+                num, den = {base + e: v for e, v in c._num.items()}, c._den
             elif isinstance(c, _SCALARS):
-                num = {base: c.numerator} if c else {}
-                den = c.denominator
+                num, den = {base: c.numerator} if c else {}, c.denominator
             else:
                 raise TypeError(f"cannot use {c!r} as a series coefficient")
             if num:
@@ -152,16 +143,13 @@ class TruncSeries:
         try:
             return self._coeffs
         except AttributeError:
-            cvars = self.cvars
-            shift = _FIELD * len(cvars)
-            mask = (1 << shift) - 1
+            names = _INDEX[:len(self.vars)]
             view = {}
             for layer in self._layers:
-                groups = {}
-                for e, c in layer._num.items():
-                    groups.setdefault(e >> shift, {})[e & mask] = c
-                for key, part in sorted(groups.items()):
-                    view[_unpack(key, len(self.vars))] = _coef(cvars, layer._den, part)
+                if layer._num:
+                    view.update(_split(layer, names))
+            if not self.cvars:
+                view = {idx: Fraction(c._num[0], c._den) for idx, c in view.items()}
             view = MappingProxyType(view)
             _set_coeffs(self, view)
             return view
@@ -249,29 +237,6 @@ class TruncSeries:
 
     # -- comparison ---------------------------------------------------------
 
-    def diff_witness(self, other: "TruncSeries"):
-        """First differing index (lexicographic) and the difference, or None."""
-        order, a, b = self._common(other)
-        n = len(self.vars)
-        cvars = a[0].vars[n:]
-        shift = _FIELD * len(cvars)
-        best = None
-        for la, lb in zip(a, b):
-            if la == lb:
-                continue
-            diff = la - lb
-            key = min(e >> shift for e in diff._num)
-            if best is None or key < best[0]:
-                best = key, diff
-            if n == 1:
-                break
-        if best is None:
-            return None
-        key, diff = best
-        mask = (1 << shift) - 1
-        part = {e & mask: c for e, c in diff._num.items() if e >> shift == key}
-        return _unpack(key, n), _coef(cvars, diff._den, part)
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             other = self._wrap(other)
@@ -279,7 +244,8 @@ class TruncSeries:
                 return NotImplemented
         if self.vars != other.vars:
             return False
-        return self.diff_witness(other) is None
+        _, a, b = self._common(other)
+        return a == b
 
     __hash__ = None
 

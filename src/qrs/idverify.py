@@ -18,6 +18,9 @@ parses q (exact modes), q and tol (numeric-complex) or tol (quadrature),
 builds every side before comparing anything, and hands the sides to the
 verdict of the case's mode, which does the comparison and applies the
 --perturb negative control to the first left side. No runner sees perturb.
+Both exact modes share one verdict: a pair passes when lhs == rhs, the
+--perturb control is lhs + 1, and a failure's witness is lhs - rhs, for a
+series its lexicographically first coefficient.
 What a runner gets and returns, per mode:
 
 exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
@@ -154,11 +157,9 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     return report
 
 
-def verify_all(order: int | None = None, seed: int = 0,
-               ids: list | None = None, perturb: bool = False) -> list:
-    """Run every registered case (or the given ids) in registry order."""
-    targets = [get_case(i).id for i in ids] if ids is not None else list(_REGISTRY)
-    return [verify(i, order=order, seed=seed, perturb=perturb) for i in targets]
+def verify_all(order: int | None = None, seed: int = 0, perturb: bool = False) -> list:
+    """Run every registered case in registry order."""
+    return [verify(i, order=order, seed=seed, perturb=perturb) for i in _REGISTRY]
 
 
 # -- shared machinery ---------------------------------------------------------
@@ -181,27 +182,22 @@ def _exact_q(params, key="q") -> Fraction:
     return q
 
 
-def _series_sweep(triples, tol, perturb: bool):
-    """Verdict over (label, lhs, rhs) series triples; exact, so tol is None."""
-    for i, (label, lhs, rhs) in enumerate(triples):
-        if perturb and i == 0:
-            lhs = lhs + TruncSeries.const(Fraction(1), lhs.vars, lhs.order)
-        d = lhs.diff_witness(rhs)
-        if d is not None:
-            idx, delta = d
-            where = " ".join(f"{v}^{e}" for v, e in zip(lhs.vars, idx)) or "1"
-            lab = f"{label}: " if label else ""
-            return "fail", None, clip_witness(f"{lab}coefficient of {where}: {delta}")
-    return "exact-pass", None, None
-
-
-def _poly_sweep(triples, tol, perturb: bool):
-    """Verdict over (label, lhs, rhs) polynomial triples; exact, so tol is None."""
+def _exact_sweep(triples, tol, perturb: bool):
+    """Verdict over (label, lhs, rhs) series or polynomial triples; exact,
+    so tol is None."""
     for i, (label, lhs, rhs) in enumerate(triples):
         if perturb and i == 0:
             lhs = lhs + 1
-        if lhs != rhs:
-            return "fail", None, clip_witness(f"{label}: difference {lhs - rhs}")
+        if lhs == rhs:
+            continue
+        diff = lhs - rhs
+        if isinstance(diff, TruncSeries):
+            idx, delta = min(diff.coeffs.items())
+            where = " ".join(f"{v}^{e}" for v, e in zip(diff.vars, idx))
+            found = f"coefficient of {where}: {delta}"
+        else:
+            found = f"difference {diff}"
+        return "fail", None, clip_witness(f"{label}: {found}" if label else found)
     return "exact-pass", None, None
 
 
@@ -293,7 +289,7 @@ def _quad_verdict(sides, tol: float, perturb: bool):
     return "fail", resid, clip_witness(witness.format(lhs=lhs, rhs=rhs))
 
 
-_VERDICTS = {"exact-series": _series_sweep, "exact-poly": _poly_sweep,
+_VERDICTS = {"exact-series": _exact_sweep, "exact-poly": _exact_sweep,
              "numeric-complex": _numeric_verdict, "quadrature": _quad_verdict}
 
 
@@ -478,9 +474,9 @@ def _run_zhang_wang(order, q, params):
         raise ValueError("v must be nonzero (it divides the 3phi2 argument)")
     av, bv = (TruncSeries.variable(("a", "b"), order, c) for c in "ab")
     abm = TruncSeries.monomial(("a", "b"), order, (1, 1))
-    # the 3phi2 takes v/w as a homogenized ratio, so w = 0 stays polynomial
-    rhs = phi_series((v / s, v / t), (av.scale(v), bv.scale(v)), q, abm.scale(s * t / v),
-                     ratio_upper=((v, w),)) \
+    # v/s, v/t and v/w are homogenized ratios, so s, t or w = 0 stays polynomial
+    rhs = phi_series((), (av.scale(v), bv.scale(v)), q, abm.scale(1 / v),
+                     ratio_upper=((v, s), (v, t), (v, w))) \
         * euler_series(av.scale(v), q) * euler_series(bv.scale(v), q) \
         * euler_series(abm.scale(s * t * w / v), q)
     for c in (s, t, w):

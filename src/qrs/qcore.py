@@ -6,8 +6,9 @@ MultiPoly keeps its coefficients over the integers instead: one positive
 denominator shared by the whole polynomial and an int numerator per term,
 keyed by the term's exponent vector packed into a single int (the packed
 monomials of Monagan & Pearce), so products and sums run on plain ints and
-reduce by one gcd per result. Its `terms` view still reads as exponent
-tuples mapped to Fractions.
+reduce by one gcd per result. The packed format is private to this module:
+`terms` reads as exponent tuples mapped to Fractions, and `_split` reads out
+the coefficients of a polynomial in some of its variables.
 
 One accumulator, `_accumulate`, builds every sum and product: its terms
 are a scale (an int numerator and denominator) times at most two
@@ -134,15 +135,22 @@ def _moves(old: tuple, new: tuple):
     return tuple((lo, (1 << _FIELD * width) - 1, nlo) for lo, width, nlo in runs)
 
 
-def _repack(num: dict, moves) -> dict:
-    """num re-keyed by a `_moves` result; returned as is when nothing moves."""
+def _mover(moves):
+    """The function that re-keys one packed exponent by a `_moves` result."""
     if isinstance(moves, int):
-        return num if not moves else {e << moves: c for e, c in num.items()}
+        return lambda e: e << moves
     if len(moves) == 1:
         ((lo, mask, nlo),) = moves
-        return {(e >> lo & mask) << nlo: c for e, c in num.items()}
-    return {sum((e >> lo & mask) << nlo for lo, mask, nlo in moves): c
-            for e, c in num.items()}
+        return lambda e: (e >> lo & mask) << nlo
+    return lambda e: sum((e >> lo & mask) << nlo for lo, mask, nlo in moves)
+
+
+def _repack(num: dict, moves) -> dict:
+    """num re-keyed by a `_moves` result; returned as is when nothing moves."""
+    if moves == 0:
+        return num
+    move = _mover(moves)
+    return {move(e): c for e, c in num.items()}
 
 
 def _build(variables: tuple, den: int, num: dict) -> "MultiPoly":
@@ -175,6 +183,18 @@ def _widen(p: "MultiPoly", variables: tuple) -> "MultiPoly":
     if p.vars == variables:
         return p
     return _build(variables, p._den, _repack(p._num, _moves(p.vars, variables)))
+
+
+def _split(p: "MultiPoly", names: tuple) -> dict:
+    """p as a polynomial in the sorted `names`: {exponent tuple over names:
+    nonzero MultiPoly over p's other variables}, in lexicographic order. A
+    name that p lacks has exponent 0."""
+    keep = tuple(v for v in p.vars if v not in names)
+    key, rest = _mover(_moves(p.vars, names)), _mover(_moves(p.vars, keep))
+    parts = {}
+    for e, c in p._num.items():
+        parts.setdefault(key(e), {})[rest(e)] = c
+    return {_unpack(k, len(names)): _normal(keep, p._den, g) for k, g in sorted(parts.items())}
 
 
 def _mul_into(acc: dict, small: dict, big: dict) -> dict:
@@ -422,8 +442,7 @@ class MultiPoly:
         if self.vars == other.vars:
             return self._num == other._num
         union = _union(self.vars, other.vars)
-        return (_repack(self._num, _moves(self.vars, union))
-                == _repack(other._num, _moves(other.vars, union)))
+        return _widen(self, union)._num == _widen(other, union)._num
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -436,12 +455,6 @@ class MultiPoly:
         return bool(self._num)
 
     # -- queries ------------------------------------------------------
-
-    def degree_in(self, var: str) -> int:
-        if var not in self.vars:
-            return 0
-        shift = _FIELD * (len(self.vars) - 1 - self.vars.index(var))
-        return max((e >> shift & _FIELD_MASK for e in self._num), default=0)
 
     def key(self):
         """Hashable canonical form (unused variables dropped)."""

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .families import brs_poly, cauchy_poly
 from .fps import TruncSeries
-from .qcore import (_FIELD, _FIELD_MASK, MultiPoly, _moves, _normal, _repack,
-                    frac, lincomb, qbinom)
+from .qcore import MultiPoly, _split, frac, lincomb, qbinom
 
 
 def t_op_graded(f: TruncSeries, q: Fraction) -> TruncSeries:
@@ -64,19 +63,7 @@ def e_op_apply(f: TruncSeries, q: Fraction) -> TruncSeries:
 
 def _cauchy_parts(c: MultiPoly) -> list:
     """[p_0, ..., p_d] for d the degree of c in x: p_k is the x^k y^0
-    coefficient of c, a polynomial in its other variables. One pass over the
-    terms of c sorts its y^0 terms by their x exponent."""
-    variables = c.vars
-    fields = {v: _FIELD * (len(variables) - 1 - i) for i, v in enumerate(variables)}
-    xshift = fields.get("x")
-    ymask = _FIELD_MASK << fields["y"] if "y" in fields else 0
-    buckets = {}
-    for e, v in c._num.items():
-        if not e & ymask:
-            k = 0 if xshift is None else e >> xshift & _FIELD_MASK
-            buckets.setdefault(k, {})[e] = v
-    keep = tuple(v for v in variables if v not in ("x", "y"))
-    moves = _moves(variables, keep)
-    return [_normal(keep, c._den, _repack(buckets.get(k, {}), moves))
-            for k in range(c.degree_in("x") + 1)]
-
+    coefficient of c, a polynomial in its other variables."""
+    parts = _split(c, ("x", "y"))
+    zero = MultiPoly.const(0, tuple(v for v in c.vars if v not in ("x", "y")))
+    return [parts.get((k, 0), zero) for k in range(max((i for i, _ in parts), default=0) + 1)]

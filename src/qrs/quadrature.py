@@ -81,14 +81,22 @@ class IntegralSpec:
     tol: float = 1e-10
 
 
+def _fsum(vals) -> float:
+    """math.fsum, or NaN where fsum raises (on inf - inf, or an overflow)."""
+    try:
+        return math.fsum(vals)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def integrate(spec: IntegralSpec):
     """(prefactor * T_2N, |T_2N - T_N|) for the nested endpoint trapezoid
     sums T_N of spec.integrand on [0, pi], N = 8, 16, 32, ..., at the first N
     with |T_2N - T_N| <= spec.tol.
 
     Raises ValueError unless tol is finite and positive, and QuadratureError
-    at the first sum that is NaN or infinite, or if the tolerance cannot be
-    met inside EVAL_BUDGET evaluations, or above the rounding floor of the sums.
+    at the first sum that is not finite, or if the tolerance cannot be met
+    inside EVAL_BUDGET evaluations, or above the rounding floor of the sums.
     """
     f, tol = spec.integrand, spec.tol
     if not 0 < tol < math.inf:
@@ -97,7 +105,7 @@ def integrate(spec: IntegralSpec):
     h = math.pi / n
     # trapezoid-weighted values f_k: the two ends halved, every point kept
     vals = [0.5 * f(0.0), 0.5 * f(math.pi)] + [f(k * h) for k in range(1, n)]
-    prev, diff = h * math.fsum(vals), math.inf
+    prev, diff = h * _fsum(vals), math.inf
     while True:
         if not math.isfinite(prev):
             raise QuadratureError(f"the trapezoid sum T_{n} = {prev} is not finite")
@@ -108,11 +116,11 @@ def integrate(spec: IntegralSpec):
         h *= 0.5
         vals += [f(k * h) for k in range(1, 2 * n, 2)]
         n *= 2
-        cur = h * math.fsum(vals)
+        cur = h * _fsum(vals)
         diff = abs(cur - prev)
         if diff <= tol:
             return spec.prefactor * cur, diff
-        floor = _FLOOR_ULPS * math.ulp(1.0) * h * math.fsum(map(abs, vals))
+        floor = _FLOOR_ULPS * math.ulp(1.0) * h * _fsum(map(abs, vals))
         if diff <= floor < math.inf:     # an infinite sum is reported as not finite
             raise QuadratureError(
                 f"rounding floor reached: |T_{n} - T_{n // 2}| = {diff:.3e} is within "

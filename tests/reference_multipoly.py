@@ -178,12 +178,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_in(self, var: str) -> int:
-        if var not in self.vars:
-            return 0
-        i = self.vars.index(var)
-        return max((e[i] for e in self.terms), default=0)
-
     def key(self):
         """Hashable canonical form (unused variables dropped)."""
         used = [i for i, v in enumerate(self.vars) if any(e[i] for e in self.terms)]
@@ -273,6 +267,15 @@ def as_univariate(p, var: str) -> dict:
         out.setdefault(exp[i], {})[exp[:i] + exp[i + 1:]] = c
     rest = p.vars[:i] + p.vars[i + 1:]
     return {d: type(p)(rest, t) for d, t in sorted(out.items())}
+
+
+def degree_in(p, var: str) -> int:
+    """The degree of p in var, read from its terms; 0 for a variable p
+    lacks."""
+    if var not in p.vars:
+        return 0
+    i = p.vars.index(var)
+    return max((e[i] for e in p.terms), default=0)
 
 
 def partial_coefficient(p, fixed: dict):

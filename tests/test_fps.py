@@ -261,14 +261,13 @@ def test_phi_sum_term_cap_and_pole_guards():
         phi_sum([0.5], [], -1.0, 0.5)              # 1 - q^2 vanishes
 
 
-def test_diff_witness_reports_first_lexicographic_difference():
+def test_first_coefficient_of_a_difference_is_the_first_lexicographic_one():
     f = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): Fraction(2)})
     g = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): Fraction(3),
                                     (0, 2): Fraction(5)})
-    idx, delta = f.diff_witness(g)
-    assert idx == (0, 2)
-    assert delta == Fraction(-5)
-    assert f.diff_witness(f) is None
+    assert f != g
+    assert min((f - g).coeffs.items()) == ((0, 2), Fraction(-5))
+    assert f == f and not (f - f).coeffs
 
 
 # -- ring properties with polynomial coefficients ------------------------------
@@ -477,11 +476,11 @@ def test_layered_diff_witness_matches_the_reference(ops, data):
     for i, c in data.draw(st.sampled_from([{}, other])).items():
         changed[i] = changed[i] + c if i in changed else c
     (a, ra), (b, rb) = both((variables, order, coeffs)), both((variables, order, changed))
-    got, want = a.diff_witness(b), ra.diff_witness(rb)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got[0] == want[0] and got[1] == want[1]
+    want = ra.diff_witness(rb)
     assert (a == b) == (want is None)
+    if want is not None:
+        idx = min((a - b).coeffs)
+        assert idx == want[0] and (a - b).coeffs[idx] == want[1]
 
 
 def _linear(data, variables, order, elems) -> tuple:

@@ -10,6 +10,7 @@ import reference_numeric
 
 from qrs import idverify, qcore
 from qrs.families import brs_poly
+from qrs.fps import TruncSeries
 from qrs.idverify import get_case, registry, verify, verify_all
 from qrs.qcore import MultiPoly, qbinom, qfac, tri
 from qrs.quadrature import QuadratureError
@@ -164,13 +165,26 @@ def test_integer_parameters_accept_integral_values():
     assert verify("lemma-2.3", params={"nmax": Fraction(6)}).status == "exact-pass"
 
 
+def test_exact_sweep_reports_the_first_coefficient_of_a_bivariate_difference():
+    x = MultiPoly.var("x")
+    a = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): x, (0, 2): 2 * x})
+    b = TruncSeries(("s", "t"), 3, {(0, 0): Fraction(1), (1, 1): x + 1, (2, 0): Fraction(3)})
+    # a - b is 2x at (0, 2), -1 at (1, 1) and -3 at (2, 0): (0, 2) comes first
+    sweep = idverify._VERDICTS["exact-series"]
+    assert sweep([("n=0", a, a), ("n=1", a, b)], None, False) \
+        == ("fail", None, "n=1: coefficient of s^0 t^2: 2*x")
+    assert sweep([("", a, a)], None, False) == ("exact-pass", None, None)
+    assert sweep([("", a, a)], None, True) == ("fail", None, "coefficient of s^0 t^0: 1")
+    assert idverify._VERDICTS["exact-poly"] is sweep
+
+
 @pytest.mark.parametrize("order", [2.9, True, -1, "2"])
 def test_order_rejects_non_integral_values(order):
     # int() would run 2.9 as order 2 and True as order 1, and report that
     with pytest.raises(ValueError, match="order must be a nonnegative integer"):
         verify("mehler-rs", order=order)
     with pytest.raises(ValueError, match="order must be a nonnegative integer"):
-        verify_all(order=order, ids=["gf-big"])
+        verify_all(order=order)   # the first case rejects it before any work
 
 
 def test_order_accepts_integral_values():

@@ -2,8 +2,9 @@
 module-level private name is referenced somewhere in the package, every
 public one is referenced by some module other than __init__ (exporting a
 name does not use it), every method of a class is called somewhere in the
-package, and every cache is bounded. The `test` extra of pyproject.toml
-names every third-party module that the tests and the bench harness import."""
+package, every cache is bounded, and no module but qcore does arithmetic on
+packed exponents. The `test` extra of pyproject.toml names every
+third-party module that the tests and the bench harness import."""
 
 import ast
 import pathlib
@@ -208,6 +209,41 @@ def test_the_check_sees_an_unbounded_cache():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_cache_has_a_finite_maxsize(path):
     assert unbounded_caches(path.read_text()) == []
+
+
+PACKED = {"_FIELD", "_FIELD_MASK", "_unpack", "_moves", "_repack"}
+
+
+def packed_exponent_uses(source: str) -> list:
+    """(line, what) of each name of qcore's packed exponent format in the
+    source, and of each << or >>."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else node.attr \
+            if isinstance(node, ast.Attribute) else node.name \
+            if isinstance(node, ast.alias) else None
+        if name in PACKED:
+            found.append((node.lineno, name))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, (ast.LShift, ast.RShift)):
+            found.append((node.lineno, "<<" if isinstance(node.op, ast.LShift) else ">>"))
+    return sorted(found)
+
+
+def test_the_check_sees_packed_exponent_arithmetic():
+    source = ("from .qcore import _FIELD, _pack\nfrom . import qcore\n"
+              "x = 1 << qcore._FIELD_MASK\ny = _unpack(x, 2) >> 3\nx <<= 1\nz = x & 1\n")
+    assert packed_exponent_uses(source) == [
+        (1, "_FIELD"), (3, "<<"), (3, "_FIELD_MASK"), (4, ">>"), (4, "_unpack"), (5, "<<")]
+
+
+OUTSIDE_QCORE = [p for p in sorted(SRC.glob("*.py")) if p.name != "qcore.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_QCORE, ids=[p.name for p in OUTSIDE_QCORE])
+def test_packed_exponents_stay_in_qcore(path):
+    # qcore's `_split` reads coefficients out of a polynomial
+    assert packed_exponent_uses(path.read_text()) == []
 
 
 def third_party_imports(paths) -> set:

@@ -15,8 +15,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_multipoly import MultiPoly as RefPoly
+from reference_multipoly import degree_in, partial_coefficient
 
-from qrs.qcore import EXP_LIMIT, MultiPoly, lincomb
+from qrs.qcore import EXP_LIMIT, MultiPoly, _split, lincomb
 
 VARS = ("u", "v", "x", "y")
 BIG = 10 ** 30
@@ -77,7 +78,24 @@ def test_operations_match_fraction_reference(a_spec, b_spec, s):
     assert (a == b) == (ra == rb)
     assert a.key() == ra.key() and str(a) == str(ra)
     assert a.to_json_dict() == ra.to_json_dict()
-    assert all(a.degree_in(v) == ra.degree_in(v) for v in VARS)
+    assert all(degree_in(a, v) == degree_in(ra, v) for v in VARS)
+
+
+@KERNEL
+@given(polys(), st.lists(st.sampled_from(("a",) + VARS + ("z",)), unique=True))
+def test_split_matches_partial_coefficients(spec, names):
+    # names may be empty, and may hold names that p lacks
+    names = tuple(sorted(names))
+    p, rp = both(spec)
+    want = {}
+    for exp in rp.terms:
+        named = dict(zip(rp.vars, exp))
+        idx = tuple(named.get(v, 0) for v in names)
+        want[idx] = partial_coefficient(rp, dict(zip(names, idx)))
+    got = _split(p, names)
+    assert list(got) == sorted(want)
+    for idx, c in got.items():
+        assert c and canonical(c) and agrees(c, want[idx])
 
 
 @KERNEL

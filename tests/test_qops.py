@@ -232,3 +232,12 @@ def test_zhang_wang_check_reports():
     assert rep.passed() and rep.status == "exact-pass"
     with pytest.raises(ValueError):
         verify("zhang-wang", order=4, params={**params, "v": Fraction(0)})
+
+
+@pytest.mark.parametrize("zeros", [("s",), ("t",), ("s", "t")])
+def test_zhang_wang_accepts_zero_s_and_t(zeros):
+    # the 3phi2 has the upper parameters v/s and v/t, taken as homogenized
+    # ratios, so s = 0 or t = 0, which the domain allows, needs no division
+    params = {name: Fraction(0) for name in zeros}
+    assert verify("zhang-wang", order=5, params=params).status == "exact-pass"
+    assert verify("zhang-wang", order=5, params=params, perturb=True).status == "fail"

@@ -154,6 +154,15 @@ def test_integrate_fails_at_the_first_sum_that_is_not_finite(value, after, point
     assert len(seen) == points
 
 
+@pytest.mark.parametrize("f", [lambda t: math.inf if t < 1 else -math.inf,
+                               lambda t: 1e308], ids=["inf-minus-inf", "overflow"])
+def test_integrate_reports_a_sum_fsum_cannot_form_as_not_finite(f):
+    # math.fsum raises ValueError for inf + -inf and OverflowError for a
+    # running sum past the float range; both are sums that are not finite
+    with pytest.raises(QuadratureError, match="T_8 = nan is not finite"):
+        integrate(IntegralSpec(f))
+
+
 @pytest.mark.parametrize("slot", range(5))
 @pytest.mark.parametrize("bad", [1.5, -1.0, math.nan])
 def test_askey_wilson_closed_rejects_parameters_off_the_open_unit_disk(slot, bad):
