@@ -44,6 +44,11 @@ quadrature     runner(params, tol) returns (integral, closed value), compared
 The tolerance a runner gets is thus a fixed factor tighter than the one its
 verdict compares against, so truncation and quadrature error stay well
 inside it.
+
+Exact sides come from three builders: _egf, a q-exponential generating
+function (the left side of every Mehler and Rogers formula); _euler, a dense
+series times Euler factors; and _lin_sum, a linearization sum. rogers2-brs's
+left side is the _egf of hlm-relation's y-side.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
                        change_base_big, change_base_c, qhermite_circle,
@@ -143,7 +149,7 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     if exact:
         tol, sides = None, list(case.runner(run_order, _exact_q(merged), merged))
     elif case.mode == "numeric-complex":
-        q, tol = float(merged["q"]), _tol_param(merged)
+        (q,), tol = _unit_params(merged, "q"), _tol_param(merged)
         sides = []
         for i in range(NUMERIC_DRAWS):
             label, values = case.runner(rng, q, tol / 10)
@@ -296,32 +302,38 @@ _VERDICTS = {"exact-series": _exact_sweep, "exact-poly": _exact_sweep,
 _X, _Y, _U, _V, _A = (MultiPoly.var(n) for n in "xyuva")
 
 
-def _inv_qfacs(q: Fraction, top: int) -> list:
-    """[1/(q;q)_k for k <= top]."""
-    return [1 / qfac(q, k) for k in range(top + 1)]
+def _egf(variables: tuple, order: int, q: Fraction, coef) -> TruncSeries:
+    """The q-exponential generating function sum coef(*idx) prod_i
+    v_i^(idx_i) / (q;q)_(idx_i) over the exponent tuples idx of total degree
+    <= order in `variables`, as in the Mehler and Rogers formulas."""
+    inv = [1 / qfac(q, k) for k in range(order + 1)]
+    return TruncSeries(variables, order, {
+        idx: coef(*idx) * math.prod(inv[i] for i in idx)
+        for idx in product(range(order + 1), repeat=len(variables)) if sum(idx) <= order})
 
 
-def _st_series(order: int, coef) -> TruncSeries:
-    """The double series sum over i + j <= order of coef(i, j) s^i t^j."""
-    return TruncSeries(("s", "t"), order, {
-        (i, j): coef(i, j) for i in range(order + 1) for j in range(order + 1 - i)})
+def _euler(dense: TruncSeries, q: Fraction, num=(), den=()) -> TruncSeries:
+    """dense times (z;q)_oo for each one-term series z in num, then 1/(z;q)_oo
+    for each z in den: one sparse factor at a time, in the order given."""
+    for z in num:
+        dense = dense * euler_series(z, q)
+    for z in den:
+        dense = dense * euler_inv_series(z, q)
+    return dense
 
 
 def _mehler_product(q: Fraction, order: int) -> TruncSeries:
     """(xyt^2;q)_oo / (t, xt, yt, xyt;q)_oo, the classical Poisson-kernel product."""
     t1 = TruncSeries.variable(("t",), order, "t")
-    out = euler_series(TruncSeries.monomial(("t",), order, (2,), _X * _Y), q)
-    for c in (Fraction(1), _X, _Y, _X * _Y):
-        out = out * euler_inv_series(t1.scale(c), q)
-    return out
+    return _euler(euler_series(TruncSeries.monomial(("t",), order, (2,), _X * _Y), q), q,
+                  den=[t1.scale(c) for c in (Fraction(1), _X, _Y, _X * _Y)])
 
 
 def _rogers_product(family, q: Fraction, order: int) -> TruncSeries:
     """(xst;q)_oo times the family(i) family(j) s^i t^j / ((q;q)_i (q;q)_j)
     double sum: the right side of both Rogers-type formulas."""
-    inv = _inv_qfacs(q, order)
-    dbl = _st_series(order, lambda i, j: family(i, q) * family(j, q) * (inv[i] * inv[j]))
-    return euler_series(TruncSeries.monomial(("s", "t"), order, (1, 1), _X), q) * dbl
+    dbl = _egf(("s", "t"), order, q, lambda i, j: family(i, q) * family(j, q))
+    return _euler(dbl, q, num=[TruncSeries.monomial(("s", "t"), order, (1, 1), _X)])
 
 
 # -- exact series: Poisson-kernel (Mehler-type) and Rogers-type families ------
@@ -335,9 +347,7 @@ def _rogers_product(family, q: Fraction, order: int) -> TruncSeries:
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_mehler_rs(order, q, params):
-    inv = _inv_qfacs(q, order)
-    lhs = TruncSeries(("t",), order, {
-        (n,): rs_poly(n, q) * rs_poly(n, q, "y") * inv[n] for n in range(order + 1)})
+    lhs = _egf(("t",), order, q, lambda n: rs_poly(n, q) * rs_poly(n, q, "y"))
     yield "", lhs, _mehler_product(q, order)
 
 
@@ -349,8 +359,7 @@ def _run_mehler_rs(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_rogers_rs(order, q, params):
-    inv = _inv_qfacs(q, order)
-    lhs = _st_series(order, lambda i, j: rs_poly(i + j, q) * (inv[i] * inv[j]))
+    lhs = _egf(("s", "t"), order, q, lambda i, j: rs_poly(i + j, q))
     yield "", lhs, _rogers_product(rs_poly, q, order)
 
 
@@ -362,16 +371,12 @@ def _run_rogers_rs(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_mehler_brs(order, q, params):
-    inv = _inv_qfacs(q, order)
     t1 = TruncSeries.variable(("t",), order, "t")
-    lhs = TruncSeries(("t",), order, {
-        (n,): brs_poly(n, q) * brs_poly(n, q, "u", "v") * inv[n] for n in range(order + 1)})
+    lhs = _egf(("t",), order, q, lambda n: brs_poly(n, q) * brs_poly(n, q, "u", "v"))
     phi = phi_series((_Y, t1.scale(_X)), (t1.scale(_Y), t1.scale(_V * _X)), q, t1,
                      ratio_upper=((_V, _U),))
-    # the dense 3phi2 first: it meets one Euler factor at a time
-    yield "", lhs, phi * euler_series(t1.scale(_Y), q) * euler_series(t1.scale(_V * _X), q) \
-        * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
-        * euler_inv_series(t1.scale(_U * _X), q)
+    yield "", lhs, _euler(phi, q, num=[t1.scale(_Y), t1.scale(_V * _X)],
+                          den=[t1, t1.scale(_X), t1.scale(_U * _X)])
 
 
 @_case("mehler-reduction",
@@ -383,9 +388,8 @@ def _run_mehler_brs(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_mehler_reduction(order, q, params):
     t1 = TruncSeries.variable(("t",), order, "t")
-    lhs = phi_series((t1.scale(_X),), (), q, t1, ratio_upper=((Fraction(0), _Y),)) \
-        * euler_inv_series(t1, q) * euler_inv_series(t1.scale(_X), q) \
-        * euler_inv_series(t1.scale(_Y * _X), q)
+    lhs = _euler(phi_series((t1.scale(_X),), (), q, t1, ratio_upper=((Fraction(0), _Y),)),
+                 q, den=[t1, t1.scale(_X), t1.scale(_Y * _X)])
     yield "", lhs, _mehler_product(q, order)
 
 
@@ -397,14 +401,11 @@ def _run_mehler_reduction(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_rogers_brs(order, q, params):
-    inv = _inv_qfacs(q, order)
     s1 = TruncSeries.variable(("s", "t"), order, "s")
     t1 = TruncSeries.variable(("s", "t"), order, "t")
-    lhs = _st_series(order, lambda i, j: brs_poly(i + j, q) * (inv[i] * inv[j]))
-    yield "", lhs, phi_series((_Y, s1.scale(_X)), (s1.scale(_Y),), q, t1) \
-        * euler_series(s1.scale(_Y), q) \
-        * euler_inv_series(s1, q) * euler_inv_series(s1.scale(_X), q) \
-        * euler_inv_series(t1.scale(_X), q)
+    lhs = _egf(("s", "t"), order, q, lambda i, j: brs_poly(i + j, q))
+    yield "", lhs, _euler(phi_series((_Y, s1.scale(_X)), (s1.scale(_Y),), q, t1), q,
+                          num=[s1.scale(_Y)], den=[s1, s1.scale(_X), t1.scale(_X)])
 
 
 @_case("rogers2-brs",
@@ -415,10 +416,10 @@ def _run_rogers_brs(order, q, params):
        "0 < |q| < 1",
        defaults={"q": Fraction(1, 2)})
 def _run_rogers2_brs(order, q, params):
-    inv = _inv_qfacs(q, order)
-    lhs = _st_series(order, lambda i, j: lincomb(
-        ((-1) ** k, q ** tri(k), inv[k], inv[i - k], inv[j - k],
-         _Y ** k, brs_poly(i + j - k, q)) for k in range(min(i, j) + 1)))
+    # hlm-relation's y-side at (i, j): 1/((q;q)_k (q;q)_(i-k) (q;q)_(j-k))
+    # is [i,k][j,k](q;q)_k / ((q;q)_i (q;q)_j)
+    lhs = _egf(("s", "t"), order, q, lambda i, j: _lin_sum(
+        i, j, q, lambda k: brs_poly(i + j - k, q), alternating=True, var=_Y))
     yield "", lhs, _rogers_product(brs_poly, q, order)
 
 
@@ -430,9 +431,7 @@ def _t_op_euler_kernel(s, t, v, w, q: Fraction, order: int) -> TruncSeries:
     (w = 0) and `zhang-wang`: the graded T action on the a-series operand, an
     exact series in (a, b) truncated at total degree `order`."""
     a1 = TruncSeries.variable(("a",), order, "a")
-    operand = euler_series(a1.scale(v), q)
-    for c in (s, t, w):
-        operand = operand * euler_inv_series(a1.scale(c), q)
+    operand = _euler(euler_series(a1.scale(v), q), q, den=[a1.scale(c) for c in (s, t, w)])
     return t_op_graded(operand, q)
 
 
@@ -450,10 +449,8 @@ def _run_lemma_22(order, q, params):
         raise ValueError("t must be nonzero")
     lhs = _t_op_euler_kernel(s, t, v, Fraction(0), q, order)
     av, bv = (TruncSeries.variable(("a", "b"), order, c) for c in "ab")
-    yield "", lhs, phi_series((v / t, bv.scale(s)), (bv.scale(v),), q, av.scale(t)) \
-        * euler_series(bv.scale(v), q) \
-        * euler_inv_series(av.scale(s), q) * euler_inv_series(bv.scale(s), q) \
-        * euler_inv_series(bv.scale(t), q)
+    yield "", lhs, _euler(phi_series((v / t, bv.scale(s)), (bv.scale(v),), q, av.scale(t)), q,
+                          num=[bv.scale(v)], den=[av.scale(s), bv.scale(s), bv.scale(t)])
 
 
 @_case("zhang-wang",
@@ -475,12 +472,10 @@ def _run_zhang_wang(order, q, params):
     av, bv = (TruncSeries.variable(("a", "b"), order, c) for c in "ab")
     abm = TruncSeries.monomial(("a", "b"), order, (1, 1))
     # v/s, v/t and v/w are homogenized ratios, so s, t or w = 0 stays polynomial
-    rhs = phi_series((), (av.scale(v), bv.scale(v)), q, abm.scale(1 / v),
-                     ratio_upper=((v, s), (v, t), (v, w))) \
-        * euler_series(av.scale(v), q) * euler_series(bv.scale(v), q) \
-        * euler_series(abm.scale(s * t * w / v), q)
-    for c in (s, t, w):
-        rhs = rhs * euler_inv_series(av.scale(c), q) * euler_inv_series(bv.scale(c), q)
+    phi = phi_series((), (av.scale(v), bv.scale(v)), q, abm.scale(1 / v),
+                     ratio_upper=((v, s), (v, t), (v, w)))
+    rhs = _euler(phi, q, num=[av.scale(v), bv.scale(v), abm.scale(s * t * w / v)],
+                 den=[z.scale(c) for c in (s, t, w) for z in (av, bv)])
     yield "", _t_op_euler_kernel(s, t, v, w, q, order), rhs
 
 
@@ -624,16 +619,9 @@ def _run_linear_brs_simple(order, q, params):
        defaults={"q": Fraction(1, 2)})
 def _run_hlm(order, q, params):
     brs_pairs = _pair_products(brs_poly, q, order)
-
-    def sides(n, m):
-        terms = []
-        for k in range(min(n, m) + 1):
-            w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k), (-1) ** k, q ** tri(k))
-            terms.append((*w, _X ** k, brs_pairs[n - k, m - k]))
-            terms.append((*w, -1, _Y ** k, brs_poly(n + m - k, q)))
-        return lincomb(terms), MultiPoly.const(0)
-
-    return _symmetric_sweep(order, sides)
+    return _symmetric_sweep(order, lambda n, m: (
+        _lin_sum(n, m, q, lambda k: brs_pairs[n - k, m - k], alternating=True),
+        _lin_sum(n, m, q, lambda k: brs_poly(n + m - k, q), alternating=True, var=_Y)))
 
 
 @_case("linear-mixed",
@@ -1027,6 +1015,8 @@ def _run_askey_wilson(params, tol):
        defaults={"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": QUAD_TOL})
 def _run_ortho_big(params, tol):
     n, m = (_nonneg_int(params[k], f"parameter {k}") for k in "nm")
+    if max(n, m) > 8:
+        raise ValueError(f"parameters n and m must be at most 8, got n={n}, m={m}")
     a, q = _unit_params(params, "aq")
     lhs = ortho_quad(n, m, a, q, tol=tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0

@@ -444,10 +444,6 @@ class MultiPoly:
         union = _union(self.vars, other.vars)
         return _widen(self, union)._num == _widen(other, union)._num
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(self.key())
 

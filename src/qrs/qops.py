@@ -30,13 +30,12 @@ def t_op_graded(f: TruncSeries, q: Fraction) -> TruncSeries:
     q = frac(q)
     if len(f.vars) != 1:
         raise ValueError("t_op_graded expects a univariate series")
-    variables = tuple(sorted((f.vars[0], "b")))
-    b_first = variables[0] == "b"
+    # [k,n] = [k,k-n], so (k - n, n) keys the image in either variable order
     out = {}
     for (k,), c in f.coeffs.items():
         for n in range(k + 1):
-            out[(n, k - n) if b_first else (k - n, n)] = c * qbinom(k, n, q)
-    return TruncSeries(variables, f.order, out)
+            out[(k - n, n)] = c * qbinom(k, n, q)
+    return TruncSeries(tuple(sorted((f.vars[0], "b"))), f.order, out)
 
 
 def e_op_apply(f: TruncSeries, q: Fraction) -> TruncSeries:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qrs import registry
 from qrs.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -127,6 +128,15 @@ def test_verify_usage_errors(capsys):
                          ("askey-wilson", "-1"), ("ortho-big", "inf")):
         code, _, err = run(capsys, "verify", "--identity", case_id, f"--tol={tol}")
         assert code == 2 and "tol must be finite and positive" in err, (case_id, tol)
+    # a numeric q outside the unit disc, and an ortho-big degree past its domain
+    for case_id in [c.id for c in registry() if c.mode == "numeric-complex"]:
+        for q in ("1.0", "-1", "inf", "nan"):
+            code, _, err = run(capsys, "verify", "--identity", case_id, f"--q={q}")
+            assert code == 2 and "parameter q must satisfy |q| < 1" in err, (case_id, q)
+    for n, m in (("9", "3"), ("400", "400")):
+        code, _, err = run(capsys, "verify", "--identity", "ortho-big",
+                           "--set", f"n={n}", "--set", f"m={m}")
+        assert code == 2 and "parameters n and m must be at most 8" in err, (n, m)
     for args in (("--kind", "aw", "--tol=-1"), ("--kind", "aw", "--tol=nan"),
                  ("--kind", "J", "--p", "0.3", "--q", "0.5", "--tol=0")):
         code, _, err = run(capsys, "integrate", *args)
@@ -182,6 +192,8 @@ CAPTURED = [
     (["verify", "--identity", "rogers-brs", "--order", "10"],
      "verify_rogers_brs_order10.json", 0),
     (["verify-all", "--seed", "0", "--order", "10"], "verify_all_seed0_order10.json", 0),
+    (["verify-all", "--seed", "3"], "verify_all_seed3.json", 0),
+    (["verify-all", "--seed", "0", "--perturb"], "verify_all_seed0_perturb.json", 1),
 ]
 
 
@@ -209,6 +221,10 @@ def test_verify_all_bytes_match_the_captured_reports(tmp_path, capsys, argv, cap
     # changed from "z Laurent variable" to "x symbolic"; nothing else moved.
     # The order-10 verify-all capture was taken before the exact runners
     # regrouped their sums; regroupings differ most at tall orders.
+    # The seed-3 and default-order --perturb captures were taken before the
+    # exact sides moved to the shared generating-function, Euler-factor and
+    # linearization builders: they draw the numeric cases off seed 0 and
+    # print every default-order --perturb witness.
     out = tmp_path / "out.json"
     assert main([*argv, "--output", str(out)]) == code
     capsys.readouterr()

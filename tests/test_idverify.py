@@ -202,6 +202,30 @@ def test_tol_must_be_finite_and_positive(case_id, tol):
         verify(case_id, params={"tol": tol})
 
 
+NUMERIC_IDS = [c.id for c in registry() if c.mode == "numeric-complex"]
+
+
+@pytest.mark.parametrize("case_id", NUMERIC_IDS)
+@pytest.mark.parametrize("q", [1.0, -1.0, float("inf"), float("nan")])
+def test_numeric_q_must_lie_in_the_unit_disc(case_id, q):
+    # every numeric-complex case declares |q| < 1: at |q| = 1 its sums
+    # divide by zero, and at inf or NaN they never settle, which would read
+    # as a failed identity
+    assert len(NUMERIC_IDS) == 8
+    with pytest.raises(ValueError, match=r"parameter q must satisfy \|q\| < 1"):
+        verify(case_id, params={"q": q})
+
+
+@pytest.mark.parametrize("n, m", [(9, 3), (3, 9), (400, 400)])
+def test_ortho_big_rejects_degrees_above_its_domain(n, m):
+    # orthogonality holds at every degree, but past n, m = 8 the float
+    # moment integral drifts from (q;q)_n: at n = m = 400 it read
+    # 0.45186042 against 0.45186055, a wrong failure
+    with pytest.raises(ValueError, match="parameters n and m must be at most 8"):
+        verify("ortho-big", params={"n": n, "m": m})
+    assert verify("ortho-big", params={"n": 8, "m": 8}).passed()
+
+
 def test_a_looser_tol_reaches_the_quadrature():
     # at q = 0.9 the askey-wilson weight integral is large enough that its
     # trapezoid sums round at about 2e-7, so under the default tol (integral
