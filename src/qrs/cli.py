@@ -311,9 +311,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bind_negative_values(argv: list) -> list:
+    """argv with "--flag VALUE" joined as "--flag=VALUE" where VALUE is a
+    negative number or rational, such as -1e-3 or -3/7, which argparse would
+    otherwise read as an option."""
+    bound = []
+    for token in argv:
+        if bound and bound[-1].startswith("--") and "=" not in bound[-1] \
+                and token.startswith("-"):
+            try:
+                Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                bound[-1] += "=" + token
+                continue
+        bound.append(token)
+    return bound
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (UsageError, ValueError) as exc:

@@ -18,9 +18,12 @@ parses q (exact modes), q and tol (numeric-complex) or tol (quadrature),
 builds every side before comparing anything, and hands the sides to the
 verdict of the case's mode, which does the comparison and applies the
 --perturb negative control to the first left side. No runner sees perturb.
-Both exact modes share one verdict: a pair passes when lhs == rhs, the
---perturb control is lhs + 1, and a failure's witness is lhs - rhs, for a
-series its lexicographically first coefficient.
+There are two verdicts. The exact modes share _exact_sweep: a pair passes
+when lhs == rhs, the --perturb control is lhs + 1, and a failure's witness
+is lhs - rhs, for a series its lexicographically first coefficient. The
+float modes share _float_verdict over (witness template, values, scale)
+rows, each value within tol of values[0] in |difference| / scale. verify()
+also makes each integer parameter (one whose default is an int) an int.
 What a runner gets and returns, per mode:
 
 exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
@@ -29,17 +32,17 @@ exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
                unordered pair once and reports it under both labels,
                "n=..., m=..." in row-major order (_symmetric_sweep).
 numeric-complex  runner(rng, q, tol) returns one draw (label, values): the
-               draw's parameters and the values that must agree. verify()
-               runs NUMERIC_DRAWS draws and prefixes each label "draw i: ".
-               The runner sums its series to tol = (the case's tol) / 10;
-               where a term's coefficient is itself a finite sum, a forward
-               recurrence gives it at O(1) per term.
-quadrature     runner(params, tol) returns (integral, closed value), compared
-               relative to |closed value|; or (integral, closed value,
-               witness template), compared absolutely, for a closed value
-               that may be 0. The runner integrates to
-               tol = (the case's tol) * 1e-2, so a case tol loosens the
-               integral as well as tightening it.
+               parameters it drew with _draw and the values that must
+               agree. verify() makes NUMERIC_DRAWS draws, each an absolute
+               row "draw i: label: |difference| = ...". The runner sums its
+               series to tol = (the case's tol) / 10; where a term's
+               coefficient is itself a finite sum, a forward recurrence
+               gives it at O(1) per term.
+quadrature     runner(params, tol) returns one row: _relative(integral,
+               closed value), or an absolute row for a closed value that
+               may be 0. The runner integrates to tol = (the case's tol) *
+               1e-2, so a case tol loosens the integral as well as
+               tightening it.
 
 The tolerance a runner gets is thus a fixed factor tighter than the one its
 verdict compares against, so truncation and quadrature error stay well
@@ -135,7 +138,8 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     for key, value in (params or {}).items():
         if key not in case.defaults:
             raise ValueError(f"{case_id} does not take a parameter {key!r}")
-        merged[key] = value
+        merged[key] = _nonneg_int(value, f"parameter {key}") \
+            if type(case.defaults[key]) is int else value
     run_order = case.default_order if order is None else _nonneg_int(order, "order")
     rng = _rng_for(case_id, seed)
     exact = case.mode in ("exact-series", "exact-poly")
@@ -150,13 +154,12 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
         tol, sides = None, list(case.runner(run_order, _exact_q(merged), merged))
     elif case.mode == "numeric-complex":
         (q,), tol = _unit_params(merged, "q"), _tol_param(merged)
-        sides = []
-        for i in range(NUMERIC_DRAWS):
-            label, values = case.runner(rng, q, tol / 10)
-            sides.append((f"draw {i}: {label}", values))
+        draws = (case.runner(rng, q, tol / 10) for _ in range(NUMERIC_DRAWS))
+        sides = [(f"draw {i}: {label}: |difference| = {{resid:.6e}}", values, 1.0)
+                 for i, (label, values) in enumerate(draws)]
     else:
         tol = _tol_param(merged)
-        sides = case.runner(merged, tol * 1e-2)
+        sides = [case.runner(merged, tol * 1e-2)]
     report.status, report.residual, report.witness = \
         _VERDICTS[case.mode](sides, tol, perturb)
     report.elapsed_ms = (time.perf_counter() - started) * 1000
@@ -179,6 +182,15 @@ def _rng_for(case_id: str, seed: int) -> random.Random:
 def _draw_complex(rng, rmin: float, rmax: float) -> complex:
     r = rmin + (rmax - rmin) * rng.random()
     return r * cmath.exp(2j * math.pi * rng.random())
+
+
+def _draw(rng, **ranges):
+    """One draw per keyword, in keyword order: an angle 0.3 + 2.5u where the
+    range is None, else _draw_complex(rng, *range). Returns the values, then
+    the label "name=value ..." at four decimals."""
+    values = [0.3 + 2.5 * rng.random() if r is None else _draw_complex(rng, *r)
+              for r in ranges.values()]
+    return (*values, " ".join(f"{k}={v:.4f}" for k, v in zip(ranges, values)))
 
 
 def _exact_q(params, key="q") -> Fraction:
@@ -207,34 +219,37 @@ def _exact_sweep(triples, tol, perturb: bool):
     return "exact-pass", None, None
 
 
-def _perturbation(tol: float, scale: float = 1.0) -> float:
-    """The offset a --perturb control adds to a numeric left side.
+def _float_verdict(rows, tol: float, perturb: bool):
+    """Verdict over (witness template, values, scale) rows: every value in a
+    row must lie within tol of values[0], in |values[0] - v| / scale (scale 1
+    for an absolute residual). perturb first adds max(1e-3, 10 tol scale) to
+    the first row's values[0], so the control fails whatever tol the caller
+    passes. The residual is the worst pair's (the first of equals; a NaN
+    counts as worst), and a failure's witness is its row's template filled
+    with lhs, rhs and resid."""
+    worst = None
+    for i, (template, values, scale) in enumerate(rows):
+        lhs = values[0]
+        if perturb and i == 0:
+            lhs += max(1e-3, 10 * tol * scale)
+        for rhs in values[1:]:
+            resid = abs(lhs - rhs) / scale
+            if worst is None or resid > worst[0] or resid != resid:
+                worst = resid, template, lhs, rhs
+    resid, template, lhs, rhs = worst
+    if resid <= tol:
+        return "pass", resid, None
+    return "fail", resid, clip_witness(template.format(lhs=lhs, rhs=rhs, resid=resid))
 
-    1e-3 at the default tolerances, and ten times tol once that is larger,
-    so the control fails whatever tol the caller passes. scale is |rhs|
-    where the residual is relative to it, and 1 where it is absolute.
-    """
-    return max(1e-3, 10 * tol * scale)
 
-
-def _numeric_verdict(rows, tol: float, perturb: bool):
-    """Verdict over (label, [values...]) rows: all values in a row must agree."""
-    worst = 0.0
-    worst_label = None
-    for i, (label, values) in enumerate(rows):
-        base = values[0] + (_perturbation(tol) if perturb and i == 0 else 0.0)
-        for other in values[1:]:
-            err = abs(base - other)
-            if err > worst:
-                worst, worst_label = err, label
-    status = "pass" if worst <= tol else "fail"
-    witness = None if status == "pass" else clip_witness(
-        f"{worst_label}: |difference| = {worst:.6e}")
-    return status, worst, witness
+def _relative(lhs, rhs):
+    """The verdict row of an integral against a nonzero closed value rhs."""
+    return "integral {lhs!r} vs product {rhs!r}", [lhs, rhs], max(abs(rhs), 1e-300)
 
 
 def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
-    """sum_n coef(n) t^n / (base;base)_n through _sum_terms, tail ratio |t|."""
+    """sum_n coef(n) t^n / (base;base)_n through _sum_terms, tail ratio |t|.
+    RuntimeError once the float (base;base)_n underflows to 0."""
     def terms():
         qq = 1.0
         tn = 1.0 + 0j
@@ -243,10 +258,17 @@ def _gf_sum(coef, t: complex, base: float, tol: float) -> complex:
             if n:
                 qq *= 1 - base ** n
                 tn *= t
+                if not qq:
+                    raise RuntimeError(f"the float ({base};{base})_{n} underflows to 0")
             yield coef(n) * tn / qq
             n += 1
 
     return _sum_terms(terms(), abs(t), tol)
+
+
+def _pair(c, z, base) -> complex:
+    """(cz, c/z; base)_oo, the pole pair of a circle generating function."""
+    return qpoch_inf(c * z, base) * qpoch_inf(c / z, base)
 
 
 def _nonneg_int(value, name: str) -> int:
@@ -280,23 +302,8 @@ def _unit_params(params, names) -> list:
     return vals
 
 
-def _quad_verdict(sides, tol: float, perturb: bool):
-    """Verdict of a quadrature case over (lhs, rhs) or (lhs, rhs, witness):
-    |lhs - rhs| relative to |rhs|, or absolute where the runner gives its own
-    witness template, against tol. perturb first offsets lhs as a negative
-    control; the witness is formatted with the (perturbed) lhs and rhs."""
-    lhs, rhs, *absolute = sides
-    if perturb:
-        lhs += _perturbation(tol, 1.0 if absolute else abs(rhs))
-    resid = abs(lhs - rhs) if absolute else abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    if resid <= tol:
-        return "pass", resid, None
-    witness = absolute[0] if absolute else "integral {lhs!r} vs product {rhs!r}"
-    return "fail", resid, clip_witness(witness.format(lhs=lhs, rhs=rhs))
-
-
 _VERDICTS = {"exact-series": _exact_sweep, "exact-poly": _exact_sweep,
-             "numeric-complex": _numeric_verdict, "quadrature": _quad_verdict}
+             "numeric-complex": _float_verdict, "quadrature": _float_verdict}
 
 
 _X, _Y, _U, _V, _A = (MultiPoly.var(n) for n in "xyuva")
@@ -488,27 +495,23 @@ def _run_zhang_wang(order, q, params):
        "0 < |q| < 1; nmax >= 0",
        defaults={"q": Fraction(1, 2), "nmax": 6})
 def _run_lemma_23(order, q, params):
-    nmax = _nonneg_int(params["nmax"], "parameter nmax")
+    nmax = params["nmax"]
     t1 = TruncSeries.variable(("t",), order, "t")
-    ey, e1, ex = (euler_series(t1.scale(_Y), q), euler_inv_series(t1, q),
-                  euler_inv_series(t1.scale(_X), q))
-    kernel = ey * ex
-    # (y;q)_k, 1/(yt;q)_k and (xt;q)_k/(yt;q)_k for k <= nmax, as running products
-    ypochs = qpochs(_Y, q, nmax)
     one = TruncSeries.one(("t",), order)
-    yinvs, ratios = [one], [one]
-    for k in range(nmax):
-        step = series_inv(one - t1.scale(_Y * q ** k))
-        yinvs.append(yinvs[-1] * step)
-        ratios.append(ratios[-1] * (one - t1.scale(_X * q ** k)) * step)
+    kernel = _euler(euler_series(t1.scale(_Y), q), q, den=[t1.scale(_X)])
+    ypochs = qpochs(_Y, q, nmax)
+    # (xt;q)_k/(yt;q)_k times the kernel (yt;q)_oo/(xt;q)_oo is (ytq^k;q)_oo/(xtq^k;q)_oo
+    shifted = [_euler(euler_series(t1.scale(_Y * q ** k), q), q, den=[t1.scale(_X * q ** k)])
+               for k in range(nmax + 1)]
+    yinv = one   # 1/(yt;q)_n, as a running product
     for n in range(nmax + 1):
-        op = (kernel * yinvs[n]).scale(cauchy_poly(n, q))
-        lhs = e_op_apply(op, q)
+        if n:
+            yinv = yinv * series_inv(one - t1.scale(_Y * q ** (n - 1)))
+        lhs = e_op_apply((kernel * yinv).scale(cauchy_poly(n, q)), q)
         ksum = TruncSeries.zero(("t",), order)
         for k in range(n + 1):
-            coef = qbinom(n, k, q) * ypochs[k] * _X ** (n - k)
-            ksum = ksum + ratios[k].scale(coef)
-        yield f"n={n}", lhs, ksum * ey * e1 * ex
+            ksum = ksum + shifted[k].scale(qbinom(n, k, q) * ypochs[k] * _X ** (n - k))
+        yield f"n={n}", lhs, _euler(ksum, q, den=[t1])
 
 
 # -- exact polynomial sweeps ---------------------------------------------------
@@ -825,17 +828,14 @@ def _gen_big_2_coefs(a, t, q):
        "|q| < 1; draw guards keep both arguments below 0.9",
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_phi32(rng, q, tol):
-    a = _draw_complex(rng, 0.6, 0.9)
-    b = _draw_complex(rng, 0.6, 0.9)
-    c = _draw_complex(rng, 0.6, 0.9)
-    d = _draw_complex(rng, 0.1, 0.25)
-    e = _draw_complex(rng, 0.1, 0.25)
+    big, small = (0.6, 0.9), (0.1, 0.25)
+    a, b, c, d, e, label = _draw(rng, a=big, b=big, c=big, d=small, e=small)
     z1 = d * e / (a * b * c)
     lhs = phi_sum([a, b, c], [d, e], q, z1)
     pref = qpoch_inf(e / a, q) * qpoch_inf(d * e / (b * c), q) \
         / (qpoch_inf(e, q) * qpoch_inf(z1, q))
     rhs = pref * phi_sum([a, d / b, d / c], [d, d * e / (b * c)], q, e / a)
-    return f"a={a:.4f} b={b:.4f} c={c:.4f} d={d:.4f} e={e:.4f}", [lhs, rhs]
+    return label, [lhs, rhs]
 
 
 @_case("nonsym-poisson",
@@ -847,18 +847,14 @@ def _run_phi32(rng, q, tol):
        "|q| < 1; |t| <= 0.4; 0.05 <= |a|,|b| <= 0.5",
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_nonsym_poisson(rng, q, tol):
-    theta = 0.3 + 2.5 * rng.random()
-    beta = 0.3 + 2.5 * rng.random()
-    a = _draw_complex(rng, 0.05, 0.5)
-    b = _draw_complex(rng, 0.1, 0.5)
-    t = _draw_complex(rng, 0.05, 0.4)
+    theta, beta, a, b, t, label = _draw(rng, theta=None, beta=None, a=(0.05, 0.5),
+                                        b=(0.1, 0.5), t=(0.05, 0.4))
     zt = cmath.exp(1j * theta)
     zb = cmath.exp(1j * beta)
     ha, hb = qhermite_circle(a, q, theta), qhermite_circle(b, q, beta)
     lhs = _gf_sum(lambda n: ha(n) * hb(n), t, q, tol)
     pref = qpoch_inf(a * t * zb, q) * qpoch_inf(b / zb, q) * qpoch_inf(t * t, q) \
-        / (qpoch_inf(t * zt * zb, q) * qpoch_inf(t * zt / zb, q)
-           * qpoch_inf(t / (zt * zb), q) * qpoch_inf(t * zb / zt, q))
+        / (_pair(t * zt, zb, q) * qpoch_inf(t / (zt * zb), q) * qpoch_inf(t * zb / zt, q))
     rhs1 = pref * phi_sum([t * zt * zb, t * zb / zt, a * t / b],
                           [a * t * zb, t * t], q, b / zb)
     xs, ys, us, vs = zt ** -2, a / zt, zb ** -2, b / zb
@@ -867,8 +863,7 @@ def _run_nonsym_poisson(rng, q, tol):
         / (qpoch_inf(ts, q) * qpoch_inf(xs * ts, q) * qpoch_inf(us * xs * ts, q))
     rhs2 = pref2 * phi_sum([ys, xs * ts, vs / us],
                            [ys * ts, vs * xs * ts], q, us * ts)
-    return (f"theta={theta:.4f} beta={beta:.4f} a={a:.4f} b={b:.4f} t={t:.4f}",
-            [lhs, rhs1, rhs2])
+    return label, [lhs, rhs1, rhs2]
 
 
 @_case("rogers-big",
@@ -879,18 +874,15 @@ def _run_nonsym_poisson(rng, q, tol):
        "|q| < 1; |s|,|t| <= 0.4; |a| <= 0.5",
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_rogers_big(rng, q, tol):
-    theta = 0.3 + 2.5 * rng.random()
-    a = _draw_complex(rng, 0.05, 0.5)
-    s = _draw_complex(rng, 0.05, 0.4)
-    t = _draw_complex(rng, 0.05, 0.4)
+    theta, a, s, t, label = _draw(rng, theta=None, a=(0.05, 0.5), s=(0.05, 0.4),
+                                  t=(0.05, 0.4))
     z = cmath.exp(1j * theta)
     hermite = qhermite_circle(a, q, theta)
     lhs = _sum_terms((hermite(n) * g for n, g in enumerate(_rogers_weights(s, t, q))),
                      max(abs(s), abs(t)), tol)
-    rhs = qpoch_inf(a * s, q) \
-        / (qpoch_inf(s * z, q) * qpoch_inf(s / z, q) * qpoch_inf(t / z, q)) \
+    rhs = qpoch_inf(a * s, q) / (_pair(s, z, q) * qpoch_inf(t / z, q)) \
         * phi_sum([a / z, s / z], [a * s], q, t * z)
-    return f"theta={theta:.4f} a={a:.4f} s={s:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, rhs]
 
 
 @_case("gf-its-1",
@@ -902,13 +894,10 @@ def _run_rogers_big(rng, q, tol):
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_gf_its_1(rng, q, tol):
     q2 = q * q
-    theta = 0.3 + 2.5 * rng.random()
-    t = _draw_complex(rng, 0.05, 0.4)
-    z2 = cmath.exp(2j * theta)
+    theta, t, label = _draw(rng, theta=None, t=(0.05, 0.4))
     hermite = qhermite_circle(0.0, q, theta)
     lhs = _gf_sum(lambda n: hermite(2 * n), t, q2, tol)
-    rhs = qpoch_inf(-t, q) / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
-    return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, qpoch_inf(-t, q) / _pair(t, cmath.exp(2j * theta), q2)]
 
 
 @_case("gf-its-2",
@@ -920,12 +909,9 @@ def _run_gf_its_1(rng, q, tol):
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_gf_its_2(rng, q, tol):
     q2 = q * q
-    theta = 0.3 + 2.5 * rng.random()
-    t = _draw_complex(rng, 0.05, 0.4)
-    z = cmath.exp(1j * theta)
+    theta, t, label = _draw(rng, theta=None, t=(0.05, 0.4))
     lhs = _gf_sum(qhermite_circle(0.0, q2, theta), t, q, tol)
-    rhs = qpoch_inf(q * t * t, q2) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
-    return f"theta={theta:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, qpoch_inf(q * t * t, q2) / _pair(t, cmath.exp(1j * theta), q)]
 
 
 @_case("gen-big-1",
@@ -938,16 +924,12 @@ def _run_gf_its_2(rng, q, tol):
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_gen_big_1(rng, q, tol):
     q2 = q * q
-    theta = 0.3 + 2.5 * rng.random()
-    a = _draw_complex(rng, 0.05, 0.5)
-    t = _draw_complex(rng, 0.05, 0.4)
+    theta, a, t, label = _draw(rng, theta=None, a=(0.05, 0.5), t=(0.05, 0.4))
     z2 = cmath.exp(2j * theta)
     hermite = qhermite_circle(a, q, theta)
     lhs = _sum_terms((c * hermite(n) for n, c in enumerate(_gen_big_1_coefs(a, t, q))),
                      math.sqrt(abs(t)), tol)
-    rhs = qpoch_inf(a * a * t, q2) * qpoch_inf(-t, q) \
-        / (qpoch_inf(t * z2, q2) * qpoch_inf(t / z2, q2))
-    return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, qpoch_inf(a * a * t, q2) * qpoch_inf(-t, q) / _pair(t, z2, q2)]
 
 
 @_case("gen-big-2",
@@ -960,16 +942,12 @@ def _run_gen_big_1(rng, q, tol):
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_gen_big_2(rng, q, tol):
     q2 = q * q
-    theta = 0.3 + 2.5 * rng.random()
-    a = _draw_complex(rng, 0.05, 0.5)
-    t = _draw_complex(rng, 0.05, 0.4)
+    theta, a, t, label = _draw(rng, theta=None, a=(0.05, 0.5), t=(0.05, 0.4))
     z = cmath.exp(1j * theta)
     hermite = qhermite_circle(a, q2, theta)
     lhs = _sum_terms((c * hermite(n) for n, c in enumerate(_gen_big_2_coefs(a, t, q))),
                      abs(t), tol)
-    rhs = qpoch_inf(a * t, q) * qpoch_inf(q * t * t, q2) \
-        / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
-    return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, qpoch_inf(a * t, q) * qpoch_inf(q * t * t, q2) / _pair(t, z, q)]
 
 
 @_case("gf-big",
@@ -980,13 +958,9 @@ def _run_gen_big_2(rng, q, tol):
        "|q| < 1; |t| <= 0.4; |a| <= 0.5",
        defaults={"q": 0.3, "tol": NUMERIC_TOL})
 def _run_gf_big(rng, q, tol):
-    theta = 0.3 + 2.5 * rng.random()
-    a = _draw_complex(rng, 0.05, 0.5)
-    t = _draw_complex(rng, 0.05, 0.4)
-    z = cmath.exp(1j * theta)
+    theta, a, t, label = _draw(rng, theta=None, a=(0.05, 0.5), t=(0.05, 0.4))
     lhs = _gf_sum(qhermite_circle(a, q, theta), t, q, tol)
-    rhs = qpoch_inf(a * t, q) / (qpoch_inf(t * z, q) * qpoch_inf(t / z, q))
-    return f"theta={theta:.4f} a={a:.4f} t={t:.4f}", [lhs, rhs]
+    return label, [lhs, qpoch_inf(a * t, q) / _pair(t, cmath.exp(1j * theta), q)]
 
 
 # -- quadrature checks ----------------------------------------------------------
@@ -1002,8 +976,8 @@ def _run_gf_big(rng, q, tol):
                  "tol": QUAD_TOL})
 def _run_askey_wilson(params, tol):
     a, b, c, d, q = _unit_params(params, "abcdq")
-    lhs = askey_wilson_quad(a, b, c, d, q, tol=tol)
-    return lhs, askey_wilson_closed(a, b, c, d, q)
+    return _relative(askey_wilson_quad(a, b, c, d, q, tol=tol),
+                     askey_wilson_closed(a, b, c, d, q))
 
 
 @_case("ortho-big",
@@ -1014,13 +988,13 @@ def _run_askey_wilson(params, tol):
        "n, m <= 8; |a| < 1; |q| < 1",
        defaults={"n": 3, "m": 3, "a": 0.3, "q": 0.4, "tol": QUAD_TOL})
 def _run_ortho_big(params, tol):
-    n, m = (_nonneg_int(params[k], f"parameter {k}") for k in "nm")
+    n, m = params["n"], params["m"]
     if max(n, m) > 8:
         raise ValueError(f"parameters n and m must be at most 8, got n={n}, m={m}")
     a, q = _unit_params(params, "aq")
     lhs = ortho_quad(n, m, a, q, tol=tol)
     rhs = qpoch_n(q, q, n).real if n == m else 0.0
-    return lhs, rhs, f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}"
+    return f"moment({n},{m}) = {{lhs!r}}, expected {{rhs!r}}", [lhs, rhs], 1.0
 
 
 # closed-H-<variant>: description, and (q, a, t) -> (p, inner base, closed value)
@@ -1042,7 +1016,7 @@ def _run_closed_h(bases):
     def run(params, tol):
         q, a, t = _unit_params(params, "qat")
         p, sub, rhs = bases(q, a, t)
-        return jhi_eval("H", p, sub, a, t, tol=tol), rhs
+        return _relative(jhi_eval("H", p, sub, a, t, tol=tol), rhs)
     return run
 
 

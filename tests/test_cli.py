@@ -1,5 +1,6 @@
 """End-to-end tests for the qrs command line."""
 
+import doctest
 import json
 import subprocess
 import sys
@@ -141,6 +142,34 @@ def test_verify_usage_errors(capsys):
                  ("--kind", "J", "--p", "0.3", "--q", "0.5", "--tol=0")):
         code, _, err = run(capsys, "integrate", *args)
         assert code == 2 and "tol must be finite and positive" in err, args
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["verify", "--identity", "hlm-relation", "--order", "3"], "--q", "-3/7", 0),
+    (["verify", "--identity", "gf-big", "--q", "-0.3"], "--tol", "-1e-3", 2),
+    (["expand", "--family", "hermite", "--n", "4"], "--q", "-3/7", 0),
+])
+def test_a_negative_value_may_follow_its_flag(capsys, argv, flag, value, code):
+    # argparse alone reads -3/7 or -1e-3 after a flag as a second option;
+    # the spaced form must give exactly what the --flag=value form gives
+    spaced = run(capsys, *argv, flag, value)
+    assert spaced[0] == code
+    assert spaced == run(capsys, *argv, f"{flag}={value}")
+
+
+def test_integer_parameters_echo_as_integers(capsys):
+    # --set parses nmax=2 as a rational and n=2.0 as a float; the report
+    # gives the integer the check ran with
+    for case_id, pair in (("lemma-2.3", "nmax=2"), ("ortho-big", "n=2.0")):
+        code, out, _ = run(capsys, "verify", "--identity", case_id, "--set", pair)
+        value = json.loads(out)[0]["params"][pair.partition("=")[0]]
+        assert code == 0 and value == 2 and type(value) is int, (case_id, value)
+
+
+def test_readme_examples_run():
+    result = doctest.testfile(str(Path(__file__).parents[1] / "README.md"),
+                              module_relative=False)
+    assert result.attempted and not result.failed
 
 
 def test_bad_subcommand_exits_two():
