@@ -34,7 +34,8 @@ exact-series, exact-poly  runner(order, q, params) yields (label, lhs, rhs)
 numeric-complex  runner(rng, q, tol) returns one draw (label, values): the
                parameters it drew with _draw and the values that must
                agree. verify() makes NUMERIC_DRAWS draws, each an absolute
-               row "draw i: label: |difference| = ...". The runner sums its
+               row "draw i: label: |difference| = ...", and raises
+               RuntimeError on a value that is not finite. The runner sums its
                series to tol = (the case's tol) / 10; where a term's
                coefficient is itself a finite sum, a forward recurrence
                gives it at O(1) per term.
@@ -50,8 +51,12 @@ inside it.
 
 Exact sides come from three builders: _egf, a q-exponential generating
 function (the left side of every Mehler and Rogers formula); _euler, a dense
-series times Euler factors; and _lin_sum, a linearization sum. rogers2-brs's
-left side is the _egf of hlm-relation's y-side.
+series times Euler factors; and the weighted power sums sum_k w_k v^k f_k of
+one variable v: _lin_sum, a linearization sum, and _binomial_sum, a
+q-binomial transform. Both read their weights w_k from one memoised row
+per (q, n, m, sign) (_weights) and hand them to qcore.power_sum, which
+packs each v^k over the sum's variables, so no term rebuilds a weight or a
+power. rogers2-brs's left side is the _egf of hlm-relation's y-side.
 """
 
 from __future__ import annotations
@@ -70,7 +75,8 @@ from .families import (big_qhermite_polys, brs_poly, cauchy_poly,
                        rs_poly)
 from .fps import (TruncSeries, _sum_terms, euler_inv_series, euler_series,
                   phi_series, phi_sum, series_inv)
-from .qcore import MultiPoly, frac, lincomb, memo_table, qbinom, qfac, qpochs, tri
+from .qcore import (MultiPoly, frac, lincomb, memo_table, power_sum, qbinom, qfac,
+                    qpochs, tri)
 from .qops import e_op_apply, t_op_graded
 from .quadrature import (askey_wilson_closed, askey_wilson_quad, jhi_eval,
                          ortho_quad, qpoch_inf, qpoch_n)
@@ -155,7 +161,8 @@ def verify(case_id: str, order: int | None = None, params: dict | None = None,
     elif case.mode == "numeric-complex":
         (q,), tol = _unit_params(merged, "q"), _tol_param(merged)
         draws = (case.runner(rng, q, tol / 10) for _ in range(NUMERIC_DRAWS))
-        sides = [(f"draw {i}: {label}: |difference| = {{resid:.6e}}", values, 1.0)
+        sides = [(f"draw {i}: {label}: |difference| = {{resid:.6e}}",
+                  _finite(f"draw {i}: {label}", values), 1.0)
                  for i, (label, values) in enumerate(draws)]
     else:
         tol = _tol_param(merged)
@@ -240,6 +247,16 @@ def _float_verdict(rows, tol: float, perturb: bool):
     if resid <= tol:
         return "pass", resid, None
     return "fail", resid, clip_witness(template.format(lhs=lhs, rhs=rhs, resid=resid))
+
+
+def _finite(where: str, values: list) -> list:
+    """values, once every one is a finite number. An infinite or NaN value
+    is a float overflow in the sums, not a violated identity, so it raises
+    RuntimeError, which the CLI reports as a check that could not run."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise RuntimeError(f"{where}: the float value {v!r} is not finite")
+    return values
 
 
 def _relative(lhs, rhs):
@@ -550,27 +567,40 @@ def _symmetric_sweep(order: int, sides):
             yield f"n={n}, m={m}", lhs, rhs
 
 
+def _weights(q: Fraction, n: int, m: int | None, alternating: bool) -> tuple:
+    """The weights [n,k][m,k](q;q)_k for k <= min(n, m), each times
+    (-1)^k q^(k(k-1)/2) when alternating. m = None stands for m = oo, where
+    [m,k](q;q)_k = 1 and the weights are the q-binomial transform's [n,k].
+    A row is built once per q and kept in a memo table under (n, m) sorted,
+    as the weights are symmetric in n and m."""
+    table = memo_table(("weights", alternating), q)
+    key = (n, m) if m is None or n <= m else (m, n)
+    row = table.get(key)
+    if row is None:
+        row = []
+        for k in range((n if m is None else min(n, m)) + 1):
+            w = qbinom(n, k, q) if m is None else qbinom(n, k, q) * qbinom(m, k, q) * qfac(q, k)
+            if alternating:
+                w = (-w if k % 2 else w) * q ** tri(k)
+            row.append(w)
+        row = table[key] = tuple(row)
+    return row
+
+
 def _lin_sum(n: int, m: int, q: Fraction, factor, alternating: bool = False,
              var: MultiPoly = _X) -> MultiPoly:
     """sum_k [n,k][m,k](q;q)_k var^k factor(k) over k <= min(n, m), each
-    weight times (-1)^k q^(k(k-1)/2) when alternating: the linearization sums.
-    The weight's factors go to lincomb one by one, which multiplies their
-    numerators and denominators as ints."""
-    def weight(k):
-        w = (qbinom(n, k, q), qbinom(m, k, q), qfac(q, k))
-        return (*w, q ** tri(k), (-1) ** k) if alternating else w
-
-    return lincomb((*weight(k), var ** k, factor(k)) for k in range(min(n, m) + 1))
+    weight times (-1)^k q^(k(k-1)/2) when alternating: the linearization sums,
+    as one power_sum over the memoised _weights row."""
+    return power_sum(var, _weights(q, n, m, alternating),
+                     [factor(k) for k in range(min(n, m) + 1)])
 
 
 def _binomial_sum(n: int, q: Fraction, var, values, alternating: bool = False) -> MultiPoly:
     """sum_k [n,k] var^k values[n-k], each term times (-1)^k q^(k(k-1)/2) when
     alternating: the q-binomial transform and its inverse, which carry h_n(x,y|q)
     to h_n(x|q) at var = y and H_n(x;a|q) to H_n(x|q) at var = a, and back."""
-    def weight(k):
-        return (qbinom(n, k, q), (-1) ** k, q ** tri(k)) if alternating else (qbinom(n, k, q),)
-
-    return lincomb((*weight(k), var ** k, values[n - k]) for k in range(n + 1))
+    return power_sum(var, _weights(q, n, None, alternating), values[n::-1])
 
 
 @_case("linear-brs-double",
@@ -684,9 +714,10 @@ def _mixed_sides(n: int, m: int, q: Fraction, pairs: dict):
     a = [qbinom(n, j, q) * q ** tri(j) for j in range(n + 1)]
     b = [qbinom(m, k, q) * q ** tri(k) for k in range(m + 1)]
     # the (j, k) double sum grouped by s = j + k, which fixes (-y)^s h_(n+m-s)
-    lhs = lincomb((Fraction((-1) ** s) * sum(a[j] * b[s - j]
-                                             for j in range(max(0, s - m), min(n, s) + 1)),
-                   _Y ** s, rs_poly(n + m - s, q)) for s in range(n + m + 1))
+    lhs = power_sum(_Y, [(-1) ** s * sum(a[j] * b[s - j]
+                                          for j in range(max(0, s - m), min(n, s) + 1))
+                         for s in range(n + m + 1)],
+                    [rs_poly(n + m - s, q) for s in range(n + m + 1)])
     return lhs, _lin_sum(n, m, q, lambda k: pairs[n - k, m - k], alternating=True)
 
 

@@ -15,19 +15,21 @@ are a scale (an int numerator and denominator) times at most two
 polynomials, added into one dict at the common denominator and normalised
 once (accumulate, then reduce). `+` is its sum of two one-factor terms, `*`
 its single two-factor term, and the layer products of `fps` call it
-directly. `lincomb` parses rationals and polynomials into such terms. Code
-that sums many products calls `lincomb` rather than chaining
-`acc = acc + a * b`, which re-normalises and copies the whole accumulator
-at every step.
+directly. `lincomb` parses rationals and polynomials into such terms, and
+`power_sum` builds the terms of a weighted sum of powers of one variable,
+each power packed over the sum's variables. Code that sums many products
+calls `lincomb` rather than chaining `acc = acc + a * b`, which
+re-normalises and copies the whole accumulator at every step.
 
 Polynomials are immutable once built; every operation returns a new object,
 so cached values can be shared freely between threads and callers.
 
 Sequences at a base q, such as (q; q)_n, the Gaussian binomials, the
-Cauchy and Rogers-Szego families built on them and those families' pair
-products, are memoised in tables index -> value held by one LRU of
-MEMO_KEYS tables (`memo_table`). Recurrences fill a table lowest n first
-in a loop, so no degree is too deep for the recursion limit.
+Cauchy and Rogers-Szego families built on them, those families' pair
+products and the weight rows of the linearization sums, are memoised in
+tables index -> value held by one LRU of MEMO_KEYS tables (`memo_table`).
+Recurrences fill a table lowest n first in a loop, so no degree is too
+deep for the recursion limit.
 """
 
 from __future__ import annotations
@@ -250,6 +252,23 @@ def lincomb(terms) -> "MultiPoly":
         parsed.append((cn, cd, a, b))
     variables = next(iter(var_lists)) if len(var_lists) == 1 else reduce(_union, var_lists, ())
     return _accumulate(parsed, variables)
+
+
+def power_sum(var: "MultiPoly", weights, factors) -> "MultiPoly":
+    """The sum over k of weights[k] * var^k * factors[k], for a variable var
+    (a `MultiPoly.var`), rational weights and polynomial factors.
+
+    Each var^k is packed straight over the sum's variables, the union of
+    var's and the factors', so no term is re-keyed on its way in, and each
+    term goes to `_accumulate` as the product of var^k and its factor.
+    """
+    if len(var.vars) != 1 or var._den != 1 or var._num != {1: 1}:
+        raise ValueError(f"{var} is not a single variable")
+    variables = reduce(_union, {f.vars for f in factors}, var.vars)
+    shift = _FIELD * (len(variables) - 1 - variables.index(var.vars[0]))
+    return _accumulate([(w.numerator, w.denominator * f._den,
+                         _build(variables, 1, {k << shift: 1}), f)
+                        for k, (w, f) in enumerate(zip(weights, factors, strict=True))], variables)
 
 
 def _accumulate(terms: list, variables: tuple) -> "MultiPoly":

@@ -1,5 +1,6 @@
 """Unit tests for the identity registry and verification driver."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,12 +8,14 @@ from itertools import islice
 
 import pytest
 import reference_numeric
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrs import idverify, qcore
 from qrs.families import brs_poly
 from qrs.fps import TruncSeries
 from qrs.idverify import get_case, registry, verify, verify_all
-from qrs.qcore import MultiPoly, qbinom, qfac, tri
+from qrs.qcore import MultiPoly, power_sum, qbinom, qfac, tri
 from qrs.quadrature import QuadratureError
 
 MODES = {"exact-poly", "exact-series", "numeric-complex", "quadrature"}
@@ -219,14 +222,17 @@ def test_numeric_q_must_lie_in_the_unit_disc(case_id, q):
 @pytest.mark.parametrize("case_id", NUMERIC_IDS)
 @pytest.mark.parametrize("q", [0.999, 1 - 1e-9])
 def test_numeric_q_near_one_reports_or_fails_the_check(case_id, q):
-    # near q = 1 the float (q;q)_n underflows to 0 and the series stop
-    # settling: a case must then report, or raise the RuntimeError the CLI
-    # prints as "check failed", never a ZeroDivisionError traceback
+    # near q = 1 the float (q;q)_n underflows to 0, the series stop
+    # settling and the sums may overflow: a case must then report a finite
+    # residual, or raise the RuntimeError the CLI prints as "check failed",
+    # never a ZeroDivisionError traceback or an infinite or NaN residual
+    # (phi32-transform at q = 0.999 read "fail" with residual inf)
     try:
         rep = verify(case_id, params={"q": q})
     except RuntimeError:   # QuadratureError included
         return
     assert rep.status in ("pass", "fail")
+    assert math.isfinite(rep.residual), rep.witness
 
 
 @pytest.mark.parametrize("n, m", [(9, 3), (3, 9), (400, 400)])
@@ -425,6 +431,62 @@ def test_binomial_sum_and_its_alternating_form_invert():
     assert idverify._binomial_sum(2, q, y, v) == x * x + (1 + q) * y * x + y * y
     assert idverify._binomial_sum(2, q, y, v, alternating=True) == \
         x * x - (1 + q) * y * x + q * y * y
+
+
+# a fixed example set, and nothing written to a .hypothesis/ database
+POWER_SUMS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def factor_lists(draw):
+    """Eight polynomials over x, y, both or neither, some of them zero."""
+    names = draw(st.sampled_from([(), ("x",), ("y",), ("x", "y")]))
+    exps = st.tuples(*(st.integers(0, 3) for _ in names))
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    return [MultiPoly(names, draw(st.dictionaries(exps, coefs, max_size=4)))
+            for _ in range(8)]
+
+
+def _gauss(n, k, q):
+    """[n,k] by its product formula, apart from qcore's Pascal recurrence."""
+    return math.prod((1 - q ** (n - k + i)) / (1 - q ** i) for i in range(1, k + 1))
+
+
+def _literal_sum(q, n, m, alternating, var, factors):
+    """sum_k w_k var^k factors[k], one `+` at a time, with w_k = [n,k][m,k](q;q)_k
+    ([n,k] when m is None), times (-1)^k q^(k(k-1)/2) when alternating."""
+    total = MultiPoly.const(0)
+    for k, f in enumerate(factors):
+        w = _gauss(n, k, q)
+        if m is not None:
+            w *= _gauss(m, k, q) * math.prod(1 - q ** i for i in range(1, k + 1))
+        if alternating:
+            w *= (-1) ** k * q ** (k * (k - 1) // 2)
+        total = total + Fraction(w) * var ** k * f
+    return total
+
+
+@POWER_SUMS
+@given(n=st.integers(0, 7), m=st.integers(0, 7),
+       q=st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 5), Fraction(-3, 7),
+                          Fraction(5, 6), Fraction(-1, 9)]),
+       alternating=st.booleans(), name=st.sampled_from("xy"), factors=factor_lists())
+def test_power_sums_match_their_literal_sums(n, m, q, alternating, name, factors):
+    # _lin_sum and _binomial_sum read memoised weight rows, (n, m) sorted,
+    # and pack var^k straight over the sum's variables
+    var = MultiPoly.var(name)
+    top = min(n, m)
+    got = idverify._lin_sum(n, m, q, factors.__getitem__, alternating, var)
+    assert got == _literal_sum(q, n, m, alternating, var, factors[:top + 1])
+    got = idverify._binomial_sum(n, q, var, factors, alternating)
+    assert got == _literal_sum(q, n, None, alternating, var, factors[n::-1])
+
+
+def test_power_sum_takes_a_single_variable():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    for not_a_variable in (x * y, x * x, 2 * x, x + 1, MultiPoly(("x", "y"), {(0, 1): 1})):
+        with pytest.raises(ValueError, match="is not a single variable"):
+            power_sum(not_a_variable, [1], [y])
 
 
 RECURRENCE_CASES = {"rogers-big": reference_numeric.rogers_big_lhs,
