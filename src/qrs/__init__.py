@@ -14,7 +14,7 @@ from .families import (big_qhermite_poly, big_qhermite_polys, brs_poly,
                        cauchy_poly, change_base_big, change_base_c,
                        qhermite_poly, rs_poly)
 from .fps import (TruncSeries, euler_inv_series, euler_series, phi_series,
-                  phi_sum, series_inv)
+                  phi_sum)
 from .idverify import IdentityCase, get_case, registry, verify, verify_all
 from .qcore import MultiPoly, frac, qbinom, qfac
 from .qops import e_op_apply, t_op_graded
@@ -33,5 +33,5 @@ __all__ = [
     "e_op_apply", "euler_inv_series", "euler_series", "frac", "get_case",
     "integrate", "jhi_eval", "phi_series", "phi_sum", "qbinom", "qfac",
     "qhermite_poly", "qpoch_inf", "qpoch_n", "registry", "rs_poly",
-    "series_inv", "t_op_graded", "verify", "verify_all",
+    "t_op_graded", "verify", "verify_all",
 ]

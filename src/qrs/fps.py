@@ -20,14 +20,13 @@ Bivariate series are truncated by total degree. Operations on series of
 different orders propagate the minimum order, which is the honest amount of
 information available.
 
-An Euler factor (z; q)_oo or 1/(z; q)_oo takes a one-term argument
-z = c s^i t^j, and Euler's identities give its expansion term by term
-(Gasper & Rahman 2004, section 1.3): the series is written down at once,
-with no series product. It has at most one term per degree layer, so a
-dense series meets a product of Euler series one factor at a time, as in
-`dense * euler_series(z1, q) * euler_inv_series(z2, q)`, at about one pair
-per term of the dense series per layer. The product of the Euler series,
-multiplied out first, would be dense itself.
+A Pochhammer factor (z; q)_j or 1/(z; q)_j, j finite or oo (an Euler
+factor), takes a one-term z = c s^i t^j and is written down term by term
+from the q-binomial theorem (Gasper & Rahman 2004, section 1.3), with no
+series product. It has at most one term per degree layer, so a dense
+series meets a product of such factors one factor at a time, at about one
+pair per term of the dense series per layer. phi_series builds its terms
+from them too: no exact series is ever divided or inverted.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from itertools import count
 from types import MappingProxyType
 
 from .qcore import (MultiPoly, _accumulate, _build, _pack, _split, _union, _widen, frac,
-                    lincomb, qfac, tri)
+                    lincomb, memo_table, qbinom, qfac, tri)
 
 _SCALARS = (int, Fraction)
 
@@ -282,67 +281,54 @@ def _make(variables: tuple, order: int, layers: tuple) -> TruncSeries:
     return s
 
 
-def series_inv(f: TruncSeries) -> TruncSeries:
-    """Inverse of a series whose constant term is a nonzero rational."""
-    return _divide(TruncSeries.one(f.vars, f.order), f)
+def _poch_weights(q: Fraction, j, n: int, inverse: bool) -> tuple:
+    """w_0..w_n in sum_k w_k z^k = (z; q)_j (or fewer: w_k = 0 for k > j), or
+    1/(z; q)_j when inverse, j = None standing for oo: [j,k] (-1)^k
+    q^(k(k-1)/2), or [j+k-1,k], with [oo,k] = 1/(q;q)_k (Gasper & Rahman
+    2004, section 1.3). Each row is built once per (q, j, n) and memoised."""
+    table = memo_table(("poch", inverse), q)
+    row = table.get((j, n))
+    if row is None:
+        row = [Fraction(1)]
+        for k in range(1, n + 1 if inverse or j is None else min(j, n) + 1):
+            w = 1 / qfac(q, k) if j is None else qbinom(j + k - 1 if inverse else j, k, q)
+            row.append(w if inverse else (-w if k % 2 else w) * q ** tri(k))
+        row = table[j, n] = tuple(row)
+    return row
 
 
-def _divide(f: TruncSeries, d: TruncSeries) -> TruncSeries:
-    """f / d for a series d whose constant term is a nonzero rational.
-
-    Solved degree layer by degree layer from g_n = (f_n - sum_{k>=1} d_k
-    g_{n-k}) / d_0, each layer of g one `qcore._accumulate` of f_n and the
-    products with the nonzero layers of d; exact. A sparse d, such as
-    1 - c t, costs one pair per layer.
-    """
-    order, fl, dl = f._common(d)
-    fields = fl[0].vars
-    d0 = dl[0]
-    if not d0._num:
-        raise ZeroDivisionError("cannot divide by a series with zero constant term")
-    if set(d0._num) != {0}:
-        raise ValueError("the constant term of the divisor is not a rational")
-    c0 = d0._num[0]
-    # 1/d_0 = den/c0, with a positive denominator
-    cn, cd = (d0._den, c0) if c0 > 0 else (-d0._den, -c0)
-    zero = _build(fields, 1, {})
-    nonconst = [k for k in range(1, order + 1) if dl[k]._num]
-    g = []
-    for n in range(order + 1):
-        terms = [(cn, cd * fl[n]._den, fl[n], None)] if fl[n]._num else []
-        terms += [(-cn, cd * dl[k]._den * g[n - k]._den, dl[k], g[n - k])
-                  for k in nonconst if k <= n and g[n - k]._num]
-        g.append(_accumulate(terms, fields) if terms else zero)
-    return _make(f.vars, order, tuple(g))
-
-
-def _euler(z: TruncSeries, weight, name: str) -> TruncSeries:
-    """1 + sum_k weight(k) c^k s^(k i) t^(k j) for a one-term z = c s^i t^j,
-    through z's order. A zero z gives 1."""
+def _powers(z: TruncSeries, name: str) -> list:
+    """[(degree, layer)] of each z^k through z's order, for a one-term z =
+    c s^i t^j with i + j > 0 (of 1 alone for z = 0); else ValueError."""
     terms = z.coeffs
     if not terms:
-        return TruncSeries.one(z.vars, z.order)
+        return [(0, TruncSeries.one(z.vars, z.order)._layers[0])]
     idx = next(iter(terms))
     if len(terms) > 1 or not any(idx):
         raise ValueError(f"{name} needs a one-term series c*s^i*t^j with i + j > 0")
-    c = terms[idx]
-    coeffs = {(0,) * len(idx): Fraction(1)}
-    for k in range(1, z.order // sum(idx) + 1):
-        coeffs[tuple(k * i for i in idx)] = c ** k * weight(k)
-    return TruncSeries(z.vars, z.order, coeffs)
+    c, step = terms[idx], sum(idx)
+    layers = TruncSeries(z.vars, z.order, {tuple(k * i for i in idx): c ** k
+                                           for k in range(z.order // step + 1)})._layers
+    return [(d, layers[d]) for d in range(0, z.order + 1, step)]
+
+
+def _poch(z: TruncSeries, powers: list, q: Fraction, j, inverse: bool) -> TruncSeries:
+    """(z; q)_j, or 1/(z; q)_j when inverse, j = None for oo, written down
+    through z's order from the _powers of z and a _poch_weights row."""
+    layers = [_build(powers[0][1].vars, 1, {})] * (z.order + 1)
+    for (d, layer), w in zip(powers, _poch_weights(q, j, len(powers) - 1, inverse)):
+        layers[d] = layer._scaled(w.numerator, w.denominator)
+    return _make(z.vars, z.order, tuple(layers))
 
 
 def euler_series(z: TruncSeries, q: Fraction) -> TruncSeries:
     """(z; q)_oo for a one-term z: sum_k (-1)^k q^(k(k-1)/2) z^k / (q;q)_k."""
-    q = frac(q)
-    return _euler(z, lambda k: Fraction((-1) ** k) * q ** tri(k) / qfac(q, k),
-                  "euler_series")
+    return _poch(z, _powers(z, "euler_series"), frac(q), None, False)
 
 
 def euler_inv_series(z: TruncSeries, q: Fraction) -> TruncSeries:
     """1/(z; q)_oo for a one-term z: sum_k z^k / (q;q)_k."""
-    q = frac(q)
-    return _euler(z, lambda k: Fraction(1) / qfac(q, k), "euler_inv_series")
+    return _poch(z, _powers(z, "euler_inv_series"), frac(q), None, True)
 
 
 def phi_series(upper, lower, q: Fraction, argument: TruncSeries,
@@ -350,12 +336,12 @@ def phi_series(upper, lower, q: Fraction, argument: TruncSeries,
     """Truncated expansion of the basic hypergeometric r+1_phi_r(upper;
     lower; q, argument), through the argument's order.
 
-    upper and lower entries are ring elements or series in the argument's
-    variables (a parameter like x*t is a degree-1 series in t). Term j is
-    prod(upper Pochhammers) * prod(ratio factors) * argument^j divided by
-    (q;q)_j and the lower Pochhammers, all exact in the coefficient ring.
-    Lower parameters must keep the denominator invertible as a series (unit
-    constant term), which every zero-constant or scalar parameter does.
+    The argument has zero constant term. A parameter is a one-term series
+    c*s^i*t^j (i + j > 0), like x*t, or else a ring element (upper) or a
+    rational (lower). Term j is argument^j times the series parameters'
+    Pochhammer factors, written down by _poch, times one ring scalar, the
+    other factors over (q;q)_j. Anything else, or a lower l with
+    1 - l q^k = 0, raises ValueError.
 
     ratio_upper entries are (num, den) pairs standing for a parameter
     num/den whose Pochhammer factor is kept polynomial by absorbing den^j
@@ -365,25 +351,37 @@ def phi_series(upper, lower, q: Fraction, argument: TruncSeries,
     den = 0.
     """
     q = frac(q)
-    one = TruncSeries.one(argument.vars, argument.order)
-    # a series parameter is used as it is: products keep the smaller order
-    uppers = [p if isinstance(p, TruncSeries) else one.scale(p) for p in upper]
-    lowers = [p if isinstance(p, TruncSeries) else one.scale(p) for p in lower]
-    out = num = den_inv = argpow = one
-    ratio = Fraction(1)
+    if argument._layers[0]._num:
+        raise ValueError("phi_series needs an argument with zero constant term")
+    series = [(p, _powers(p, f"phi_series {kind} parameter {i}"), kind == "lower")
+              for kind, params in (("upper", upper), ("lower", lower))
+              for i, p in enumerate(params) if isinstance(p, TruncSeries)]
+    uppers = [p for p in upper if not isinstance(p, TruncSeries)]
+    lowers = [(i, p) for i, p in enumerate(lower) if not isinstance(p, TruncSeries)]
+    out = argpow = TruncSeries.one(argument.vars, argument.order)
+    scalar = Fraction(1)
     for j in range(1, argument.order + 1):
         qk = q ** (j - 1)
+        den = 1 - q ** j
+        for i, low in lowers:
+            factor = 1 - low * qk
+            if not isinstance(factor, _SCALARS) or not factor:
+                raise ValueError(f"phi_series lower parameter {i} ({low}): 1 - l q^{j - 1} "
+                                 f"is not a nonzero rational")
+            den *= factor
         for u in uppers:
-            num = num * (one - u.scale(qk))
+            scalar = scalar * (1 - u * qk)
         for rnum, rden in ratio_upper:
-            ratio = ratio * (rden - rnum * qk)
-        for l in lowers:
-            den_inv = _divide(den_inv, one - l.scale(qk))
+            scalar = scalar * (rden - rnum * qk)
+        scalar = scalar * (1 / den)
         argpow = argpow * argument
         if argpow.is_zero():
             break
-        # arg^j first: the dense products cover only the degrees it leaves
-        out = out + (argpow * num * den_inv).scale(ratio * (Fraction(1) / qfac(q, j)))
+        # arg^j first: the written-down factors cover only the degrees it leaves
+        term = argpow
+        for z, powers, inverse in series:
+            term = term * _poch(z, powers, q, j, inverse)
+        out = out + term.scale(scalar)
     return out
 
 

@@ -197,6 +197,35 @@ def test_order_accepts_integral_values():
         assert type(rep.order) is int
 
 
+def test_series_sides_must_reach_the_reported_order(monkeypatch):
+    # an order-8 side against an order-4 one that differs only at t^6 would
+    # compare equal through order 4 and read as an exact pass at order 8
+    t8 = TruncSeries.variable(("t",), 8, "t")
+    t4 = TruncSeries.variable(("t",), 4, "t")
+
+    def runner(order, q, params):
+        yield "n=0", t8, t8
+        yield "n=1", 1 + t8 + TruncSeries.monomial(("t",), 8, (6,)), 1 + t4
+
+    stub = idverify.IdentityCase(
+        id="stub", description="stub", mode="exact-series", default_order=8,
+        symbols="t", domain="any", defaults={"q": Fraction(1, 2)}, runner=runner)
+    monkeypatch.setitem(idverify._REGISTRY, "stub", stub)
+    with pytest.raises(RuntimeError, match="n=1: a series side is not of the reported order 8"):
+        verify("stub")
+    with pytest.raises(RuntimeError, match="n=0: a series side is not of the reported order 6"):
+        verify("stub", order=6)
+
+
+def test_only_numeric_draws_build_a_random_generator(monkeypatch):
+    drawn = []
+    rng_for = idverify._rng_for
+    monkeypatch.setattr(idverify, "_rng_for",
+                        lambda case_id, seed: drawn.append(case_id) or rng_for(case_id, seed))
+    reports = verify_all(order=2)
+    assert drawn == [r.id for r in reports if r.mode == "numeric-complex"]
+
+
 @pytest.mark.parametrize("case_id", ["gf-big", "askey-wilson", "ortho-big"])
 @pytest.mark.parametrize("tol", [-1, 0, -0.0, float("nan"), float("inf")])
 def test_tol_must_be_finite_and_positive(case_id, tol):
@@ -524,7 +553,11 @@ def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
     # summed its left side over l first, verify_all() took 339,964 pairs:
     # mehler-brs 96,911, linear-brs-double 75,082, lemma-2.3 62,723 and
     # hlm-relation 40,145. lemma-2.3 took 27,023 before its right side became
-    # a sum of Euler chains over shifted arguments.
+    # a sum of Euler chains over shifted arguments. Before phi_series wrote
+    # its Pochhammer factors down and lemma-2.3's left side became an Euler
+    # chain, rather than dividing series, they took 183,211: mehler-brs
+    # 47,778, lemma-2.3 17,251, rogers-brs 6,932, zhang-wang 1,832,
+    # mehler-reduction 1,963 and lemma-2.2 1,013.
     counts = Counter()
     current = [None]
     mul_into, verify_one = qcore._mul_into, idverify.verify
@@ -542,11 +575,15 @@ def test_exact_term_pairs_stay_at_their_counts(monkeypatch):
     # memo tables that earlier tests filled would hide the cost of the families
     qcore._table.cache_clear()
     assert all(rep.passed() for rep in verify_all())
-    assert sum(counts.values()) <= 183_211
-    assert counts["mehler-brs"] <= 48_457
-    assert counts["lemma-2.3"] <= 17_251
+    assert sum(counts.values()) <= 179_366
+    assert counts["mehler-brs"] <= 46_459
+    assert counts["lemma-2.3"] <= 16_210
     assert counts["linear-brs-double"] <= 56_658
-    assert counts["hlm-relation"] <= 30_059
+    assert counts["hlm-relation"] <= 25_733
+    assert counts["rogers-brs"] <= 6_035
+    assert counts["mehler-reduction"] <= 1_867
+    assert counts["zhang-wang"] <= 1_512
+    assert counts["lemma-2.2"] <= 841
     # each pair product is built once per q: a second table costs nothing
     before = sum(counts.values())
     idverify._pair_products(brs_poly, Fraction(1, 2), 8)
